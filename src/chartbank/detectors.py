@@ -150,7 +150,11 @@ class ChartBank:
             raise AlreadyStoppedError(
                 f"bank already stopped at slot {self._report.stopped_at}; build a fresh bank"
             )
-        llr = np.atleast_1d(np.asarray(self.family.llr(self._grid, float(x)), dtype=float))
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("x must be finite")
+        # the grid was validated once, in __init__
+        llr = self.family._llr(self._grid, np.asarray(x))
         self._log_stats = advance_log_stats(self.variant, self._log_stats, self.prior.slot_cost, llr)
         self._n += 1
         crossed = self._log_stats >= self._thresholds

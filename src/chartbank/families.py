@@ -48,7 +48,7 @@ class Interval:
 
     def contains(self, lam: float | np.ndarray) -> bool:
         arr = np.asarray(lam, dtype=float)
-        return bool(np.all((arr >= self.low) & (arr <= self.high)))
+        return bool(((arr >= self.low) & (arr <= self.high)).all())
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class GeometricPrior:
 
 def _as_float_array(x: float | np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -130,9 +130,18 @@ class ObservationFamily(ABC):
             raise ValueError(f"parameter {lam!r} outside the admissible set")
         return arr
 
-    @abstractmethod
     def llr(self, lam: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
         """log f_lam(x) - log g(x), broadcasting over both arguments."""
+        out = self._llr(self._check_lam(lam), _as_float_array(x, "x"))
+        return float(out) if np.ndim(out) == 0 else out
+
+    @abstractmethod
+    def _llr(self, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
+        """``llr`` on float arrays the caller has already validated.
+
+        Batch kernels and stepped detectors check the grid once up front and
+        the observations once per block or call, then call this directly.
+        """
 
     @abstractmethod
     def kl_post_vs_pre(self, lam: float | np.ndarray) -> float | np.ndarray:
@@ -182,11 +191,8 @@ class GaussianMeanShift(ObservationFamily):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    def llr(self, lam, x):
-        lam_arr = self._check_lam(lam)
-        x_arr = _as_float_array(x, "x")
-        out = (lam_arr - self.pre_mean) / self.sigma**2 * (x_arr - (self.pre_mean + lam_arr) / 2.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def _llr(self, lam_arr, x_arr):
+        return (lam_arr - self.pre_mean) / self.sigma**2 * (x_arr - (self.pre_mean + lam_arr) / 2.0)
 
     def kl_post_vs_pre(self, lam):
         lam_arr = self._check_lam(lam)
@@ -231,12 +237,9 @@ class GaussianVarianceShift(ObservationFamily):
         if lows <= 0:
             raise ValueError("scale parameters must be positive")
 
-    def llr(self, lam, x):
-        lam_arr = self._check_lam(lam)
-        x_arr = _as_float_array(x, "x")
+    def _llr(self, lam_arr, x_arr):
         quad = (x_arr - self.center) ** 2 / 2.0
-        out = np.log(self.pre_sigma / lam_arr) + quad * (1.0 / self.pre_sigma**2 - 1.0 / lam_arr**2)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.log(self.pre_sigma / lam_arr) + quad * (1.0 / self.pre_sigma**2 - 1.0 / lam_arr**2)
 
     def kl_post_vs_pre(self, lam):
         lam_arr = self._check_lam(lam)
@@ -283,9 +286,7 @@ class GenericFamily(ObservationFamily):
         if self.kl_mc_samples < 100:
             raise ValueError("kl_mc_samples too small for a usable estimate")
 
-    def llr(self, lam, x):
-        lam_arr = self._check_lam(lam)
-        x_arr = _as_float_array(x, "x")
+    def _llr(self, lam_arr, x_arr):
         if np.ndim(lam_arr) == 0:
             out = self.log_post(float(lam_arr), x_arr) - self.log_pre(x_arr)
         else:
@@ -298,7 +299,7 @@ class GenericFamily(ObservationFamily):
         flat = np.atleast_1d(np.asarray(out, dtype=float))
         if np.any(np.isnan(flat)) or np.any(np.isposinf(flat)):
             raise ValueError("log likelihood ratio undefined; observation outside support?")
-        return float(out) if np.ndim(out) == 0 else out
+        return out
 
     def kl_post_vs_pre_detail(self, lam: float) -> tuple[float, float]:
         """Monte Carlo divergence estimate, returned as (value, standard error)."""
@@ -337,12 +338,35 @@ class GenericFamily(ObservationFamily):
         return np.asarray(self.post_sampler(float(lam), rng, size), dtype=float)
 
 
+def _std_to_path(family: ObservationFamily, lam: float, n_pre: int, x: np.ndarray) -> None:
+    """Map the standard normals in x to observations in place: pre-change before n_pre."""
+    x[:n_pre] = family.pre_from_std(x[:n_pre])
+    x[n_pre:] = family.post_from_std(lam, x[n_pre:])
+
+
+def _draw_path(family: ObservationFamily, lam: float, rng: np.random.Generator, n_pre: int, x: np.ndarray) -> None:
+    """Fill x with n_pre pre-change draws, then post-change draws, from the family's samplers."""
+    if n_pre:
+        x[:n_pre] = family.sample_pre(rng, n_pre)
+    if x.size - n_pre:
+        x[n_pre:] = family.sample_post(lam, rng, x.size - n_pre)
+
+
+def _out_block(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
+    return out
+
+
 def sample_path(
     family: ObservationFamily,
     prior: GeometricPrior,
     lam_true: float,
     horizon: int,
     seed,
+    out: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray]:
     """Draw a change time and a horizon-long observation path.
 
@@ -351,23 +375,22 @@ def sample_path(
     is drawn first and the observation noise afterwards, so two calls with the
     same seed but different lam_true share the change time and, for families
     with a standard-normal representation, every pre-change observation
-    bitwise.
+    bitwise.  For those families a shorter horizon also gives a bitwise prefix
+    of a longer one.  With ``out`` (contiguous float64, length horizon) the
+    path is written there, so a caller can fill the rows of one block.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     family._check_lam(lam_true)
+    x = _out_block(out, (horizon,))
     rng = np.random.default_rng(seed)
     t = prior.sample(rng)
+    n_pre = min(t - 1, horizon)
     if family.supports_paired_sampling:
-        z = rng.standard_normal(horizon)
-        slots = np.arange(1, horizon + 1)
-        x = np.where(slots >= t, family.post_from_std(lam_true, z), family.pre_from_std(z))
+        rng.standard_normal(out=x)
+        _std_to_path(family, lam_true, n_pre, x)
     else:
-        n_pre = min(t - 1, horizon)
-        parts = [family.sample_pre(rng, n_pre)] if n_pre else []
-        if horizon - n_pre:
-            parts.append(family.sample_post(lam_true, rng, horizon - n_pre))
-        x = np.concatenate(parts) if parts else np.empty(0)
+        _draw_path(family, lam_true, rng, n_pre, x)
     return t, x
 
 
@@ -377,12 +400,14 @@ def sample_path_multi(
     lams_true,
     horizon: int,
     seed,
+    out: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray]:
     """Draw one shared change time and an [n_sources, horizon] observation block.
 
     All sources switch to their post-change densities on the same slot t.
     Draw order (change time first, then a fixed-shape noise block) matches
     ``sample_path`` so pre-change draws stay pairable across true parameters.
+    ``out`` works as in ``sample_path``, with shape [n_sources, horizon].
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -391,19 +416,15 @@ def sample_path_multi(
         raise ValueError(f"{len(families)} sources but {len(lams)} true parameters")
     for fam, lam in zip(families, lams):
         fam._check_lam(lam)
+    x = _out_block(out, (len(families), horizon))
     rng = np.random.default_rng(seed)
     t = prior.sample(rng)
-    slots = np.arange(1, horizon + 1)
-    x = np.empty((len(families), horizon))
+    n_pre = min(t - 1, horizon)
     if all(f.supports_paired_sampling for f in families):
-        z = rng.standard_normal((len(families), horizon))
-        for idx, (fam, lam) in enumerate(zip(families, lams)):
-            x[idx] = np.where(slots >= t, fam.post_from_std(lam, z[idx]), fam.pre_from_std(z[idx]))
+        rng.standard_normal(out=x)
+        for fam, lam, row in zip(families, lams, x):
+            _std_to_path(fam, lam, n_pre, row)
     else:
-        n_pre = min(t - 1, horizon)
-        for idx, (fam, lam) in enumerate(zip(families, lams)):
-            if n_pre:
-                x[idx, :n_pre] = fam.sample_pre(rng, n_pre)
-            if horizon - n_pre:
-                x[idx, n_pre:] = fam.sample_post(lam, rng, horizon - n_pre)
+        for fam, lam, row in zip(families, lams, x):
+            _draw_path(fam, lam, rng, n_pre, row)
     return t, x

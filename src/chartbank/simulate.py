@@ -3,8 +3,14 @@
 Each run draws a change time from the prior, builds an observation path and
 drives a fresh detector over it.  Runs are seeded individually from
 (base seed, run index), so results are bitwise reproducible under any batch
-size or worker count, and two estimates that share a base seed see identical
-paths wherever the observation model allows pairing.
+size, compaction schedule or sharing of paths between templates, and two
+estimates that share a base seed see identical paths wherever the
+observation model allows pairing.
+
+The batch kernels step only runs that are still going: the bank kernel drops
+a row as soon as it stops, the window kernel compacts its ring tables once
+enough rows have stopped.  A sweep draws each block of paths once per alpha
+and runs every template with the same observation model on it.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -16,9 +22,7 @@ share exceeds the configured cap.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +38,8 @@ __all__ = [
     "McSummary",
     "BankSpec",
     "WindowSpec",
+    "PathBlock",
+    "draw_paths",
     "simulate_runs",
     "estimate",
     "direct_stat_oracle",
@@ -44,10 +50,7 @@ __all__ = [
     "add_vs_alpha_sweep",
     "default_horizon",
     "best_drift",
-    "WORKERS_ENV",
 ]
-
-WORKERS_ENV = "CHARTBANK_WORKERS"
 
 ORACLE_CAP = 500
 
@@ -148,92 +151,137 @@ def _seed_list(seed) -> list[int]:
     return [int(s) for s in seed]
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return 1
+# Rows per kernel call, and per path block a sweep draws.
+BATCH_SIZE = 2048
+
+# The window kernel moves its ring tables' running rows down once fewer than
+# this share of the rows still runs: often enough to keep the per-slot work
+# near the live count, rarely enough that the row copies stay cheap.
+COMPACT_BELOW = 0.75
 
 
-def _bank_batch(spec: BankSpec, lam_true: float, run_ids: np.ndarray, horizon: int, seed_base: list[int]):
-    batch = run_ids.size
-    grid = np.asarray(spec.grid, dtype=float)
+@dataclass(frozen=True)
+class PathBlock:
+    """Change times and observation paths of consecutive runs, one row per run.
+
+    ``observations`` is [runs, horizon] for a bank and [runs, n_sources,
+    horizon] for the window engine.  Every observation is checked for
+    finiteness here, once per block, so the kernels can call the families'
+    unchecked llr.
+    """
+
+    change_points: np.ndarray
+    observations: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.observations.shape[0] != self.change_points.size:
+            raise ValueError("need one observation row per change point")
+        if not np.isfinite(self.observations).all():
+            raise ValueError("x must be finite")
+
+    @property
+    def horizon(self) -> int:
+        return self.observations.shape[-1]
+
+
+def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) -> PathBlock:
+    """Draw the change times and paths of the given runs, row by row into one block.
+
+    Run r is seeded from (seed, r).  For a bank whose family has a
+    standard-normal representation, the first h slots of a block equal the
+    block drawn at horizon h bitwise, so one block serves banks of any
+    shorter horizon.
+    """
+    seed_base = _seed_list(seed)
+    ts = np.empty(len(runs), dtype=np.int64)
+    if isinstance(spec, BankSpec):
+        xs = np.empty((len(runs), horizon))
+        for j, rid in enumerate(runs):
+            ts[j], _ = sample_path(spec.family, spec.prior, float(lam_true), horizon, seed_base + [rid], out=xs[j])
+    else:
+        xs = np.empty((len(runs), len(spec.families), horizon))
+        for j, rid in enumerate(runs):
+            ts[j], _ = sample_path_multi(spec.families, spec.prior, lam_true, horizon, seed_base + [rid], out=xs[j])
+    return PathBlock(ts, xs)
+
+
+def _bank_batch(spec: BankSpec, xs: np.ndarray):
+    """Stop slot (0 if censored) and firing chart per row of xs, stepping only running rows."""
+    grid = spec.family._check_lam(np.asarray(spec.grid, dtype=float))[None, :]
     thr = np.asarray(spec.log_thresholds, dtype=float)
-    if thr.size == 1:
-        thr = np.full(grid.shape, float(thr[0]))
-    ts = np.empty(batch, dtype=np.int64)
-    xs = np.empty((batch, horizon))
-    for j, rid in enumerate(run_ids):
-        t, x = sample_path(spec.family, spec.prior, lam_true, horizon, seed_base + [int(rid)])
-        ts[j] = t
-        xs[j] = x
-
+    batch, horizon = xs.shape
     state = np.broadcast_to(initial_log_stats(spec.variant, grid.size), (batch, grid.size)).copy()
+    live = np.arange(batch)  # batch row of each state row
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
     cost = spec.prior.slot_cost
     for s in range(horizon):
-        llr = np.asarray(spec.family.llr(grid[None, :], xs[:, s][:, None]), dtype=float)
+        llr = spec.family._llr(grid, xs[live, s][:, None])
         state = advance_log_stats(spec.variant, state, cost, llr)
-        crossed = state >= thr[None, :]
-        newly = active & crossed.any(axis=1)
-        if newly.any():
-            stop[newly] = s + 1
-            firing[newly] = np.argmax(crossed[newly], axis=1)
-            active[newly] = False
-            if not active.any():
+        crossed = state >= thr
+        hit = crossed.any(axis=1)
+        if hit.any():
+            stop[live[hit]] = s + 1
+            firing[live[hit]] = np.argmax(crossed[hit], axis=1)
+            keep = ~hit
+            live = live[keep]
+            if live.size == 0:
                 break
-    return ts, stop, firing
+            state = state[keep]
+    return stop, firing
 
 
-def _window_batch(spec: WindowSpec, lams_true, run_ids: np.ndarray, horizon: int, seed_base: list[int]):
-    batch = run_ids.size
-    families = list(spec.families)
-    grids = [np.asarray(g, dtype=float) for g in spec.grids]
-    n_sources = len(families)
+def _window_batch(spec: WindowSpec, xs: np.ndarray):
+    """Stop slot (0 if censored) and composite firing chart per row of xs.
+
+    Rows that stopped stay in the ring tables until fewer than COMPACT_BELOW
+    of them still run; then the running rows move down in place and the
+    tables shrink to a leading view, so no table is ever copied whole.
+    """
+    families = spec.families
+    grids = [fam._check_lam(np.asarray(g, dtype=float))[None, :] for fam, g in zip(families, spec.grids)]
+    batch, n_sources, horizon = xs.shape
     width = spec.window_len + 1
-    ts = np.empty(batch, dtype=np.int64)
-    xs = np.empty((batch, n_sources, horizon))
-    for j, rid in enumerate(run_ids):
-        t, block = sample_path_multi(families, spec.prior, lams_true, horizon, seed_base + [int(rid)])
-        ts[j] = t
-        xs[j] = block
-
     tables = [np.zeros((batch, g.size, width)) for g in grids]
     weights = np.arange(1, width + 1) * spec.prior.slot_cost
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)  # batch row of each table row
+    running = np.ones(batch, dtype=bool)  # per table row
+    n_running = batch
     for s in range(horizon):
         n = s + 1
         slot_new = n % width
-        bests = []
-        for l in range(n_sources):
-            llr = np.asarray(families[l].llr(grids[l][None, :], xs[:, l, s][:, None]), dtype=float)
-            bests.append(ring_advance(tables[l], llr, slot_new))
+        x = xs[rows, :, s]
+        bests = [
+            ring_advance(table, fam._llr(grid, x[:, l, None]), slot_new)
+            for l, (fam, grid, table) in enumerate(zip(families, grids, tables))
+        ]
         starts, slots = window_offsets(n, width)
         total = weights[(n - starts)][None, :] + sum(b[:, slots] for b in bests)
-        stat = total.max(axis=1)
-        newly = active & (stat >= spec.log_threshold)
+        newly = running & (total.max(axis=1) >= spec.log_threshold)
         if newly.any():
-            stop[newly] = n
-            for r in np.nonzero(newly)[0]:
-                pick = int(np.argmax(total[r]))
-                slot = int(slots[pick])
+            for r in np.flatnonzero(newly).tolist():
+                slot = int(slots[np.argmax(total[r])])
                 u = 0
-                for l in range(n_sources):
-                    u = u * grids[l].size + int(np.argmax(tables[l][r, :, slot]))
-                firing[r] = u
-            active[newly] = False
-            if not active.any():
+                for grid, table in zip(grids, tables):
+                    u = u * grid.size + int(np.argmax(table[r, :, slot]))
+                firing[rows[r]] = u
+            stop[rows[newly]] = n
+            running &= ~newly
+            n_running = int(running.sum())
+            if n_running == 0:
                 break
-    return ts, stop, firing
+            if n_running < COMPACT_BELOW * rows.size:
+                keep = np.flatnonzero(running)
+                for table in tables:
+                    for dst, src in enumerate(keep.tolist()):
+                        if dst != src:
+                            table[dst] = table[src]
+                tables = [table[:n_running] for table in tables]
+                rows = rows[keep]
+                running = running[keep]
+    return stop, firing
 
 
 def simulate_runs(
@@ -242,43 +290,38 @@ def simulate_runs(
     n_runs: int,
     horizon: int,
     seed,
-    batch_size: int = 2048,
-    workers: int | None = None,
+    batch_size: int = BATCH_SIZE,
+    paths: PathBlock | None = None,
 ) -> RunArrays:
     """Run n_runs independent paths through fresh detector state.
 
-    Per-run seeds are (seed, run index); aggregation order is fixed by run
-    index, so the result is independent of batching and worker count.
+    Per-run seeds are (seed, run index) and runs never interact, so the
+    result is bitwise the same under any batch size, and the kernels' dropping
+    of stopped rows does not change it either.  ``paths`` passes a block from
+    ``draw_paths`` holding exactly these runs at ``horizon`` slots or more, so
+    that several detectors share one draw; nothing is drawn then.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    seed_base = _seed_list(seed)
-    n_workers = _resolve_workers(workers)
-
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if paths is not None and (paths.change_points.size != n_runs or paths.horizon < horizon):
+        raise ValueError(f"paths must hold {n_runs} runs of at least {horizon} slots")
+    kernel = _bank_batch if isinstance(spec, BankSpec) else _window_batch
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty(n_runs, dtype=np.int64)
     firing = np.empty(n_runs, dtype=np.int64)
-
-    def do_batch(lo: int) -> None:
+    for lo in range(0, n_runs, batch_size):
         hi = min(lo + batch_size, n_runs)
-        ids = np.arange(lo, hi)
-        if isinstance(spec, BankSpec):
-            t_b, stop_b, fire_b = _bank_batch(spec, float(lam_true), ids, horizon, seed_base)
+        if paths is None:
+            block, rows = draw_paths(spec, lam_true, range(lo, hi), horizon, seed), slice(None)
         else:
-            t_b, stop_b, fire_b = _window_batch(spec, lam_true, ids, horizon, seed_base)
-        ts[lo:hi] = t_b
-        stop[lo:hi] = stop_b
-        firing[lo:hi] = fire_b
-
-    offsets = list(range(0, n_runs, batch_size))
-    if n_workers == 1 or len(offsets) == 1:
-        for lo in offsets:
-            do_batch(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(do_batch, offsets))
+            block, rows = paths, slice(lo, hi)
+        ts[lo:hi] = block.change_points[rows]
+        stop[lo:hi], firing[lo:hi] = kernel(spec, block.observations[rows, ..., :horizon])
+        del block  # free this batch's paths before the next are drawn
 
     stopped = stop > 0
     false_alarm = stopped & (stop < ts)
@@ -299,11 +342,10 @@ def estimate(
     horizon: int,
     seed,
     censor_cap: float = 1e-3,
-    batch_size: int = 2048,
-    workers: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> McSummary:
     """Monte Carlo delay and false-alarm summary for one detector config."""
-    runs = simulate_runs(spec, lam_true, n_runs, horizon, seed, batch_size=batch_size, workers=workers)
+    runs = simulate_runs(spec, lam_true, n_runs, horizon, seed, batch_size=batch_size)
     return summarize(runs, censor_cap=censor_cap)
 
 
@@ -498,6 +540,33 @@ def _threshold(alpha: float, rho: float, n_charts: int) -> float:
     return threshold_for(alpha, rho, n_charts)
 
 
+def _shared_paths_key(spec: DetectorSpec, horizon: int) -> tuple:
+    """Cells with equal keys at one alpha can run on one block from ``draw_paths``."""
+    if isinstance(spec, BankSpec):
+        # one standard-normal draw per run: a shorter horizon reads a prefix
+        prefix = spec.family.supports_paired_sampling
+        return (BankSpec, spec.family, spec.prior, None if prefix else horizon)
+    # an [n_sources, horizon] draw is no prefix of a longer one, row 1 onwards
+    return (WindowSpec, spec.families, spec.prior, horizon)
+
+
+@dataclass
+class _Cell:
+    """One (alpha, template) cell of a sweep and its runs, one RunArrays per block."""
+
+    template: Template
+    spec: DetectorSpec
+    lam: object  # as simulate_runs takes it for this spec
+    lam_vec: tuple[float, ...]
+    d_total: float
+    horizon: int
+    runs: list[RunArrays] = field(default_factory=list)
+
+
+def _concat_runs(parts: list[RunArrays]) -> RunArrays:
+    return RunArrays(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RunArrays)))
+
+
 def add_vs_alpha_sweep(
     templates: Sequence[Template],
     lam_true,
@@ -506,13 +575,14 @@ def add_vs_alpha_sweep(
     seed: int,
     horizon: int | None = None,
     censor_cap: float = 1e-3,
-    workers: int | None = None,
 ) -> list[SweepRow]:
     """Estimate delay and false-alarm rate over an alpha grid for each template.
 
     Thresholds follow the union-bound rule per alpha.  Runs are paired across
     templates at each alpha (same per-run seeds), so pathwise dominance
-    between chart variants carries over to the estimates exactly.
+    between chart variants carries over to the estimates exactly.  Templates
+    that share an observation model draw each path once per alpha, in blocks
+    of BATCH_SIZE runs at the longest of their horizons.
     """
     from .design import add_lower_bound, efficiency
 
@@ -525,6 +595,7 @@ def add_vs_alpha_sweep(
         raise ValueError("alphas must be strictly decreasing")
     rows: list[SweepRow] = []
     for a_idx, alpha in enumerate(alphas):
+        cells = []
         for template in templates:
             rho = template.prior.rho
             if isinstance(template, BankTemplate):
@@ -554,31 +625,38 @@ def add_vs_alpha_sweep(
             cell_horizon = horizon
             if cell_horizon is None:
                 cell_horizon = default_horizon(alpha, template.prior, best_drift(template, lam_true), censor_cap)
-            summary = estimate(
-                spec,
-                lam_true if isinstance(template, WindowTemplate) else lam_vec[0],
-                n_runs,
-                cell_horizon,
-                [seed, a_idx],
-                censor_cap=censor_cap,
-                workers=workers,
-            )
-            bound = add_lower_bound(alpha, d_total)
+            lam = lam_vec[0] if isinstance(spec, BankSpec) else lam_true
+            cells.append(_Cell(template, spec, lam, lam_vec, d_total, cell_horizon))
+
+        groups: dict[tuple, list[_Cell]] = {}
+        for cell in cells:
+            groups.setdefault(_shared_paths_key(cell.spec, cell.horizon), []).append(cell)
+        for group in groups.values():
+            longest = max(cell.horizon for cell in group)
+            for lo in range(0, n_runs, BATCH_SIZE):
+                runs = range(lo, min(lo + BATCH_SIZE, n_runs))
+                block = draw_paths(group[0].spec, group[0].lam, runs, longest, [seed, a_idx])
+                for cell in group:
+                    cell.runs.append(simulate_runs(cell.spec, cell.lam, len(runs), cell.horizon, [seed, a_idx], paths=block))
+                del block  # free this block before the next is drawn
+
+        for cell in cells:
+            summary = summarize(_concat_runs(cell.runs), censor_cap=censor_cap)
             rows.append(
                 SweepRow(
                     alpha=alpha,
-                    detector=template.label,
-                    lam_true=lam_vec,
+                    detector=cell.template.label,
+                    lam_true=cell.lam_vec,
                     add_hat=summary.add_hat,
                     add_se=summary.add_se,
                     pfa_hat=summary.pfa_hat,
                     pfa_se=summary.pfa_se,
-                    lower_bound=bound,
-                    efficiency=efficiency(summary.add_hat, alpha, d_total),
+                    lower_bound=add_lower_bound(alpha, cell.d_total),
+                    efficiency=efficiency(summary.add_hat, alpha, cell.d_total),
                     censored=summary.censored,
                     n_runs=n_runs,
                     seed=seed,
-                    horizon=cell_horizon,
+                    horizon=cell.horizon,
                     valid=summary.valid,
                 )
             )

@@ -109,8 +109,12 @@ class SourceUnit:
         return self._table[:, slots[pos[0]]].copy()
 
     def update(self, x: float) -> None:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("x must be finite")
         self._n += 1
-        llr = np.atleast_1d(np.asarray(self.family.llr(self._grid, float(x)), dtype=float))
+        # the grid was validated once, in __init__
+        llr = self.family._llr(self._grid, np.asarray(x))
         self._best_rows = ring_advance(self._table, llr, self._n % self.width)
 
 
@@ -178,6 +182,8 @@ class WindowEngine:
         xs = np.asarray(x_vec, dtype=float)
         if xs.shape != (len(self.units),):
             raise ValueError(f"expected {len(self.units)} observations, got shape {xs.shape}")
+        if not np.isfinite(xs).all():  # before any unit moves, so a bad vector changes nothing
+            raise ValueError("x must be finite")
         for unit, x in zip(self.units, xs):
             unit.update(float(x))
             self.work["cell_adds"] += unit.n_charts * self.width

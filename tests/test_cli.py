@@ -1,15 +1,20 @@
+import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from chartbank.cli import (
     CSV_COLUMNS,
+    EXIT_CONFIG,
     ConfigError,
     DesignRunConfig,
     MultiSweepConfig,
     SingleSweepConfig,
     config_to_text,
+    execute_config,
     main,
     parse_config_text,
     preset_config,
@@ -261,3 +266,19 @@ class TestMainPresetAndSelftest:
 
     def test_selftest_exit_code_through_main(self, capsys):
         assert main(["selftest"]) == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_INI_BLOCKS = re.findall(r"^```ini\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+
+
+class TestReadmeConfigs:
+    def test_readme_has_config_examples(self):
+        assert README_INI_BLOCKS
+
+    @pytest.mark.parametrize("block", range(len(README_INI_BLOCKS)))
+    def test_readme_config_runs(self, block, tmp_path, capsys):
+        cfg = parse_config_text(README_INI_BLOCKS[block])
+        code = execute_config(dataclasses.replace(cfg, n_runs=200), tmp_path)
+        assert code != EXIT_CONFIG
+        assert (tmp_path / "results.csv").is_file()

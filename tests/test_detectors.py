@@ -192,6 +192,15 @@ class TestBankBehaviour:
             # a candidate equal to the pre-change mean cannot be told apart
             fresh_bank(grid=(0.0, 1.0))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_step_rejects_non_finite_observation(self, x):
+        bank = fresh_bank()
+        bank.step(0.3)
+        before = bank.log_stats
+        with pytest.raises(ValueError):
+            bank.step(x)
+        assert bank.time == 1 and np.array_equal(bank.log_stats, before)
+
 
 class TestPosterior:
     def test_identity_round_trip_full_precision(self):

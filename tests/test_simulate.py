@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartbank import (
     BankSpec,
@@ -29,7 +32,8 @@ from chartbank import (
     summarize,
     threshold_for,
 )
-from chartbank.simulate import WORKERS_ENV
+from chartbank import simulate
+from chartbank.simulate import PathBlock, draw_paths
 
 FAMILY = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.05, 5.0))
 PRIOR = GeometricPrior(0.02)
@@ -125,20 +129,97 @@ class TestPairingInvariants:
         assert np.all(as_inf[ChartVariant.SR] <= as_inf[ChartVariant.MAX])
         assert np.all(as_inf[ChartVariant.MAX] <= as_inf[ChartVariant.SUM])
 
-    def test_workers_do_not_change_results(self, monkeypatch):
-        spec = bank_spec()
-        lone = simulate_runs(spec, 1.0, 120, 200, seed=13, batch_size=11, workers=1)
-        pooled = simulate_runs(spec, 1.0, 120, 200, seed=13, batch_size=11, workers=4)
-        for field in ("change_point", "stop_time", "firing_chart", "false_alarm", "delay"):
-            assert np.array_equal(getattr(lone, field), getattr(pooled, field))
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        via_env = simulate_runs(spec, 1.0, 120, 200, seed=13, batch_size=11)
-        assert np.array_equal(lone.stop_time, via_env.stop_time)
 
-    def test_invalid_workers_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
+# Low thresholds on a short horizon: some runs stop on slot 1, the rest at
+# scattered slots, and some are censored, so the kernels drop rows mid-batch.
+SCATTER_RUNS = 60
+SCATTER_SEED = 4
+
+
+def scattered_cases():
+    cases = [(bank_spec(v, 2.0), 1.0, 20) for v in ChartVariant]
+    cases.append((window_spec(1.5), (1.8, 2.2), 40))
+    return cases
+
+
+def assert_same_runs(a, b):
+    for field in ("change_point", "stop_time", "firing_chart", "false_alarm", "delay"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestCompactionInvariance:
+    @pytest.mark.parametrize("case", range(len(scattered_cases())))
+    def test_reference_config_scatters_stops(self, case):
+        spec, lam, horizon = scattered_cases()[case]
+        stop = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED).stop_time
+        assert (stop == 1).any()
+        assert (stop == 0).any()
+        assert np.unique(stop).size >= 10
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.integers(0, len(scattered_cases()) - 1), batch_size=st.integers(1, SCATTER_RUNS))
+    def test_batch_size_does_not_change_runs(self, case, batch_size):
+        spec, lam, horizon = scattered_cases()[case]
+        whole = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=SCATTER_RUNS)
+        split = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+        assert_same_runs(whole, split)
+
+    def test_shorter_bank_draw_is_a_prefix(self):
+        long = draw_paths(bank_spec(), 1.0, range(3, 9), 300, [6, 1])
+        short = draw_paths(bank_spec(), 1.0, range(3, 9), 120, [6, 1])
+        assert np.array_equal(long.change_points, short.change_points)
+        assert np.array_equal(long.observations[:, :120], short.observations)
+
+    def test_path_block_validation(self):
+        block = draw_paths(bank_spec(), 1.0, range(5), 50, 0)
         with pytest.raises(ValueError):
-            simulate_runs(bank_spec(), 1.0, 4, 50, seed=0)
+            simulate_runs(bank_spec(), 1.0, 4, 50, 0, paths=block)
+        with pytest.raises(ValueError):
+            simulate_runs(bank_spec(), 1.0, 5, 51, 0, paths=block)
+        bad = block.observations.copy()
+        bad[2, 7] = np.nan
+        with pytest.raises(ValueError):
+            PathBlock(block.change_points, bad)
+        with pytest.raises(ValueError):
+            PathBlock(block.change_points[:4], block.observations)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
+    def test_shared_paths_match_per_template_estimates(self, seed, block_runs):
+        # two grids give two horizons on one family; a second family gets its
+        # own paths; small blocks make the sweep join several per cell
+        wide = GaussianMeanShift(pre_mean=0.0, sigma=1.5, post_params=Interval(0.05, 5.0))
+        templates = [
+            BankTemplate("sr-3", FAMILY, PRIOR, GRID, ChartVariant.SR),
+            BankTemplate("max-1", FAMILY, PRIOR, (2.0,), ChartVariant.MAX),
+            BankTemplate("sum-3", FAMILY, PRIOR, GRID, ChartVariant.SUM),
+            BankTemplate("sr-wide", wide, PRIOR, GRID, ChartVariant.SR),
+        ]
+        alphas = (0.2, 0.05)
+        with mock.patch.object(simulate, "BATCH_SIZE", block_runs):
+            rows = add_vs_alpha_sweep(templates, 1.0, alphas, n_runs=80, seed=seed, censor_cap=0.05)
+        assert len({r.horizon for r in rows[:3]}) == 2
+        for a_idx, alpha in enumerate(alphas):
+            for t_idx, template in enumerate(templates):
+                row = rows[a_idx * len(templates) + t_idx]
+                horizon = default_horizon(alpha, PRIOR, best_drift(template, 1.0), 0.05)
+                spec = BankSpec(
+                    family=template.family,
+                    prior=PRIOR,
+                    grid=template.grid,
+                    log_thresholds=(threshold_for(alpha, PRIOR.rho, len(template.grid)),),
+                    variant=template.variant,
+                )
+                alone = estimate(spec, 1.0, 80, horizon, [seed, a_idx], censor_cap=0.05)
+                assert row.horizon == horizon
+                assert (row.add_hat, row.add_se, row.pfa_hat, row.pfa_se, row.censored, row.valid) == (
+                    alone.add_hat,
+                    alone.add_se,
+                    alone.pfa_hat,
+                    alone.pfa_se,
+                    alone.censored,
+                    alone.valid,
+                )
 
 
 class TestSummaries:
@@ -183,6 +264,9 @@ class TestSummaries:
             simulate_runs(bank_spec(), 1.0, 0, 100, seed=0)
         with pytest.raises(ValueError):
             simulate_runs(bank_spec(), 1.0, 10, 0, seed=0)
+        for batch_size in (0, -4):
+            with pytest.raises(ValueError):
+                simulate_runs(bank_spec(), 1.0, 10, 50, seed=0, batch_size=batch_size)
         with pytest.raises(ValueError):
             BankSpec(family=FAMILY, prior=PRIOR, grid=(), log_thresholds=(1.0,))
         with pytest.raises(ValueError):

@@ -199,6 +199,25 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError):
             WindowEngine([fam], PRIOR, [(1.5,)], 5, math.nan)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_step_rejects_non_finite_observation(self, x):
+        fam = variance_family()
+
+        def engine():
+            return WindowEngine([fam, fam], PRIOR, [(1.5, 2.0), (1.5, 2.0)], 5, math.inf)
+
+        hit, clean = engine(), engine()
+        hit.step([0.4, 0.3])
+        with pytest.raises(ValueError):
+            hit.step([0.4, x])  # the first source is fine; it must not advance alone
+        clean.step([0.4, 0.3])
+        for eng in (hit, clean):
+            eng.step([1.7, -0.2])
+        assert hit.time == clean.time == 2
+        assert hit.statistic() == clean.statistic()
+        for a, b in zip(hit.units, clean.units):
+            assert np.array_equal(a.best_rows, b.best_rows)
+
 
 class TestSizing:
     def test_window_length_frozen(self):
