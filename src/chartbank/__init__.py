@@ -47,7 +47,6 @@ from .simulate import (
     RunArrays,
     BankTemplate,
     McSummary,
-    RunRecord,
     SweepRow,
     WindowSpec,
     WindowTemplate,
@@ -60,7 +59,7 @@ from .simulate import (
     simulate_runs,
     summarize,
 )
-from .windowed import SourceUnit, WindowEngine, composite_kl, window_length_for
+from .windowed import WindowEngine, composite_kl, window_length_for
 
 __all__ = [
     "AlreadyStoppedError",
@@ -79,8 +78,6 @@ __all__ = [
     "McSummary",
     "ObservationFamily",
     "RunArrays",
-    "RunRecord",
-    "SourceUnit",
     "StopReport",
     "SweepRow",
     "WindowEngine",

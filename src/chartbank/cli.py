@@ -359,6 +359,8 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
                 out.append(f"grid {gi} must be strictly increasing")
             elif interval_ok and any(not (lo <= g <= hi) for g in grid):
                 out.append(f"grid {gi} has candidates outside [lambda_low, lambda_high]")
+            if v["pre_param"] in grid:
+                out.append(f"grid {gi} contains pre_param {v['pre_param']!r}, which no chart can tell from no change")
         if v["family"] == "gaussian-variance-shift":
             if v["pre_param"] <= 0:
                 out.append("pre_param must be a positive scale for the variance-shift family")
@@ -373,6 +375,11 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
         for gi, grid in enumerate(v["source_grids"], start=1):
             if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
                 out.append(f"source grid {gi} must be strictly increasing and positive")
+            elif gi <= n and v["pre_params"][gi - 1] in grid:
+                out.append(
+                    f"source grid {gi} contains its pre_params scale {v['pre_params'][gi - 1]!r}, "
+                    "which no chart can tell from no change"
+                )
         if v["window"] is not None and v["window"] < 1:
             out.append("window must be a positive slot count or auto")
     elif experiment == "epsilon-design":

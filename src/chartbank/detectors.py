@@ -33,6 +33,8 @@ __all__ = [
     "ChartVariant",
     "StopReport",
     "ChartBank",
+    "BankBatch",
+    "check_charts",
     "advance_log_stats",
     "initial_log_stats",
     "posterior_from_stat",
@@ -85,6 +87,63 @@ def advance_log_stats(
     return base + slot_cost + llr
 
 
+def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and one log threshold per chart, checked: the one check behind
+    ``ChartBank``, ``BankSpec`` and, per source, ``WindowEngine`` and
+    ``WindowSpec``, so stepped detectors and batch kernels refuse alike.
+    """
+    grid_arr = np.asarray(grid, dtype=float)
+    if grid_arr.ndim != 1 or grid_arr.size == 0:
+        raise ValueError("grid must be a nonempty 1-d array of candidates")
+    if not np.all(np.diff(grid_arr) > 0):
+        raise ValueError("grid candidates must be strictly increasing")
+    if not family.post_params.contains(grid_arr):
+        raise ValueError("grid candidates must lie in the family's admissible set")
+    kl = np.atleast_1d(np.asarray(family.kl_post_vs_pre(grid_arr), dtype=float))
+    if np.any(kl <= 0):
+        bad = grid_arr[kl <= 0]
+        raise ValueError(f"candidates {bad.tolist()} are indistinguishable from the pre-change density")
+    thr = np.asarray(log_thresholds, dtype=float)
+    if thr.size == 1:
+        thr = np.full(grid_arr.shape, thr.item())
+    if thr.shape != grid_arr.shape:
+        raise ValueError("log_thresholds must be one value or one per chart")
+    if np.isnan(thr).any():
+        raise ValueError("log_thresholds must not be NaN")
+    return grid_arr, thr
+
+
+class BankBatch:
+    """The bank's per-slot step over a batch of runs, one row of charts each.
+
+    ``ChartBank`` is a batch of one.  Grid and thresholds must have passed
+    ``check_charts``; thresholds may be one value for every chart.
+    """
+
+    def __init__(
+        self,
+        family: ObservationFamily,
+        prior: GeometricPrior,
+        grid,
+        log_thresholds,
+        variant: ChartVariant,
+        rows: int,
+    ) -> None:
+        self.family = family
+        self.variant = variant
+        self.cost = prior.slot_cost
+        self.grid = np.asarray(grid, dtype=float)[None, :]
+        self.log_thresholds = np.asarray(log_thresholds, dtype=float)
+        n_charts = self.grid.size
+        self.log_stats = np.broadcast_to(initial_log_stats(variant, n_charts), (rows, n_charts)).copy()
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Advance each row by its observation (``x`` is [rows, 1]); return the [rows, charts] crossings."""
+        llr = self.family._llr(self.grid, x)
+        self.log_stats = advance_log_stats(self.variant, self.log_stats, self.cost, llr)
+        return self.log_stats >= self.log_thresholds
+
+
 class ChartBank:
     """Bank of charts over a candidate grid, stepped one observation at a time."""
 
@@ -96,45 +155,26 @@ class ChartBank:
         log_thresholds,
         variant: ChartVariant = ChartVariant.SR,
     ) -> None:
-        grid_arr = np.asarray(grid, dtype=float)
-        if grid_arr.ndim != 1 or grid_arr.size == 0:
-            raise ValueError("grid must be a nonempty 1-d array of candidates")
-        if not np.all(np.diff(grid_arr) > 0):
-            raise ValueError("grid candidates must be strictly increasing")
-        if not family.post_params.contains(grid_arr):
-            raise ValueError("grid candidates must lie in the family's admissible set")
-        kl = np.atleast_1d(np.asarray(family.kl_post_vs_pre(grid_arr), dtype=float))
-        if np.any(kl <= 0):
-            bad = grid_arr[kl <= 0]
-            raise ValueError(f"candidates {bad.tolist()} are indistinguishable from the pre-change density")
-        thr = np.asarray(log_thresholds, dtype=float)
-        if thr.ndim == 0:
-            thr = np.full(grid_arr.shape, float(thr))
-        if thr.shape != grid_arr.shape:
-            raise ValueError("log_thresholds must be scalar or match the grid length")
-        if np.any(np.isnan(thr)):
-            raise ValueError("log_thresholds must not be NaN")
-
+        grid_arr, thr = check_charts(family, grid, log_thresholds)
         self.family = family
         self.prior = prior
         self.variant = variant
-        self._grid = grid_arr
-        self._thresholds = thr
-        self._log_stats = initial_log_stats(variant, grid_arr.size)
+        self._batch = BankBatch(family, prior, grid_arr, thr, variant, rows=1)
+        self._x = np.empty((1, 1))  # the observation, reused by every step
         self._n = 0
         self._report: StopReport | None = None
 
     @property
     def grid(self) -> np.ndarray:
-        return self._grid.copy()
+        return self._batch.grid[0].copy()
 
     @property
     def log_thresholds(self) -> np.ndarray:
-        return self._thresholds.copy()
+        return self._batch.log_thresholds.copy()
 
     @property
     def log_stats(self) -> np.ndarray:
-        return self._log_stats.copy()
+        return self._batch.log_stats[0].copy()
 
     @property
     def time(self) -> int:
@@ -153,14 +193,12 @@ class ChartBank:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")
-        # the grid was validated once, in __init__
-        llr = self.family._llr(self._grid, np.asarray(x))
-        self._log_stats = advance_log_stats(self.variant, self._log_stats, self.prior.slot_cost, llr)
+        self._x[0, 0] = x
+        crossed = self._batch.step(self._x)
         self._n += 1
-        crossed = self._log_stats >= self._thresholds
         if crossed.any():
             chart = int(np.argmax(crossed))  # ties resolve to the lowest index
-            self._report = StopReport(self._n, chart, float(self._log_stats[chart]))
+            self._report = StopReport(self._n, chart, float(self._batch.log_stats[0, chart]))
             return self._report
         return None
 

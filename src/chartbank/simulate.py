@@ -7,10 +7,12 @@ size, compaction schedule or sharing of paths between templates, and two
 estimates that share a base seed see identical paths wherever the
 observation model allows pairing.
 
-The batch kernels step only runs that are still going: the bank kernel drops
-a row as soon as it stops, the window kernel compacts its ring tables once
-enough rows have stopped.  A sweep draws each block of paths once per alpha
-and runs every template with the same observation model on it.
+The batch kernels run the detectors' own per-slot steps (``BankBatch``,
+``RingBatch``) over many runs at once and step only runs that are still
+going: the bank kernel drops a row as soon as it stops, the window kernel
+compacts its ring tables once enough rows have stopped.  A sweep draws each
+block of paths once per alpha and runs every template with the same
+observation model on it.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -27,13 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .detectors import ChartVariant, advance_log_stats, initial_log_stats
+from .detectors import BankBatch, ChartVariant, check_charts
 from .errors import CapacityError
 from .families import GeometricPrior, ObservationFamily, sample_path, sample_path_multi
-from .windowed import ring_advance, window_offsets, composite_kl
+from .windowed import RingBatch, check_window, composite_kl
 
 __all__ = [
-    "RunRecord",
     "RunArrays",
     "McSummary",
     "BankSpec",
@@ -56,17 +57,6 @@ ORACLE_CAP = 500
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """Outcome of a single simulated run."""
-
-    change_point: int
-    stop_time: int | None
-    firing_chart: int | None
-    false_alarm: bool
-    delay: float
-
-
-@dataclass(frozen=True)
 class RunArrays:
     """Vectorized run outcomes; stop_time 0 encodes a censored run."""
 
@@ -78,22 +68,6 @@ class RunArrays:
 
     def __len__(self) -> int:
         return self.change_point.size
-
-    def to_records(self) -> list[RunRecord]:
-        out = []
-        for t, tau, chart, fa, d in zip(
-            self.change_point, self.stop_time, self.firing_chart, self.false_alarm, self.delay
-        ):
-            out.append(
-                RunRecord(
-                    change_point=int(t),
-                    stop_time=int(tau) if tau > 0 else None,
-                    firing_chart=int(chart) if tau > 0 else None,
-                    false_alarm=bool(fa),
-                    delay=float(d),
-                )
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +84,11 @@ class McSummary:
 
 @dataclass(frozen=True)
 class BankSpec:
-    """Single-sequence chart bank ready to run: grid plus log thresholds."""
+    """Single-sequence chart bank ready to run: grid plus log thresholds.
+
+    Validated by ``check_charts`` as ``ChartBank`` is, so the kernels need no
+    check of their own.
+    """
 
     family: ObservationFamily
     prior: GeometricPrior
@@ -119,15 +97,12 @@ class BankSpec:
     variant: ChartVariant = ChartVariant.SR
 
     def __post_init__(self) -> None:
-        if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
-        if len(self.log_thresholds) not in (1, len(self.grid)):
-            raise ValueError("log_thresholds must have length 1 or match the grid")
+        check_charts(self.family, self.grid, self.log_thresholds)
 
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window-limited multi-source detector ready to run."""
+    """Window-limited multi-source detector ready to run, validated as ``WindowEngine`` is."""
 
     families: tuple[ObservationFamily, ...]
     prior: GeometricPrior
@@ -136,10 +111,7 @@ class WindowSpec:
     log_threshold: float
 
     def __post_init__(self) -> None:
-        if len(self.families) == 0 or len(self.families) != len(self.grids):
-            raise ValueError("need one grid per source")
-        if self.window_len < 1:
-            raise ValueError("window_len must be at least 1")
+        check_window(self.families, self.grids, self.window_len, self.log_threshold)
 
 
 DetectorSpec = BankSpec | WindowSpec
@@ -207,18 +179,13 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
 
 def _bank_batch(spec: BankSpec, xs: np.ndarray):
     """Stop slot (0 if censored) and firing chart per row of xs, stepping only running rows."""
-    grid = spec.family._check_lam(np.asarray(spec.grid, dtype=float))[None, :]
-    thr = np.asarray(spec.log_thresholds, dtype=float)
     batch, horizon = xs.shape
-    state = np.broadcast_to(initial_log_stats(spec.variant, grid.size), (batch, grid.size)).copy()
-    live = np.arange(batch)  # batch row of each state row
+    bank = BankBatch(spec.family, spec.prior, spec.grid, spec.log_thresholds, spec.variant, batch)
+    live = np.arange(batch)  # batch row of each bank row
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
-    cost = spec.prior.slot_cost
     for s in range(horizon):
-        llr = spec.family._llr(grid, xs[live, s][:, None])
-        state = advance_log_stats(spec.variant, state, cost, llr)
-        crossed = state >= thr
+        crossed = bank.step(xs[live, s][:, None])
         hit = crossed.any(axis=1)
         if hit.any():
             stop[live[hit]] = s + 1
@@ -227,7 +194,7 @@ def _bank_batch(spec: BankSpec, xs: np.ndarray):
             live = live[keep]
             if live.size == 0:
                 break
-            state = state[keep]
+            bank.log_stats = bank.log_stats[keep]
     return stop, firing
 
 
@@ -235,50 +202,28 @@ def _window_batch(spec: WindowSpec, xs: np.ndarray):
     """Stop slot (0 if censored) and composite firing chart per row of xs.
 
     Rows that stopped stay in the ring tables until fewer than COMPACT_BELOW
-    of them still run; then the running rows move down in place and the
-    tables shrink to a leading view, so no table is ever copied whole.
+    of them still run; then the running rows move down in place.
     """
-    families = spec.families
-    grids = [fam._check_lam(np.asarray(g, dtype=float))[None, :] for fam, g in zip(families, spec.grids)]
-    batch, n_sources, horizon = xs.shape
-    width = spec.window_len + 1
-    tables = [np.zeros((batch, g.size, width)) for g in grids]
-    weights = np.arange(1, width + 1) * spec.prior.slot_cost
+    batch, _, horizon = xs.shape
+    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, batch)
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
     rows = np.arange(batch)  # batch row of each table row
     running = np.ones(batch, dtype=bool)  # per table row
-    n_running = batch
     for s in range(horizon):
-        n = s + 1
-        slot_new = n % width
-        x = xs[rows, :, s]
-        bests = [
-            ring_advance(table, fam._llr(grid, x[:, l, None]), slot_new)
-            for l, (fam, grid, table) in enumerate(zip(families, grids, tables))
-        ]
-        starts, slots = window_offsets(n, width)
-        total = weights[(n - starts)][None, :] + sum(b[:, slots] for b in bests)
+        total, _, slots = rings.step(xs[rows, :, s])
         newly = running & (total.max(axis=1) >= spec.log_threshold)
         if newly.any():
             for r in np.flatnonzero(newly).tolist():
-                slot = int(slots[np.argmax(total[r])])
-                u = 0
-                for grid, table in zip(grids, tables):
-                    u = u * grid.size + int(np.argmax(table[r, :, slot]))
-                firing[rows[r]] = u
-            stop[rows[newly]] = n
+                _, firing[rows[r]] = rings.fired(r, int(slots[np.argmax(total[r])]))
+            stop[rows[newly]] = s + 1
             running &= ~newly
             n_running = int(running.sum())
             if n_running == 0:
                 break
             if n_running < COMPACT_BELOW * rows.size:
                 keep = np.flatnonzero(running)
-                for table in tables:
-                    for dst, src in enumerate(keep.tolist()):
-                        if dst != src:
-                            table[dst] = table[src]
-                tables = [table[:n_running] for table in tables]
+                rings.compact(keep)
                 rows = rows[keep]
                 running = running[keep]
     return stop, firing

@@ -16,7 +16,10 @@ and the per-step work drops to sum_l I_l * (m_alpha + 1) table updates.
 Per-source tables are rings indexed by start slot modulo (m_alpha + 1): the
 slot freed by the expired oldest start is exactly the slot the newest start
 needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
-per-column maxima.  No data moves.
+per-column maxima; no column moves.  ``RingBatch`` holds the tables of many
+runs at once, one row each, and is the only implementation of the step: the
+Monte Carlo kernel compacts its rows in place as runs stop, and
+``WindowEngine`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlreadyStoppedError
+from .detectors import StopReport, check_charts
 from .families import GeometricPrior, ObservationFamily
-from .detectors import StopReport
 
 __all__ = [
-    "SourceUnit",
+    "RingBatch",
     "WindowEngine",
+    "check_window",
     "window_length_for",
     "composite_kl",
     "ring_advance",
@@ -64,58 +68,72 @@ def window_offsets(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, starts % width
 
 
-class SourceUnit:
-    """Per-source llr table over in-window start slots."""
+def check_window(
+    families: Sequence[ObservationFamily], grids: Sequence, window_len: int, log_threshold
+) -> list[np.ndarray]:
+    """Validated per-source grids of a window detector; ``check_charts`` checks each grid and the threshold."""
+    if len(families) == 0:
+        raise ValueError("need at least one source")
+    if len(families) != len(grids):
+        raise ValueError(f"{len(families)} families but {len(grids)} grids")
+    if window_len < 1:
+        raise ValueError(f"window_len must be at least 1, got {window_len}")
+    return [check_charts(fam, grid, log_threshold)[0] for fam, grid in zip(families, grids)]
 
-    def __init__(self, family: ObservationFamily, grid, window_len: int) -> None:
-        grid_arr = np.asarray(grid, dtype=float)
-        if grid_arr.ndim != 1 or grid_arr.size == 0:
-            raise ValueError("grid must be a nonempty 1-d array of candidates")
-        if not np.all(np.diff(grid_arr) > 0):
-            raise ValueError("grid candidates must be strictly increasing")
-        if not family.post_params.contains(grid_arr):
-            raise ValueError("grid candidates must lie in the family's admissible set")
-        kl = np.atleast_1d(np.asarray(family.kl_post_vs_pre(grid_arr), dtype=float))
-        if np.any(kl <= 0):
-            raise ValueError("every candidate must be distinguishable from the pre-change density")
-        if window_len < 1:
-            raise ValueError(f"window_len must be at least 1, got {window_len}")
-        self.family = family
-        self._grid = grid_arr
+
+class RingBatch:
+    """The window engine's per-slot step over a batch of runs.
+
+    Source l keeps a ring table [rows, I_l, width] of llr sums per run,
+    candidate and start slot.  ``WindowEngine`` is a batch of one; grids come
+    from ``check_window``.
+    """
+
+    def __init__(
+        self,
+        families: Sequence[ObservationFamily],
+        prior: GeometricPrior,
+        grids: Sequence,
+        window_len: int,
+        rows: int,
+    ) -> None:
+        self.families = tuple(families)
+        self.grids = [np.asarray(grid, dtype=float)[None, :] for grid in grids]
         self.width = window_len + 1
-        self._table = np.zeros((grid_arr.size, self.width))
-        self._best_rows = np.full(self.width, -np.inf)
-        self._n = 0
+        self.tables = [np.zeros((rows, grid.size, self.width)) for grid in self.grids]
+        # weight for start k at slot n depends only on the span n - k + 1
+        self.weights = np.arange(1, self.width + 1) * prior.slot_cost
+        self.n = 0
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self._grid.copy()
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance each row by x[row]; return the joint statistic [rows, starts], the starts and their slots."""
+        self.n += 1
+        n = self.n
+        slot_new = n % self.width
+        bests = [
+            ring_advance(table, fam._llr(grid, x[:, l, None]), slot_new)
+            for l, (fam, grid, table) in enumerate(zip(self.families, self.grids, self.tables))
+        ]
+        starts, slots = window_offsets(n, self.width)
+        # sum over the whole ring, then one gather of the in-window columns, not one per source
+        total = self.weights[n - starts][None, :] + sum(bests)[:, slots]
+        return total, starts, slots
 
-    @property
-    def n_charts(self) -> int:
-        return self._grid.size
+    def fired(self, row: int, slot: int) -> tuple[tuple[int, ...], int]:
+        """Each source's best candidate of ``row`` at a ring slot, and their composite chart index."""
+        rows = tuple(int(np.argmax(table[row, :, slot])) for table in self.tables)
+        u = 0
+        for best, grid in zip(rows, self.grids):
+            u = u * grid.size + best  # mixed radix, first source slowest
+        return rows, u
 
-    @property
-    def best_rows(self) -> np.ndarray:
-        """Per-column maxima over candidate rows (the max-value container)."""
-        return self._best_rows.copy()
-
-    def column_for_start(self, k: int) -> np.ndarray:
-        """Accumulated llr sums for the window start k, one entry per candidate."""
-        starts, slots = window_offsets(self._n, self.width)
-        pos = np.nonzero(starts == k)[0]
-        if pos.size == 0:
-            raise ValueError(f"start {k} is not inside the window at slot {self._n}")
-        return self._table[:, slots[pos[0]]].copy()
-
-    def update(self, x: float) -> None:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        self._n += 1
-        # the grid was validated once, in __init__
-        llr = self.family._llr(self._grid, np.asarray(x))
-        self._best_rows = ring_advance(self._table, llr, self._n % self.width)
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the rows ``keep`` (ascending), moved down in place: no table is copied whole."""
+        for table in self.tables:
+            for dst, src in enumerate(keep.tolist()):
+                if dst != src:
+                    table[dst] = table[src]
+        self.tables = [table[: keep.size] for table in self.tables]
 
 
 class WindowEngine:
@@ -129,30 +147,24 @@ class WindowEngine:
         window_len: int,
         log_threshold: float,
     ) -> None:
-        if len(families) == 0:
-            raise ValueError("need at least one source")
-        if len(families) != len(grids):
-            raise ValueError(f"{len(families)} families but {len(grids)} grids")
-        if math.isnan(log_threshold):
-            raise ValueError("log_threshold must not be NaN")
+        grid_arrs = check_window(families, grids, window_len, log_threshold)
         self.prior = prior
         self.window_len = window_len
         self.log_threshold = float(log_threshold)
-        self.units = [SourceUnit(f, g, window_len) for f, g in zip(families, grids)]
         self.width = window_len + 1
-        # weight for start k at slot n depends only on the span n - k + 1
-        self._span_weights = (np.arange(1, self.width + 1)) * prior.slot_cost
-        self._n = 0
+        self._rings = RingBatch(families, prior, grid_arrs, window_len, rows=1)
+        self._cells = sum(grid.size for grid in grid_arrs) * self.width
+        self._total = np.array([-np.inf])  # joint statistic per in-window start
         self._report: StopReport | None = None
         self.work = {"cell_adds": 0, "max_scans": 0, "combines": 0}
 
     @property
     def n_sources(self) -> int:
-        return len(self.units)
+        return len(self._rings.tables)
 
     @property
     def time(self) -> int:
-        return self._n
+        return self._rings.n
 
     @property
     def stopped(self) -> StopReport | None:
@@ -160,18 +172,15 @@ class WindowEngine:
 
     def statistic(self) -> float:
         """Current joint statistic; -inf before the first observation."""
-        if self._n == 0:
-            return -math.inf
-        total, _, _ = self._combined()
-        return float(total.max())
+        return float(self._total.max())
 
-    def _combined(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        starts, slots = window_offsets(self._n, self.width)
-        spans = self._n - starts + 1
-        total = self._span_weights[spans - 1].astype(float)
-        for unit in self.units:
-            total = total + unit._best_rows[slots]
-        return total, starts, slots
+    def column_for_start(self, source: int, k: int) -> np.ndarray:
+        """Accumulated llr sums of one source for the window start k, one entry per candidate."""
+        starts, slots = window_offsets(self.time, self.width)
+        pos = np.nonzero(starts == k)[0]
+        if pos.size == 0:
+            raise ValueError(f"start {k} is not inside the window at slot {self.time}")
+        return self._rings.tables[source][0, :, slots[pos[0]]].copy()
 
     def step(self, x_vec) -> StopReport | None:
         """Feed one observation per source; report on the first crossing."""
@@ -180,45 +189,34 @@ class WindowEngine:
                 f"engine already stopped at slot {self._report.stopped_at}; build a fresh engine"
             )
         xs = np.asarray(x_vec, dtype=float)
-        if xs.shape != (len(self.units),):
-            raise ValueError(f"expected {len(self.units)} observations, got shape {xs.shape}")
-        if not np.isfinite(xs).all():  # before any unit moves, so a bad vector changes nothing
+        if xs.shape != (self.n_sources,):
+            raise ValueError(f"expected {self.n_sources} observations, got shape {xs.shape}")
+        if not np.isfinite(xs).all():  # before any source moves, so a bad vector changes nothing
             raise ValueError("x must be finite")
-        for unit, x in zip(self.units, xs):
-            unit.update(float(x))
-            self.work["cell_adds"] += unit.n_charts * self.width
-            self.work["max_scans"] += self.width
-        self._n += 1
-        total, starts, slots = self._combined()
+        total, starts, slots = self._rings.step(xs[None, :])
+        self._total = total = total[0]
+        self.work["cell_adds"] += self._cells
+        self.work["max_scans"] += self.n_sources * self.width
         self.work["combines"] += total.size
         best = int(np.argmax(total))  # first max: lowest start wins ties
         value = float(total[best])
         if value >= self.log_threshold:
-            k_star = int(starts[best])
-            slot = int(slots[best])
-            rows = tuple(int(np.argmax(u._table[:, slot])) for u in self.units)
+            rows, chart = self._rings.fired(0, int(slots[best]))
             self._report = StopReport(
-                stopped_at=self._n,
-                firing_chart=self._composite_index(rows),
+                stopped_at=self.time,
+                firing_chart=chart,
                 firing_value=value,
-                window_start=k_star,
+                window_start=int(starts[best]),
                 source_rows=rows,
             )
             return self._report
         return None
 
-    def _composite_index(self, rows: tuple[int, ...]) -> int:
-        # mixed-radix flattening of per-source rows, first source slowest
-        u = 0
-        for row, unit in zip(rows, self.units):
-            u = u * unit.n_charts + row
-        return u
-
     def run_to_stop(self, paths) -> StopReport | None:
         """Feed a [n_sources, length] observation block until the first alarm."""
         block = np.asarray(paths, dtype=float)
-        if block.ndim != 2 or block.shape[0] != len(self.units) or block.shape[1] == 0:
-            raise ValueError(f"expected a [{len(self.units)}, length] block, got {block.shape}")
+        if block.ndim != 2 or block.shape[0] != self.n_sources or block.shape[1] == 0:
+            raise ValueError(f"expected a [{self.n_sources}, length] block, got {block.shape}")
         for s in range(block.shape[1]):
             report = self.step(block[:, s])
             if report is not None:

@@ -206,6 +206,24 @@ class TestMainRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config problems" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "preset, change, problem",
+        [
+            ("fig4", {"lambda_low": 0.0, "grids": ((0.0, 1.0),)}, "grid 1 contains pre_param"),
+            ("fig5", {"source_grids": ((1.5, 2.0), (1.0, 2.0), (1.5, 2.0))}, "source grid 2 contains"),
+        ],
+        ids=["single-sweep", "multisource-sweep"],
+    )
+    def test_grid_with_pre_change_value_is_a_config_error(self, tmp_path, capsys, preset, change, problem):
+        # a candidate at the pre-change value has zero divergence; the detectors
+        # refuse it, so the config must be refused before any sweep starts
+        cfg = dataclasses.replace(preset_config(preset, runs=50), **change)
+        path = self.write_config(tmp_path, config_to_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert main(["run", str(missing), "--out", str(tmp_path / "o")]) == 2

@@ -101,6 +101,36 @@ class TestBatchReplaysPublicApi:
                 assert runs.firing_chart[rid] == report.firing_chart
 
 
+# (family, grid, log threshold, window length) that every detector must refuse
+SCALE_FAMILY = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(0.9, 3.5))
+CENTERED_FAMILY = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-1.0, 3.0))
+INVALID_DETECTORS = {
+    "nan-threshold": (FAMILY, GRID, math.nan, 5),
+    "unsorted-grid": (FAMILY, (1.0, 0.5), 3.0, 5),
+    "zero-divergence-mean": (CENTERED_FAMILY, (0.0, 1.0), 3.0, 5),
+    "zero-divergence-variance": (SCALE_FAMILY, (1.0, 2.0), 3.0, 5),
+    "empty-grid": (FAMILY, (), 3.0, 5),
+    "outside-admissible-set": (SCALE_FAMILY, (1.2, 9.0), 3.0, 5),
+    "window-0": (SCALE_FAMILY, (1.2, 2.0), 3.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_DETECTORS))
+def test_stepped_and_batch_detectors_reject_alike(case):
+    family, grid, threshold, window_len = INVALID_DETECTORS[case]
+    if window_len >= 1:  # a bank has no window
+        with pytest.raises(ValueError):
+            ChartBank(family, PRIOR, grid, threshold)
+        with pytest.raises(ValueError):
+            BankSpec(family=family, prior=PRIOR, grid=grid, log_thresholds=(threshold,))
+    # a valid first source: the bad one must be caught wherever it sits
+    families, grids = (FAMILY, family), (GRID, grid)
+    with pytest.raises(ValueError):
+        WindowEngine(families, PRIOR, grids, window_len, threshold)
+    with pytest.raises(ValueError):
+        WindowSpec(families=families, prior=PRIOR, grids=grids, window_len=window_len, log_threshold=threshold)
+
+
 class TestPairingInvariants:
     def test_false_alarms_identical_across_true_parameters(self):
         # pre-change draws are bitwise shared, so which runs false-alarm
@@ -246,18 +276,6 @@ class TestSummaries:
         direct = summarize(simulate_runs(spec, 1.0, 200, 250, seed=3), censor_cap=0.01)
         via = estimate(spec, 1.0, 200, 250, seed=3, censor_cap=0.01)
         assert direct == via
-
-    def test_to_records_round_trip(self):
-        runs = simulate_runs(bank_spec(), 1.0, 30, 150, seed=2)
-        records = runs.to_records()
-        assert len(records) == 30
-        for rid, rec in enumerate(records):
-            assert rec.change_point == runs.change_point[rid]
-            if runs.stop_time[rid] == 0:
-                assert rec.stop_time is None and rec.firing_chart is None
-            else:
-                assert rec.stop_time == runs.stop_time[rid]
-            assert rec.delay == runs.delay[rid]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

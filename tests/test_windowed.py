@@ -11,7 +11,6 @@ from chartbank import (
     GaussianVarianceShift,
     GeometricPrior,
     Interval,
-    SourceUnit,
     WindowEngine,
     composite_kl,
     direct_window_stat_oracle,
@@ -51,37 +50,6 @@ class TestRingPrimitives:
             s, _ = window_offsets(n, 7)
             assert np.all(np.diff(s) > 0)
             assert s[-1] == n and len(s) == min(n, 7)
-
-    def test_source_unit_column_tracking(self):
-        family = variance_family()
-        unit = SourceUnit(family, (1.2, 2.0), window_len=3)
-        xs = [0.3, -1.1, 2.2, 0.9, -0.4]
-        for x in xs:
-            unit.update(x)
-        # column for start k must equal the plain llr sum over slots k..n
-        for k in (2, 3, 4, 5):
-            got = unit.column_for_start(k)
-            for row, lam in enumerate((1.2, 2.0)):
-                want = sum(family.llr(lam, x) for x in xs[k - 1 :])
-                assert got[row] == pytest.approx(want, abs=1e-12)
-        with pytest.raises(ValueError):
-            unit.column_for_start(1)  # expired
-        with pytest.raises(ValueError):
-            unit.column_for_start(6)  # future
-
-    def test_source_unit_validation(self):
-        family = variance_family()
-        with pytest.raises(ValueError):
-            SourceUnit(family, (), 4)
-        with pytest.raises(ValueError):
-            SourceUnit(family, (2.0, 1.2), 4)
-        with pytest.raises(ValueError):
-            SourceUnit(family, (1.2, 9.0), 4)
-        with pytest.raises(ValueError):
-            SourceUnit(family, (1.2, 2.0), 0)
-        with pytest.raises(ValueError):
-            # scale equal to the pre-change scale is indistinguishable
-            SourceUnit(GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(0.9, 3.0)), (1.0, 2.0), 4)
 
 
 class TestEngineVsOracle:
@@ -176,6 +144,24 @@ class TestEngineBehaviour:
         assert 1 <= report.window_start <= report.stopped_at
         assert report.firing_value >= 1.5
 
+    def test_column_for_start_tracking(self):
+        family = variance_family()
+        engine = WindowEngine([family, family], PRIOR, [(1.2, 2.0), (1.5,)], window_len=3, log_threshold=math.inf)
+        xs = [0.3, -1.1, 2.2, 0.9, -0.4]
+        for x in xs:
+            engine.step([x, 2.0 * x])
+        # column for start k must equal the plain llr sum over slots k..n
+        for k in (2, 3, 4, 5):
+            for source, grid, scale in ((0, (1.2, 2.0), 1.0), (1, (1.5,), 2.0)):
+                got = engine.column_for_start(source, k)
+                for row, lam in enumerate(grid):
+                    want = sum(family.llr(lam, scale * x) for x in xs[k - 1 :])
+                    assert got[row] == pytest.approx(want, abs=1e-12)
+        with pytest.raises(ValueError):
+            engine.column_for_start(0, 1)  # expired
+        with pytest.raises(ValueError):
+            engine.column_for_start(0, 6)  # future
+
     def test_work_counters_exact(self):
         families = [variance_family(), variance_family()]
         grids = [(1.3, 1.8, 2.4), (1.2, 2.0)]
@@ -215,8 +201,9 @@ class TestEngineBehaviour:
             eng.step([1.7, -0.2])
         assert hit.time == clean.time == 2
         assert hit.statistic() == clean.statistic()
-        for a, b in zip(hit.units, clean.units):
-            assert np.array_equal(a.best_rows, b.best_rows)
+        for source in (0, 1):
+            for k in (1, 2):
+                assert np.array_equal(hit.column_for_start(source, k), clean.column_for_start(source, k))
 
 
 class TestSizing:
