@@ -324,6 +324,8 @@ def parse_config_text(text: str) -> AnyConfig:
 
 def _semantic_problems(experiment: str, v: dict) -> list[str]:
     out: list[str] = []
+    if v["seed"] < 0:
+        out.append(f"seed must be non-negative, got {v['seed']}")
     if experiment == "differential-test":
         if v["n_paths"] < 1:
             out.append("n_paths must be at least 1")
@@ -867,19 +869,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if run_selftest() else 1
 
     if args.command == "preset":
+        # overrides get the checks a config file gets
         cfg = preset_config(args.name, seed=args.seed, runs=args.runs)
-        return execute_config(cfg, args.out)
-
-    try:
-        text = args.config.read_text()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = parse_config_text(text)
-    except ConfigError as exc:
+        problems = _semantic_problems(cfg.experiment, asdict(cfg))
+    else:
+        try:
+            text = args.config.read_text()
+        except OSError as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        try:
+            cfg, problems = parse_config_text(text), []
+        except ConfigError as exc:
+            problems = exc.problems
+    if problems:
         print("config problems:", file=sys.stderr)
-        for problem in exc.problems:
+        for problem in problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
     return execute_config(cfg, args.out)

@@ -47,6 +47,8 @@ class Interval:
             raise ValueError(f"need low < high, got [{self.low}, {self.high}]")
 
     def contains(self, lam: float | np.ndarray) -> bool:
+        if isinstance(lam, float):
+            return bool(self.low <= lam <= self.high)
         arr = np.asarray(lam, dtype=float)
         return bool(((arr >= self.low) & (arr <= self.high)).all())
 
@@ -67,6 +69,8 @@ class FiniteSet:
             raise ValueError("parameter values must be strictly increasing")
 
     def contains(self, lam: float | np.ndarray) -> bool:
+        if isinstance(lam, float):
+            return lam in self.values
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         return bool(np.all(np.isin(arr, np.asarray(self.values))))
 
@@ -103,7 +107,9 @@ class GeometricPrior:
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_many(rng, 1)[0])
+        # sample_many for one draw, bitwise: numpy's log1p on a 0-d value runs
+        # the same loop as on an array (math.log1p can differ in the last bit)
+        return math.floor(np.log1p(-rng.random()) / math.log1p(-self.rho)) + 1
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse-CDF on a single uniform per draw keeps the draw count
@@ -125,6 +131,12 @@ class ObservationFamily(ABC):
     post_params: ParamSet
 
     def _check_lam(self, lam: float | np.ndarray) -> np.ndarray:
+        if isinstance(lam, float):  # one parameter, checked without building arrays
+            if not math.isfinite(lam):
+                raise ValueError("lam must be finite")
+            if not self.post_params.contains(lam):
+                raise ValueError(f"parameter {lam!r} outside the admissible set")
+            return np.asarray(lam)
         arr = _as_float_array(lam, "lam")
         if not self.post_params.contains(arr):
             raise ValueError(f"parameter {lam!r} outside the admissible set")
@@ -378,6 +390,8 @@ def sample_path(
     bitwise.  For those families a shorter horizon also gives a bitwise prefix
     of a longer one.  With ``out`` (contiguous float64, length horizon) the
     path is written there, so a caller can fill the rows of one block.
+    ``seed`` may also be a ``numpy.random.Generator``: the call continues its
+    stream, and for those families the caller can draw later slots from it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")

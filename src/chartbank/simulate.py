@@ -126,71 +126,157 @@ def _seed_list(seed) -> list[int]:
 # Rows per kernel call, and per path block a sweep draws.
 BATCH_SIZE = 2048
 
+# A lazy block draws its rows this many slots at a time: a fig4 run stops
+# after about 120 slots on average, against a horizon near a thousand.
+CHUNK_SLOTS = 128
+
 # The window kernel moves its ring tables' running rows down once fewer than
 # this share of the rows still runs: often enough to keep the per-slot work
 # near the live count, rarely enough that the row copies stay cheap.
 COMPACT_BELOW = 0.75
 
 
-@dataclass(frozen=True)
 class PathBlock:
     """Change times and observation paths of consecutive runs, one row per run.
 
-    ``observations`` is [runs, horizon] for a bank and [runs, n_sources,
-    horizon] for the window engine.  Every observation is checked for
-    finiteness here, once per block, so the kernels can call the families'
-    unchecked llr.
+    The paths are [runs, horizon] for a bank and [runs, n_sources, horizon]
+    for the window engine.  Every drawn observation is checked for
+    finiteness once, so the kernels can call the families' unchecked llr.
+
+    A block built here from arrays is whole.  ``draw_paths`` builds a lazy
+    one for a bank whose family has a standard-normal representation: its
+    slots are stored in chunks of CHUNK_SLOTS, row r holds its first
+    ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk at a time from
+    each run's own bit generator, which continues the run's one long draw
+    bitwise.  A chunk is allocated when a row first reaches it and fills
+    only the rows that do, so deep chunks stay small in memory.
+    ``observations`` refuses to show a block that is not drawn to the end.
     """
 
-    change_points: np.ndarray
-    observations: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.observations.shape[0] != self.change_points.size:
+    def __init__(self, change_points: np.ndarray, observations: np.ndarray) -> None:
+        if observations.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
-        if not np.isfinite(self.observations).all():
+        if not np.isfinite(observations).all():
             raise ValueError("x must be finite")
+        self.change_points = change_points
+        self.horizon = observations.shape[-1]
+        self.drawn = np.full(change_points.size, self.horizon, dtype=np.int64)
+        self._chunks = [observations]  # chunk k holds slots [k * width, (k + 1) * width)
+        self._width = self.horizon
+        self._streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None
+
+    @classmethod
+    def _lazy(cls, change_points, head: np.ndarray, horizon: int, family, lam: float, bitgens) -> "PathBlock":
+        """A bank block whose rows hold the slots in ``head``; ``bitgens`` continue them."""
+        block = cls(change_points, head)  # checks the head; chunks are its width
+        block.horizon = horizon
+        block._streams = (family, lam, bitgens)
+        return block
 
     @property
-    def horizon(self) -> int:
-        return self.observations.shape[-1]
+    def observations(self) -> np.ndarray:
+        if self.drawn.min(initial=self.horizon) < self.horizon:
+            raise ValueError("block is drawn only in part; draw_to(rows, horizon) draws the rest")
+        return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks, axis=-1)
+
+    def chunk(self, s: int) -> tuple[np.ndarray, int]:
+        """The chunk holding slot s (0-indexed) and its first slot; valid for rows drawn past s."""
+        k = s // self._width
+        return self._chunks[k], k * self._width
+
+    def draw_to(self, rows: np.ndarray, upto: int) -> int:
+        """Draw each of the given rows to at least ``upto`` slots (at most the horizon).
+
+        Returns the fewest slots any of those rows now holds, so a kernel
+        reading them needs no call before that slot.
+        """
+        drawn, upto = self.drawn, min(upto, self.horizon)
+        while True:
+            short = rows[drawn[rows] < upto]
+            if short.size == 0:
+                return int(drawn[rows].min(initial=self.horizon))
+            lo = int(drawn[short].min())
+            self._extend(short[drawn[short] == lo], lo)
+
+    def _extend(self, rows: np.ndarray, lo: int) -> None:
+        """Draw the next chunk of rows that all hold exactly ``lo`` slots."""
+        family, lam, bitgens = self._streams
+        k, hi = lo // self._width, min(lo + self._width, self.horizon)
+        if k == len(self._chunks):
+            self._chunks.append(np.empty((self.change_points.size, hi - lo)))
+        x = self._chunks[k]
+        for r in rows.tolist():
+            np.random.Generator(bitgens[r]).standard_normal(out=x[r])
+        z = x[rows]
+        pre = np.arange(lo, hi)[None, :] < self.change_points[rows, None] - 1
+        chunk = np.where(pre, family.pre_from_std(z), family.post_from_std(lam, z))
+        if not np.isfinite(chunk).all():
+            raise ValueError("x must be finite")
+        x[rows] = chunk
+        self.drawn[rows] = hi
 
 
 def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) -> PathBlock:
     """Draw the change times and paths of the given runs, row by row into one block.
 
-    Run r is seeded from (seed, r).  For a bank whose family has a
-    standard-normal representation, the first h slots of a block equal the
-    block drawn at horizon h bitwise, so one block serves banks of any
-    shorter horizon.
+    Run r is seeded from (seed, r) and its path comes from ``sample_path``
+    or ``sample_path_multi``.  For a bank whose family has a standard-normal
+    representation and a horizon over CHUNK_SLOTS the block is lazy:
+    ``sample_path`` draws the first CHUNK_SLOTS slots on the run's
+    generator, whose bit generator the block keeps to draw the rest as far
+    as a kernel reads.  Its first h slots equal the block drawn at horizon h
+    bitwise, so one block serves banks of any shorter horizon.
     """
     seed_base = _seed_list(seed)
     ts = np.empty(len(runs), dtype=np.int64)
-    if isinstance(spec, BankSpec):
-        xs = np.empty((len(runs), horizon))
-        for j, rid in enumerate(runs):
-            ts[j], _ = sample_path(spec.family, spec.prior, float(lam_true), horizon, seed_base + [rid], out=xs[j])
-    else:
+    if isinstance(spec, WindowSpec):
         xs = np.empty((len(runs), len(spec.families), horizon))
         for j, rid in enumerate(runs):
             ts[j], _ = sample_path_multi(spec.families, spec.prior, lam_true, horizon, seed_base + [rid], out=xs[j])
-    return PathBlock(ts, xs)
+        return PathBlock(ts, xs)
+    lam = float(lam_true)
+    if not spec.family.supports_paired_sampling or horizon <= CHUNK_SLOTS:
+        xs = np.empty((len(runs), horizon))
+        for j, rid in enumerate(runs):
+            ts[j], _ = sample_path(spec.family, spec.prior, lam, horizon, seed_base + [rid], out=xs[j])
+        return PathBlock(ts, xs)
+    head = np.empty((len(runs), CHUNK_SLOTS))
+    bitgens = []  # a Generator holds three times the memory of its bit generator
+    for j, rid in enumerate(runs):
+        bitgens.append(np.random.PCG64(seed_base + [rid]))  # default_rng's generator
+        ts[j], _ = sample_path(spec.family, spec.prior, lam, CHUNK_SLOTS, np.random.Generator(bitgens[j]), out=head[j])
+    return PathBlock._lazy(ts, head, horizon, spec.family, lam, bitgens)
 
 
-def _bank_batch(spec: BankSpec, xs: np.ndarray):
-    """Stop slot (0 if censored) and firing chart per row of xs, stepping only running rows."""
-    batch, horizon = xs.shape
+def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
+    """Stop slot (0 if censored) and firing chart per block row in ``rows``, stepping only running rows.
+
+    Running rows are drawn one chunk at a time, as they reach it.
+    """
+    batch = rows.stop - rows.start
     bank = BankBatch(spec.family, spec.prior, spec.grid, spec.log_thresholds, spec.variant, batch)
-    live = np.arange(batch)  # batch row of each bank row
+    n_charts = bank.grid.size
+    live = np.arange(rows.start, rows.stop)  # block row of each bank row
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
+    ready = 0  # every running row holds the slots of xs below this
     for s in range(horizon):
-        crossed = bank.step(xs[live, s][:, None])
-        hit = crossed.any(axis=1)
-        if hit.any():
-            stop[live[hit]] = s + 1
-            firing[live[hit]] = np.argmax(crossed[hit], axis=1)
-            keep = ~hit
+        if s == ready:
+            drawn = paths.draw_to(live, s + 1)
+            xs, base = paths.chunk(s)
+            ready = min(drawn, base + xs.shape[-1])
+        crossed = bank.step(xs[live, s - base][:, None])
+        hits = np.flatnonzero(crossed)
+        if hits.size:
+            # row-major order: a row's first hit is its lowest crossing chart
+            hit_rows, charts = np.divmod(hits, n_charts)
+            first = np.ones(hits.size, dtype=bool)
+            first[1:] = hit_rows[1:] != hit_rows[:-1]
+            hit_rows = hit_rows[first]
+            stop[live[hit_rows] - rows.start] = s + 1
+            firing[live[hit_rows] - rows.start] = charts[first]
+            keep = np.ones(live.size, dtype=bool)
+            keep[hit_rows] = False
             live = live[keep]
             if live.size == 0:
                 break
@@ -254,18 +340,20 @@ def simulate_runs(
         raise ValueError("batch_size must be at least 1")
     if paths is not None and (paths.change_points.size != n_runs or paths.horizon < horizon):
         raise ValueError(f"paths must hold {n_runs} runs of at least {horizon} slots")
-    kernel = _bank_batch if isinstance(spec, BankSpec) else _window_batch
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty(n_runs, dtype=np.int64)
     firing = np.empty(n_runs, dtype=np.int64)
     for lo in range(0, n_runs, batch_size):
         hi = min(lo + batch_size, n_runs)
         if paths is None:
-            block, rows = draw_paths(spec, lam_true, range(lo, hi), horizon, seed), slice(None)
+            block, rows = draw_paths(spec, lam_true, range(lo, hi), horizon, seed), slice(0, hi - lo)
         else:
             block, rows = paths, slice(lo, hi)
         ts[lo:hi] = block.change_points[rows]
-        stop[lo:hi], firing[lo:hi] = kernel(spec, block.observations[rows, ..., :horizon])
+        if isinstance(spec, BankSpec):
+            stop[lo:hi], firing[lo:hi] = _bank_batch(spec, block, rows, horizon)
+        else:
+            stop[lo:hi], firing[lo:hi] = _window_batch(spec, block.observations[rows, :, :horizon])
         del block  # free this batch's paths before the next are drawn
 
     stopped = stop > 0

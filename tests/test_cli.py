@@ -224,6 +224,15 @@ class TestMainRun:
         assert problem in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["single-sweep", "differential-test"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, experiment):
+        text = self.small_config() if experiment == "single-sweep" else "experiment = differential-test\n"
+        path = self.write_config(tmp_path, text.replace("seed = 4\n", "") + "seed = -3\n")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert main(["run", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -277,6 +286,22 @@ class TestMainPresetAndSelftest:
         assert manifest["config"]["n_runs"] == 80
         assert manifest["config"]["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            (["--runs", "0"], "n_runs must be at least 2"),
+            (["--runs", "-5"], "n_runs must be at least 2"),
+            (["--runs", "1"], "n_runs must be at least 2"),
+            (["--seed", "-1"], "seed must be non-negative"),
+        ],
+        ids=["runs-0", "runs-negative", "runs-1", "seed-negative"],
+    )
+    def test_preset_overrides_are_checked_like_config_files(self, tmp_path, capsys, override, problem):
+        out = tmp_path / "p"
+        assert main(["preset", "fig4", "--out", str(out), *override]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
     def test_selftest_passes(self, capsys):
         assert run_selftest(n_paths=6, path_length=40, seed=0)
         out = capsys.readouterr().out
@@ -286,7 +311,34 @@ class TestMainPresetAndSelftest:
         assert main(["selftest"]) == 0
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+
+
+class TestPinnedResults:
+    """The benchmark's sweeps at seed 0 must keep their pinned results.csv SHA-256."""
+
+    def assert_pinned(self, name, out):
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+        assert digest == PINNED[name]["results_sha256"]
+
+    def test_fig4_preset(self, tmp_path, capsys):
+        assert (PINNED["fig4-bank"]["seed"], PINNED["fig4-bank"]["runs"]) == (0, 2000)
+        out = tmp_path / "fig4"
+        assert main(["preset", "fig4", "--seed", "0", "--runs", "2000", "--out", str(out)]) == 0
+        self.assert_pinned("fig4-bank", out)
+
+    def test_fig5_window_config(self, tmp_path, capsys):
+        assert (PINNED["fig5-window"]["seed"], PINNED["fig5-window"]["runs"]) == (0, 400)
+        cfg = dataclasses.replace(preset_config("fig5", seed=0, runs=400), horizon=400, censor_cap=0.1)
+        path = tmp_path / "fig5.cfg"
+        path.write_text(config_to_text(cfg))
+        out = tmp_path / "fig5"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        self.assert_pinned("fig5-window", out)
+
+
+README = ROOT / "README.md"
 README_INI_BLOCKS = re.findall(r"^```ini\n(.*?)^```", README.read_text(), flags=re.S | re.M)
 
 

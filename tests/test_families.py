@@ -38,6 +38,23 @@ class TestParamSets:
         assert fs.contains(1.6)
         assert not fs.contains(1.0)
 
+    @pytest.mark.parametrize(
+        "params, lam, admitted",
+        [
+            (Interval(0.4, 2.8), 0.4, True),
+            (Interval(0.4, 2.8), 2.8, True),
+            (Interval(0.4, 2.8), 2.81, False),
+            (Interval(0.4, 2.8), math.nan, False),
+            (FiniteSet((0.4, 1.6)), 1.6, True),
+            (FiniteSet((0.4, 1.6)), 1.0, False),
+        ],
+    )
+    def test_scalar_and_array_membership_agree(self, params, lam, admitted):
+        # a float takes a path that builds no array; it must answer alike
+        assert params.contains(lam) is admitted
+        assert params.contains(np.float64(lam)) is admitted
+        assert params.contains(np.array([lam])) is admitted
+
     def test_finite_set_requires_increasing(self):
         with pytest.raises(ValueError):
             FiniteSet((1.0, 1.0))
@@ -100,6 +117,24 @@ class TestGeometricPrior:
         a = prior.sample_many(np.random.default_rng(9), 50)
         b = prior.sample_many(np.random.default_rng(9), 50)
         assert np.array_equal(a, b)
+
+
+    def test_single_draw_is_sample_many_bitwise(self):
+        # paths drawn before and after the scalar draw replaced sample_many(rng, 1)
+        # share their change times only if the two agree on every uniform; each
+        # draw takes one uniform, so the generators stay in step across rhos
+        priors = [GeometricPrior(rho) for rho in (1e-6, 0.01, 0.999)]
+        mismatched = []
+        for seed in range(100_000):
+            rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            for prior in priors:
+                if prior.sample(rng) != int(prior.sample_many(rng2, 1)[0]):
+                    mismatched.append((seed, prior.rho))
+        assert mismatched == []
+
+    def test_single_draw_type(self):
+        draw = GeometricPrior(0.3).sample(np.random.default_rng(2))
+        assert type(draw) is int and draw >= 1
 
 
 class TestGaussianMeanShift:

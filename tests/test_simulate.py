@@ -195,10 +195,16 @@ class TestCompactionInvariance:
         assert_same_runs(whole, split)
 
     def test_shorter_bank_draw_is_a_prefix(self):
+        # 120 fits in the first chunk, 200 does not: both blocks are drawn to
+        # their ends here, as the kernels draw them, and then compared
+        rows = np.arange(6)
         long = draw_paths(bank_spec(), 1.0, range(3, 9), 300, [6, 1])
-        short = draw_paths(bank_spec(), 1.0, range(3, 9), 120, [6, 1])
-        assert np.array_equal(long.change_points, short.change_points)
-        assert np.array_equal(long.observations[:, :120], short.observations)
+        assert long.draw_to(rows, 1000) == 300  # never past the horizon
+        for short_horizon in (120, 200):
+            short = draw_paths(bank_spec(), 1.0, range(3, 9), short_horizon, [6, 1])
+            assert short.draw_to(rows, short_horizon) == short_horizon
+            assert np.array_equal(long.change_points, short.change_points)
+            assert np.array_equal(long.observations[:, :short_horizon], short.observations)
 
     def test_path_block_validation(self):
         block = draw_paths(bank_spec(), 1.0, range(5), 50, 0)
@@ -250,6 +256,122 @@ class TestCompactionInvariance:
                     alone.censored,
                     alone.valid,
                 )
+
+
+# chunk sizes from one slot to past the horizon, against whole-path draws
+CHUNK_CASES = (1, 3, 64, 300, 1000)
+CHUNK_RUNS = 60
+
+
+def chunked_cases():
+    # stops spread past several chunks of every size above, some censored
+    cases = [(bank_spec(v, 5.0), 1.0, 300) for v in ChartVariant]
+    cases.append((window_spec(3.0), (1.8, 2.2), 120))
+    return cases
+
+
+class TestChunkInvariance:
+    def test_reference_config_stops_late(self):
+        for spec, lam, horizon in chunked_cases()[:3]:
+            stop = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED).stop_time
+            assert stop.max() > 128  # past the default first chunk
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.integers(0, len(chunked_cases()) - 1),
+        chunk=st.sampled_from(CHUNK_CASES),
+        batch_size=st.sampled_from([1, 7, 32, CHUNK_RUNS]),
+    )
+    def test_chunk_size_does_not_change_runs(self, case, chunk, batch_size):
+        spec, lam, horizon = chunked_cases()[case]
+        with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
+            whole = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, batch_size=CHUNK_RUNS)
+        with mock.patch.object(simulate, "CHUNK_SLOTS", chunk):
+            split = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+        assert_same_runs(whole, split)
+
+    @settings(max_examples=8, deadline=None)
+    @given(chunk=st.sampled_from(CHUNK_CASES + (10_000,)), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
+    def test_chunk_size_does_not_change_sweep_rows(self, chunk, block_runs):
+        # sr and max share blocks and read them to different depths
+        templates = [
+            BankTemplate("sr-3", FAMILY, PRIOR, GRID, ChartVariant.SR),
+            BankTemplate("max-1", FAMILY, PRIOR, (2.0,), ChartVariant.MAX),
+            BankTemplate("sum-3", FAMILY, PRIOR, GRID, ChartVariant.SUM),
+        ]
+        args = (templates, 1.0, (0.2, 0.01))
+        with mock.patch.object(simulate, "CHUNK_SLOTS", 10_000):
+            whole = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
+        with mock.patch.object(simulate, "CHUNK_SLOTS", chunk), mock.patch.object(simulate, "BATCH_SIZE", block_runs):
+            split = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
+        assert split == whole
+
+    def test_undrawn_slots_are_never_read(self):
+        # after every draw, each allocated chunk's undrawn rows turn NaN; a NaN
+        # read by a chart would stay in its statistic and censor the run
+        def poison_undrawn(block):
+            for base in range(0, int(block.drawn.max()), 16):
+                chunk, first = block.chunk(base)
+                chunk[block.drawn <= first] = np.nan
+
+        draw_to = PathBlock.draw_to
+
+        def draw_then_poison(block, rows, upto):
+            ready = draw_to(block, rows, upto)
+            poison_undrawn(block)
+            return ready
+
+        spec, lam, horizon = chunked_cases()[1]
+        with mock.patch.object(simulate, "CHUNK_SLOTS", 16):
+            block = draw_paths(spec, lam, range(CHUNK_RUNS), horizon, SCATTER_SEED)
+            assert (block.drawn == 16).all()
+            with pytest.raises(ValueError):
+                block.observations
+            with mock.patch.object(PathBlock, "draw_to", draw_then_poison):
+                runs = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, paths=block)
+        assert (runs.stop_time > 16).sum() > CHUNK_RUNS // 2
+        assert np.isnan(block.chunk(16)[0]).any()  # the poison was laid
+        with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
+            whole = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
+        assert_same_runs(whole, runs)
+
+
+class TestInfiniteThresholds:
+    N_RUNS = 12
+
+    @pytest.mark.parametrize("variant", list(ChartVariant))
+    def test_bank(self, variant):
+        horizon, seed = 300, 9
+        low = simulate_runs(bank_spec(variant, -math.inf), 1.0, self.N_RUNS, horizon, seed)
+        assert (low.stop_time == 1).all() and (low.firing_chart == 0).all()
+        high_spec = bank_spec(variant, math.inf)
+        block = draw_paths(high_spec, 1.0, range(self.N_RUNS), horizon, seed)
+        high = simulate_runs(high_spec, 1.0, self.N_RUNS, horizon, seed, paths=block)
+        assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
+        for rid in range(self.N_RUNS):
+            t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [seed, rid])
+            # censored runs read every slot, so the lazy block is the eager path
+            assert np.array_equal(block.observations[rid], x) and block.change_points[rid] == t
+            report = ChartBank(FAMILY, PRIOR, GRID, -math.inf, variant).step(x[0])
+            assert (report.stopped_at, report.firing_chart) == (1, 0)
+            assert ChartBank(FAMILY, PRIOR, GRID, math.inf, variant).run_to_stop(x) is None
+
+    def test_window(self):
+        horizon, seed, lam = 40, 9, (1.8, 2.2)
+        low = simulate_runs(window_spec(-math.inf), lam, self.N_RUNS, horizon, seed)
+        high = simulate_runs(window_spec(math.inf), lam, self.N_RUNS, horizon, seed)
+        assert (low.stop_time == 1).all()
+        assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
+        spec = window_spec()
+        for rid in range(self.N_RUNS):
+            _, x = sample_path_multi(list(spec.families), PRIOR, lam, horizon, [seed, rid])
+            engines = [
+                WindowEngine(list(spec.families), PRIOR, list(spec.grids), spec.window_len, thr)
+                for thr in (-math.inf, math.inf)
+            ]
+            report = engines[0].step(x[:, 0])
+            assert (report.stopped_at, report.firing_chart) == (1, low.firing_chart[rid])
+            assert engines[1].run_to_stop(x) is None
 
 
 class TestSummaries:
