@@ -287,31 +287,41 @@ def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
 def _window_batch(spec: WindowSpec, xs: np.ndarray):
     """Stop slot (0 if censored) and composite firing chart per row of xs.
 
+    Every row's tables advance on every slot, but only running rows whose
+    bound statistic reaches the threshold (suspects) get exact maxima; the
+    bound is never below the exact statistic, so no other row can cross.
     Rows that stopped stay in the ring tables until fewer than COMPACT_BELOW
     of them still run; then the running rows move down in place.
     """
     batch, _, horizon = xs.shape
-    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, batch)
+    threshold = spec.log_threshold
+    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, batch, bounded=True)
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
     rows = np.arange(batch)  # batch row of each table row
     running = np.ones(batch, dtype=bool)  # per table row
     for s in range(horizon):
-        total, _, slots = rings.step(xs[rows, :, s])
-        newly = running & (total.max(axis=1) >= spec.log_threshold)
-        if newly.any():
-            for r in np.flatnonzero(newly).tolist():
-                _, firing[rows[r]] = rings.fired(r, int(slots[np.argmax(total[r])]))
-            stop[rows[newly]] = s + 1
-            running &= ~newly
-            n_running = int(running.sum())
-            if n_running == 0:
-                break
-            if n_running < COMPACT_BELOW * rows.size:
-                keep = np.flatnonzero(running)
-                rings.compact(keep)
-                rows = rows[keep]
-                running = running[keep]
+        rings.advance(xs[rows, :, s])
+        suspect = np.flatnonzero(running & (rings.joint(rings.bounds).max(axis=1) >= threshold))
+        if suspect.size == 0:
+            continue
+        total = rings.tighten(suspect)
+        crossed = total.max(axis=1) >= threshold
+        newly = suspect[crossed]
+        if newly.size == 0:
+            continue
+        for r, row_total in zip(newly.tolist(), total[crossed]):
+            _, firing[rows[r]] = rings.fired(r, int(rings.slots[np.argmax(row_total)]))
+        stop[rows[newly]] = s + 1
+        running[newly] = False
+        n_running = int(running.sum())
+        if n_running == 0:
+            break
+        if n_running < COMPACT_BELOW * rows.size:
+            keep = np.flatnonzero(running)
+            rings.compact(keep)
+            rows = rows[keep]
+            running = running[keep]
     return stop, firing
 
 
@@ -550,18 +560,26 @@ def best_drift(template: Template, lam_true) -> float:
     return rate
 
 
-def default_horizon(alpha: float, prior: GeometricPrior, drift: float, censor_cap: float = 1e-3) -> int:
+def default_horizon(
+    alpha: float, prior: GeometricPrior, drift: float, censor_cap: float = 1e-3, n_runs: int | None = None
+) -> int:
     """Horizon covering the prior's tail plus a generous detection allowance.
 
     The change time itself must land inside the horizon for all but a sliver
     of runs an order below the censoring cap, hence the prior-quantile term;
     the 8x delay multiple then leaves the post-change climb far from the edge.
+    When ``n_runs`` is given and the cap allows no censored run at all
+    (``censor_cap * n_runs < 1``), the tail is sized so that a change past
+    the horizon happens in about one sweep of n_runs runs in a thousand.
     """
     if drift <= 0:
         raise ValueError("drift must be positive")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    tail = max(censor_cap / 10.0, 1e-12)
+    tail = censor_cap / 10.0
+    if n_runs is not None and censor_cap * n_runs < 1:
+        tail = min(tail, 1e-3 / n_runs)  # never a shorter horizon than the cap alone asks for
+    tail = max(tail, 1e-12)
     prior_allowance = int(math.ceil(-math.log(tail) / prior.slot_cost))
     return int(math.ceil(8.0 * abs(math.log(alpha)) / drift)) + prior_allowance
 
@@ -657,7 +675,9 @@ def add_vs_alpha_sweep(
                 d_total = composite_kl(list(template.families), lam_vec, template.prior)
             cell_horizon = horizon
             if cell_horizon is None:
-                cell_horizon = default_horizon(alpha, template.prior, best_drift(template, lam_true), censor_cap)
+                cell_horizon = default_horizon(
+                    alpha, template.prior, best_drift(template, lam_true), censor_cap, n_runs
+                )
             lam = lam_vec[0] if isinstance(spec, BankSpec) else lam_true
             cells.append(_Cell(template, spec, lam, lam_vec, d_total, cell_horizon))
 

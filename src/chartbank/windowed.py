@@ -19,7 +19,17 @@ needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
 per-column maxima; no column moves.  ``RingBatch`` holds the tables of many
 runs at once, one row each, and is the only implementation of the step: the
 Monte Carlo kernel compacts its rows in place as runs stop, and
-``WindowEngine`` is a batch of one.
+``WindowEngine`` is a batch of one that evaluates the exact joint statistic
+on every step.
+
+A batch may also keep a bound ring [rows, width] per source, which absorbs
+the largest llr of the slot where the table absorbs each candidate's llr.
+Rounded addition is monotone, so the bound never falls below the table's
+per-column maximum, and the bound's joint statistic, built with the very
+additions of the exact one, never falls below the exact statistic.  The
+Monte Carlo kernel takes exact maxima only for rows whose bound reaches the
+threshold and resets their bound to them; every other row provably does not
+cross, so stop slots and firing charts stay bitwise those of the exact step.
 """
 
 from __future__ import annotations
@@ -41,12 +51,13 @@ __all__ = [
     "window_length_for",
     "composite_kl",
     "ring_advance",
+    "ring_maxima",
     "window_offsets",
 ]
 
 
-def ring_advance(table: np.ndarray, llr, slot_new: int) -> np.ndarray:
-    """Advance a ring table one slot in place; return per-column best rows.
+def ring_advance(table: np.ndarray, llr, slot_new: int) -> None:
+    """Advance a ring table one slot in place.
 
     ``table`` has shape [..., I, W]; ``llr`` broadcasts against [..., I].
     The column at ``slot_new`` is recycled for the newest start, then every
@@ -54,6 +65,10 @@ def ring_advance(table: np.ndarray, llr, slot_new: int) -> np.ndarray:
     """
     table[..., slot_new] = 0.0
     table += np.asarray(llr, dtype=float)[..., None]
+
+
+def ring_maxima(table: np.ndarray) -> np.ndarray:
+    """Per-column best of a ring table [..., I, W]: the maximum over its I candidates."""
     return table.max(axis=-2)
 
 
@@ -85,8 +100,9 @@ class RingBatch:
     """The window engine's per-slot step over a batch of runs.
 
     Source l keeps a ring table [rows, I_l, width] of llr sums per run,
-    candidate and start slot.  ``WindowEngine`` is a batch of one; grids come
-    from ``check_window``.
+    candidate and start slot, and with ``bounded`` a bound ring [rows, width]
+    that is never below the table's per-column maximum.  ``WindowEngine`` is
+    a batch of one; grids come from ``check_window``.
     """
 
     def __init__(
@@ -96,28 +112,51 @@ class RingBatch:
         grids: Sequence,
         window_len: int,
         rows: int,
+        bounded: bool = False,
     ) -> None:
         self.families = tuple(families)
         self.grids = [np.asarray(grid, dtype=float)[None, :] for grid in grids]
         self.width = window_len + 1
         self.tables = [np.zeros((rows, grid.size, self.width)) for grid in self.grids]
+        self.bounds = [np.zeros((rows, self.width)) for _ in self.grids] if bounded else None
         # weight for start k at slot n depends only on the span n - k + 1
         self.weights = np.arange(1, self.width + 1) * prior.slot_cost
         self.n = 0
+        self.starts = self.slots = np.zeros(0, dtype=np.int64)  # in-window starts and their ring slots
+
+    def advance(self, x: np.ndarray) -> None:
+        """Advance each row's tables, and bound rings if kept, by x[row]."""
+        self.n += 1
+        slot_new = self.n % self.width
+        for l, (fam, grid, table) in enumerate(zip(self.families, self.grids, self.tables)):
+            llr = fam._llr(grid, x[:, l, None])
+            ring_advance(table, llr, slot_new)
+            if self.bounds is not None:
+                bound = self.bounds[l]
+                bound[:, slot_new] = 0.0
+                bound += llr.max(axis=1)[:, None]
+        self.starts, self.slots = window_offsets(self.n, self.width)
+
+    def maxima(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """Each source's exact per-column maxima [rows, width] of the given rows (all by default)."""
+        return [ring_maxima(table if rows is None else table[rows]) for table in self.tables]
+
+    def joint(self, bests: Sequence[np.ndarray]) -> np.ndarray:
+        """Joint statistic [rows, starts] from per-source per-column values, exact maxima or bounds."""
+        # sum over the whole ring, then one gather of the in-window columns, not one per source
+        return self.weights[self.n - self.starts][None, :] + sum(bests)[:, self.slots]
+
+    def tighten(self, rows: np.ndarray) -> np.ndarray:
+        """Exact joint statistic [rows, starts] of the given rows, whose bound rings are reset to the exact maxima."""
+        exact = self.maxima(rows)
+        for bound, best in zip(self.bounds, exact):
+            bound[rows] = best
+        return self.joint(exact)
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance each row by x[row]; return the joint statistic [rows, starts], the starts and their slots."""
-        self.n += 1
-        n = self.n
-        slot_new = n % self.width
-        bests = [
-            ring_advance(table, fam._llr(grid, x[:, l, None]), slot_new)
-            for l, (fam, grid, table) in enumerate(zip(self.families, self.grids, self.tables))
-        ]
-        starts, slots = window_offsets(n, self.width)
-        # sum over the whole ring, then one gather of the in-window columns, not one per source
-        total = self.weights[n - starts][None, :] + sum(bests)[:, slots]
-        return total, starts, slots
+        """Advance each row by x[row]; return the exact joint statistic [rows, starts], the starts and their slots."""
+        self.advance(x)
+        return self.joint(self.maxima()), self.starts, self.slots
 
     def fired(self, row: int, slot: int) -> tuple[tuple[int, ...], int]:
         """Each source's best candidate of ``row`` at a ring slot, and their composite chart index."""
@@ -129,11 +168,13 @@ class RingBatch:
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (ascending), moved down in place: no table is copied whole."""
-        for table in self.tables:
-            for dst, src in enumerate(keep.tolist()):
-                if dst != src:
-                    table[dst] = table[src]
+        moves = [(dst, src) for dst, src in enumerate(keep.tolist()) if dst != src]
+        for ring in self.tables + (self.bounds or []):
+            for dst, src in moves:
+                ring[dst] = ring[src]
         self.tables = [table[: keep.size] for table in self.tables]
+        if self.bounds is not None:
+            self.bounds = [bound[: keep.size] for bound in self.bounds]
 
 
 class WindowEngine:

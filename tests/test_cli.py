@@ -286,6 +286,14 @@ class TestMainPresetAndSelftest:
         assert manifest["config"]["n_runs"] == 80
         assert manifest["config"]["seed"] == 3
 
+    def test_small_fig5_preset_keeps_changes_inside_the_horizon(self, tmp_path, capsys):
+        # at 400 runs the 1e-3 cap allows no censored run; seed 9 has a
+        # change at slot 1012, past the horizon the cap alone would give (925)
+        out = tmp_path / "p"
+        assert main(["preset", "fig5", "--out", str(out), "--runs", "400", "--seed", "9"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all(cell["censored"] == 0 for cell in manifest["cells"])
+
     @pytest.mark.parametrize(
         "override, problem",
         [

@@ -34,6 +34,7 @@ from chartbank import (
 )
 from chartbank import simulate
 from chartbank.simulate import PathBlock, draw_paths
+from chartbank.windowed import RingBatch
 
 FAMILY = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.05, 5.0))
 PRIOR = GeometricPrior(0.02)
@@ -336,6 +337,121 @@ class TestChunkInvariance:
         assert_same_runs(whole, runs)
 
 
+# Sources a pruned-window case draws from: family, candidates, true parameter.
+WINDOW_SOURCES = {
+    "variance": (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5)), (1.2, 1.4, 1.7, 2.0, 2.4, 3.0), 2.0),
+    "mean": (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.1, 3.0)), (0.3, 0.6, 1.0, 1.5, 2.5), 1.0),
+}
+PRUNED_HORIZON = 30
+PRUNED_RUNS = 24
+
+
+@st.composite
+def window_sources(draw):
+    """One to three sources with pairwise unequal grid sizes."""
+    n_sources = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n_sources, max_size=n_sources, unique=True))
+    families, grids, lams = [], [], []
+    for size in sizes:
+        family, candidates, lam = WINDOW_SOURCES[draw(st.sampled_from(sorted(WINDOW_SOURCES)))]
+        grid = draw(st.lists(st.sampled_from(candidates), min_size=size, max_size=size, unique=True))
+        families.append(family)
+        grids.append(tuple(sorted(grid)))
+        lams.append(lam)
+    return tuple(families), tuple(grids), tuple(lams)
+
+
+def exact_statistics(spec, lam, n_runs, horizon, seed):
+    """Every run's exact joint statistic at every slot, from a ring batch that never stops a row."""
+    xs = draw_paths(spec, lam, range(n_runs), horizon, seed).observations
+    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, n_runs)
+    return np.stack([rings.step(xs[:, :, s])[0].max(axis=1) for s in range(horizon)], axis=1)
+
+
+class TestPrunedWindowKernel:
+    """The window kernel evaluates exact maxima only for rows whose bound reaches the threshold."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sources=window_sources(),
+        window_len=st.integers(1, PRUNED_HORIZON + 10),
+        rho=st.sampled_from([1e-4, 3e-4, 0.4, 0.5]),
+        level=st.sampled_from([-math.inf, math.inf, 0.9, 1.0]),
+        margin=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_exact_stepped_engine(self, sources, window_len, rho, level, margin, seed):
+        families, grids, lam = sources
+        prior = GeometricPrior(rho)
+        threshold = level
+        if math.isfinite(level):
+            # a quantile of the statistic itself, or a little above it: rows come
+            # near it, some reach it exactly, and above the maximum bounds reach
+            # it where no run crosses
+            probe = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=0.0)
+            stats = exact_statistics(probe, lam, PRUNED_RUNS, PRUNED_HORIZON, seed)
+            threshold = float(np.quantile(stats, level)) + margin
+        spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=threshold)
+        runs = {b: simulate_runs(spec, lam, PRUNED_RUNS, PRUNED_HORIZON, seed, batch_size=b) for b in (1, 7, 60)}
+        assert_same_runs(runs[1], runs[7])
+        assert_same_runs(runs[1], runs[60])
+        for rid in range(PRUNED_RUNS):
+            _, x = sample_path_multi(list(families), prior, lam, PRUNED_HORIZON, [seed, rid])
+            report = WindowEngine(list(families), prior, list(grids), window_len, threshold).run_to_stop(x)
+            expected = (0, -1) if report is None else (report.stopped_at, report.firing_chart)
+            assert (runs[1].stop_time[rid], runs[1].firing_chart[rid]) == expected
+
+    def test_reference_config_prunes_and_tightens_rows_that_do_not_cross(self):
+        spec, lam, horizon = window_spec(3.0), (1.8, 2.2), 120
+        tightened = []
+        tighten = RingBatch.tighten
+
+        def counted(rings, rows):
+            total = tighten(rings, rows)
+            tightened.append((rows.size, int((total.max(axis=1) >= spec.log_threshold).sum())))
+            return total
+
+        with mock.patch.object(RingBatch, "tighten", counted):
+            runs = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
+        evaluated = sum(n for n, _ in tightened)
+        crossed = sum(c for _, c in tightened)
+        row_steps = int(np.where(runs.stop_time > 0, runs.stop_time, horizon).sum())
+        assert crossed == (runs.stop_time > 0).sum()
+        assert evaluated > crossed  # some suspects did not cross
+        assert evaluated < row_steps // 2  # most running rows skip the exact maxima
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sources=window_sources(),
+        window_len=st.integers(1, 12),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bound_never_below_exact_maxima(self, sources, window_len, rows, seed):
+        families, grids, _ = sources
+        rng = np.random.default_rng(seed)
+        rings = RingBatch(families, GeometricPrior(0.05), grids, window_len, rows, bounded=True)
+
+        def assert_bounded():
+            for bound, best in zip(rings.bounds, rings.maxima()):
+                assert bound.shape == best.shape
+                assert (bound >= best).all()
+
+        for _ in range(3 * window_len + 5):
+            n_rows = rings.tables[0].shape[0]
+            rings.advance(rng.standard_normal((n_rows, len(families))) * rng.uniform(0.5, 3.0))
+            assert_bounded()
+            suspect = np.flatnonzero(rng.random(n_rows) < 0.3)
+            exact = rings.tighten(suspect)
+            assert np.array_equal(exact, rings.joint(rings.maxima(suspect)))
+            for bound, best in zip(rings.bounds, rings.maxima(suspect)):
+                assert np.array_equal(bound[suspect], best)
+            assert_bounded()
+            if n_rows > 1 and rng.random() < 0.3:
+                rings.compact(np.flatnonzero(rng.random(n_rows) < 0.7))
+                assert_bounded()
+
+
 class TestInfiniteThresholds:
     N_RUNS = 12
 
@@ -419,6 +535,18 @@ class TestSizingHelpers:
     def test_default_horizon_frozen(self):
         drift = 0.5 + GeometricPrior(0.01).slot_cost
         assert default_horizon(1e-3, GeometricPrior(0.01), drift) == 1026
+
+    def test_default_horizon_sized_for_small_runs(self):
+        prior = GeometricPrior(0.01)
+        drift = 0.5 + prior.slot_cost
+        # one run in 2000 may be censored at the default cap: the horizon ignores n_runs
+        assert default_horizon(1e-3, prior, drift, 1e-3, 2000) == default_horizon(1e-3, prior, drift) == 1026
+        # at 400 runs none may be: the prior tail shrinks from 1e-4 to 2.5e-6
+        tail_slots = math.ceil(-math.log(1e-3 / 400) / prior.slot_cost) - math.ceil(-math.log(1e-4) / prior.slot_cost)
+        assert default_horizon(1e-3, prior, drift, 1e-3, 400) == 1026 + tail_slots
+        # never shorter than the cap alone asks for
+        for cap in (0.0, 1e-6):
+            assert default_horizon(1e-3, prior, drift, cap, 400) == default_horizon(1e-3, prior, drift, cap)
 
     def test_default_horizon_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from chartbank import (
     direct_window_stat_oracle,
     window_length_for,
 )
-from chartbank.windowed import ring_advance, window_offsets
+from chartbank.windowed import ring_advance, ring_maxima, window_offsets
 
 PRIOR = GeometricPrior(0.01)
 
@@ -29,14 +29,14 @@ class TestRingPrimitives:
     def test_ring_advance_by_hand(self):
         # two charts, width 3; walk two steps and check every cell
         table = np.zeros((2, 3))
-        best = ring_advance(table, np.array([1.0, -2.0]), slot_new=1)
+        ring_advance(table, np.array([1.0, -2.0]), slot_new=1)
         # all columns got the llr; column 1 was recycled first (same result
         # at step one since the table started at zero)
         assert np.array_equal(table, [[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0]])
-        assert np.array_equal(best, [1.0, 1.0, 1.0])
-        best = ring_advance(table, np.array([0.5, 4.0]), slot_new=2)
+        assert np.array_equal(ring_maxima(table), [1.0, 1.0, 1.0])
+        ring_advance(table, np.array([0.5, 4.0]), slot_new=2)
         assert np.array_equal(table, [[1.5, 1.5, 0.5], [2.0, 2.0, 4.0]])
-        assert np.array_equal(best, [2.0, 2.0, 4.0])
+        assert np.array_equal(ring_maxima(table), [2.0, 2.0, 4.0])
 
     def test_window_offsets_ascending_and_modular(self):
         starts, slots = window_offsets(n=5, width=3)
