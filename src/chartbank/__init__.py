@@ -35,7 +35,6 @@ from .families import (
     FiniteSet,
     GaussianMeanShift,
     GaussianVarianceShift,
-    GenericFamily,
     GeometricPrior,
     Interval,
     ObservationFamily,
@@ -72,7 +71,6 @@ __all__ = [
     "FiniteSet",
     "GaussianMeanShift",
     "GaussianVarianceShift",
-    "GenericFamily",
     "GeometricPrior",
     "Interval",
     "McSummary",

@@ -5,7 +5,8 @@ Subcommands:
 * ``run <config>``: execute a flat key=value config file.
 * ``preset <fig4|fig5|example1> --out DIR [--seed N] [--runs N]``: run a
   built-in configuration, materializing the equivalent config file next to
-  the results.
+  the results.  Presets are config text in ``PRESETS``, parsed and checked
+  exactly as config files are, overrides included.
 * ``selftest``: fast differential and identity checks, no files written.
 
 Outputs per run: ``results.csv`` (fixed column order), ``manifest.json``
@@ -25,7 +26,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,10 @@ from .families import GaussianMeanShift, GaussianVarianceShift, GeometricPrior, 
 from .simulate import (
     BankTemplate,
     SweepRow,
+    Template,
     WindowTemplate,
     add_vs_alpha_sweep,
+    best_drift,
     direct_stat_oracle,
     direct_window_stat_oracle,
 )
@@ -144,74 +147,6 @@ def _parse_construction(text: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class SingleSweepConfig:
-    family: str
-    pre_param: float
-    noise_sigma: float
-    lambda_low: float
-    lambda_high: float
-    lambda_true: float
-    rho: float
-    alphas: tuple[float, ...]
-    variants: tuple[str, ...]
-    grids: tuple[tuple[float, ...], ...]
-    n_runs: int
-    horizon: int | None
-    censor_cap: float
-    seed: int
-
-    experiment = "single-sweep"
-
-
-@dataclass(frozen=True)
-class MultiSweepConfig:
-    pre_params: tuple[float, ...]
-    lambda_true: tuple[float, ...]
-    source_grids: tuple[tuple[float, ...], ...]
-    window: int | None
-    rho: float
-    alphas: tuple[float, ...]
-    n_runs: int
-    horizon: int | None
-    censor_cap: float
-    seed: int
-
-    experiment = "multisource-sweep"
-
-
-@dataclass(frozen=True)
-class DesignRunConfig:
-    pre_param: float
-    noise_sigma: float
-    lambda_low: float
-    lambda_high: float
-    epsilon: float
-    mesh_points: int
-    grid_cap: int
-    construction: str
-    eval_lambdas: tuple[float, ...] | None
-    rho: float
-    alphas: tuple[float, ...]
-    n_runs: int
-    horizon: int | None
-    censor_cap: float
-    seed: int
-
-    experiment = "epsilon-design"
-
-
-@dataclass(frozen=True)
-class DiffTestConfig:
-    n_paths: int
-    path_length: int
-    seed: int
-
-    experiment = "differential-test"
-
-
-AnyConfig = SingleSweepConfig | MultiSweepConfig | DesignRunConfig | DiffTestConfig
-
 # key -> (parser, required, default, unit/help); the help text lands in config.txt
 _COMMON_SWEEP = {
     "rho": (_parse_float, True, None, "change probability per slot, in (0, 1)"),
@@ -260,11 +195,19 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
+
+def _config_class(name: str, experiment: str) -> type:
+    """Frozen dataclass with one field per key of the experiment's schema."""
+    return make_dataclass(name, list(SCHEMAS[experiment]), frozen=True, namespace={"experiment": experiment})
+
+
+SingleSweepConfig = _config_class("SingleSweepConfig", "single-sweep")
+MultiSweepConfig = _config_class("MultiSweepConfig", "multisource-sweep")
+DesignRunConfig = _config_class("DesignRunConfig", "epsilon-design")
+DiffTestConfig = _config_class("DiffTestConfig", "differential-test")
+AnyConfig = SingleSweepConfig | MultiSweepConfig | DesignRunConfig | DiffTestConfig
 _CONFIG_CLASSES = {
-    "single-sweep": SingleSweepConfig,
-    "multisource-sweep": MultiSweepConfig,
-    "epsilon-design": DesignRunConfig,
-    "differential-test": DiffTestConfig,
+    cls.experiment: cls for cls in (SingleSweepConfig, MultiSweepConfig, DesignRunConfig, DiffTestConfig)
 }
 
 
@@ -353,6 +296,8 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
         interval_ok = v["lambda_low"] < v["lambda_high"]
         if not interval_ok:
             out.append("need lambda_low < lambda_high")
+        if len(set(v["variants"])) != len(v["variants"]):
+            out.append(f"variants must not repeat, got {', '.join(v['variants'])}")
         lo, hi = v["lambda_low"], v["lambda_high"]
         if interval_ok and not (lo <= v["lambda_true"] <= hi):
             out.append("lambda_true must lie in [lambda_low, lambda_high]")
@@ -374,6 +319,8 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             out.append("pre_params, lambda_true and source_grids must agree on the source count")
         if any(p <= 0 for p in v["pre_params"]):
             out.append("pre_params must be positive scales")
+        if any(t <= 0 for t in v["lambda_true"]):
+            out.append("lambda_true must be positive scales")
         for gi, grid in enumerate(v["source_grids"], start=1):
             if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
                 out.append(f"source grid {gi} must be strictly increasing and positive")
@@ -389,6 +336,11 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             out.append("noise_sigma must be positive")
         if v["lambda_low"] >= v["lambda_high"]:
             out.append("need lambda_low < lambda_high")
+        elif v["lambda_low"] <= v["pre_param"] <= v["lambda_high"]:
+            out.append(
+                f"pre_param {v['pre_param']!r} lies in [lambda_low, lambda_high], "
+                "so the design interval holds a change no chart can tell from no change"
+            )
         if not (0.0 < v["epsilon"] < 1.0):
             out.append("epsilon must lie in (0, 1)")
         if v["mesh_points"] < 2:
@@ -399,6 +351,14 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             lo, hi = v["lambda_low"], v["lambda_high"]
             if any(not (lo <= e <= hi) for e in v["eval_lambdas"]):
                 out.append("eval_lambdas must lie inside the design interval")
+    if not out and experiment != "epsilon-design":
+        # a template none of whose charts grows under lambda_true never detects the change
+        cfg = _CONFIG_CLASSES[experiment](**v)
+        for template in _sweep_templates(cfg):
+            try:
+                best_drift(template, cfg.lambda_true)
+            except ValueError as exc:
+                out.append(f"{template.label}: {exc}")
     return out
 
 
@@ -430,31 +390,39 @@ def _render_value(value) -> str:
 # experiment execution
 
 
-def _single_templates(cfg: SingleSweepConfig) -> list[BankTemplate]:
+def _sweep_templates(cfg: SingleSweepConfig | MultiSweepConfig) -> list[Template]:
+    prior = GeometricPrior(cfg.rho)
+    if isinstance(cfg, MultiSweepConfig):
+        families = tuple(
+            GaussianVarianceShift(
+                pre_sigma=p,
+                post_params=Interval(min(*g, t) * 0.5, max(*g, t) * 2.0),
+            )
+            for p, g, t in zip(cfg.pre_params, cfg.source_grids, cfg.lambda_true)
+        )
+        window = cfg.window
+        if window is None:
+            slowest = prior.slot_cost + sum(
+                min(float(f.kl_post_vs_pre(g)) for g in grid) for f, grid in zip(families, cfg.source_grids)
+            )
+            window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
+        return [WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)]
     interval = Interval(cfg.lambda_low, cfg.lambda_high)
     if cfg.family == "gaussian-mean-shift":
         family = GaussianMeanShift(pre_mean=cfg.pre_param, sigma=cfg.noise_sigma, post_params=interval)
     else:
         family = GaussianVarianceShift(pre_sigma=cfg.pre_param, post_params=interval)
-    prior = GeometricPrior(cfg.rho)
-    templates = []
-    for variant_name in cfg.variants:
-        for gi, grid in enumerate(cfg.grids, start=1):
-            templates.append(
-                BankTemplate(
-                    label=f"{variant_name}-grid{gi}",
-                    family=family,
-                    prior=prior,
-                    grid=grid,
-                    variant=ChartVariant(variant_name),
-                )
-            )
-    return templates
+    return [
+        BankTemplate(f"{variant_name}-grid{gi}", family, prior, grid, ChartVariant(variant_name))
+        for variant_name in cfg.variants
+        for gi, grid in enumerate(cfg.grids, start=1)
+    ]
 
 
-def _run_single_sweep(cfg: SingleSweepConfig) -> tuple[list[SweepRow], dict]:
+def _run_sweep(cfg: SingleSweepConfig | MultiSweepConfig) -> tuple[list[SweepRow], dict]:
+    templates = _sweep_templates(cfg)
     rows = add_vs_alpha_sweep(
-        _single_templates(cfg),
+        templates,
         cfg.lambda_true,
         cfg.alphas,
         cfg.n_runs,
@@ -462,41 +430,7 @@ def _run_single_sweep(cfg: SingleSweepConfig) -> tuple[list[SweepRow], dict]:
         horizon=cfg.horizon,
         censor_cap=cfg.censor_cap,
     )
-    return rows, {}
-
-
-def _run_multi_sweep(cfg: MultiSweepConfig) -> tuple[list[SweepRow], dict]:
-    prior = GeometricPrior(cfg.rho)
-    families = tuple(
-        GaussianVarianceShift(
-            pre_sigma=p,
-            post_params=Interval(min(*g, t) * 0.5, max(*g, t) * 2.0),
-        )
-        for p, g, t in zip(cfg.pre_params, cfg.source_grids, cfg.lambda_true)
-    )
-    window = cfg.window
-    if window is None:
-        slowest = prior.slot_cost + sum(
-            min(float(f.kl_post_vs_pre(g)) for g in grid) for f, grid in zip(families, cfg.source_grids)
-        )
-        window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
-    template = WindowTemplate(
-        label="windowed-max",
-        families=families,
-        prior=prior,
-        grids=cfg.source_grids,
-        window_len=window,
-    )
-    rows = add_vs_alpha_sweep(
-        [template],
-        cfg.lambda_true,
-        cfg.alphas,
-        cfg.n_runs,
-        cfg.seed,
-        horizon=cfg.horizon,
-        censor_cap=cfg.censor_cap,
-    )
-    return rows, {"window": window}
+    return rows, ({"window": templates[0].window_len} if isinstance(cfg, MultiSweepConfig) else {})
 
 
 def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
@@ -615,13 +549,8 @@ def execute_config(cfg: AnyConfig, out_dir: Path) -> int:
     if isinstance(cfg, DiffTestConfig):
         ok = run_selftest(n_paths=cfg.n_paths, path_length=cfg.path_length, seed=cfg.seed)
         return EXIT_OK if ok else 1
-    runners = {
-        "single-sweep": _run_single_sweep,
-        "multisource-sweep": _run_multi_sweep,
-        "epsilon-design": _run_design,
-    }
     try:
-        rows, derived = runners[cfg.experiment](cfg)
+        rows, derived = _run_design(cfg) if isinstance(cfg, DesignRunConfig) else _run_sweep(cfg)
     except CapacityError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_text(
@@ -652,66 +581,51 @@ def execute_config(cfg: AnyConfig, out_dir: Path) -> int:
 # presets
 
 
+# each preset states only what differs from the schema defaults
+PRESETS = {
+    "fig4": """
+experiment = single-sweep
+family = gaussian-mean-shift
+pre_param = 0.0
+lambda_low = 0.4
+lambda_high = 2.8
+lambda_true = 1.0
+variants = sr, max
+grids = 0.4,1.6,2.8 | 0.4,1.0,1.6,2.2,2.8
+rho = 0.01
+alphas = 1e-1, 1e-2, 1e-3, 1e-4
+""",
+    "fig5": """
+experiment = multisource-sweep
+pre_params = 1.0, 1.0, 1.0
+lambda_true = 1.7, 2.0, 2.2
+source_grids = 1.5,1.6,1.7,2.0,2.1,2.2,2.3 | 1.5,1.6,1.7,2.0,2.1,2.2,2.3 | 1.5,1.6,1.7,2.0,2.1,2.2,2.3
+window = 200
+rho = 0.01
+alphas = 1e-1, 1e-2, 1e-3
+""",
+    "example1": """
+experiment = epsilon-design
+pre_param = 0.0
+lambda_low = 0.37
+lambda_high = 2.63
+epsilon = 0.2
+rho = 0.01
+alphas = 1e-3
+""",
+}
+
+
 def preset_config(name: str, seed: int | None = None, runs: int | None = None) -> AnyConfig:
-    if name == "fig4":
-        cfg: AnyConfig = SingleSweepConfig(
-            family="gaussian-mean-shift",
-            pre_param=0.0,
-            noise_sigma=1.0,
-            lambda_low=0.4,
-            lambda_high=2.8,
-            lambda_true=1.0,
-            rho=0.01,
-            alphas=(1e-1, 1e-2, 1e-3, 1e-4),
-            variants=("sr", "max"),
-            grids=((0.4, 1.6, 2.8), (0.4, 1.0, 1.6, 2.2, 2.8)),
-            n_runs=10_000,
-            horizon=None,
-            censor_cap=1e-3,
-            seed=0,
-        )
-    elif name == "fig5":
-        grid = (1.5, 1.6, 1.7, 2.0, 2.1, 2.2, 2.3)
-        cfg = MultiSweepConfig(
-            pre_params=(1.0, 1.0, 1.0),
-            lambda_true=(1.7, 2.0, 2.2),
-            source_grids=(grid, grid, grid),
-            window=200,
-            rho=0.01,
-            alphas=(1e-1, 1e-2, 1e-3),
-            n_runs=10_000,
-            horizon=None,
-            censor_cap=1e-3,
-            seed=0,
-        )
-    elif name == "example1":
-        cfg = DesignRunConfig(
-            pre_param=0.0,
-            noise_sigma=1.0,
-            lambda_low=0.37,
-            lambda_high=2.63,
-            epsilon=0.2,
-            mesh_points=1000,
-            grid_cap=4096,
-            construction="greedy",
-            eval_lambdas=None,
-            rho=0.01,
-            alphas=(1e-3,),
-            n_runs=10_000,
-            horizon=None,
-            censor_cap=1e-3,
-            seed=0,
-        )
-    else:
+    """The named preset's config, parsed and checked as a config file with these overrides would be."""
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    updates = {}
+    text = PRESETS[name]
     if seed is not None:
-        updates["seed"] = seed
+        text += f"seed = {seed}\n"
     if runs is not None:
-        updates["n_runs"] = runs
-    if updates:
-        cfg = type(cfg)(**{**asdict(cfg), **updates})
-    return cfg
+        text += f"n_runs = {runs}\n"
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", type=Path, default=Path("chartbank-out"))
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment")
-    p_preset.add_argument("name", choices=["fig4", "fig5", "example1"])
+    p_preset.add_argument("name", choices=list(PRESETS))
     p_preset.add_argument("--out", type=Path, required=True)
     p_preset.add_argument("--seed", type=int, default=None)
     p_preset.add_argument("--runs", type=int, default=None)
@@ -868,23 +782,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "selftest":
         return EXIT_OK if run_selftest() else 1
 
-    if args.command == "preset":
-        # overrides get the checks a config file gets
-        cfg = preset_config(args.name, seed=args.seed, runs=args.runs)
-        problems = _semantic_problems(cfg.experiment, asdict(cfg))
-    else:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            cfg, problems = parse_config_text(text), []
-        except ConfigError as exc:
-            problems = exc.problems
-    if problems:
+    try:
+        if args.command == "preset":
+            cfg = preset_config(args.name, seed=args.seed, runs=args.runs)
+        else:
+            cfg = parse_config_text(args.config.read_text())
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConfigError as exc:
         print("config problems:", file=sys.stderr)
-        for problem in problems:
+        for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
     return execute_config(cfg, args.out)

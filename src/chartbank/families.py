@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "ObservationFamily",
     "GaussianMeanShift",
     "GaussianVarianceShift",
-    "GenericFamily",
     "sample_path",
     "sample_path_multi",
 ]
@@ -165,28 +163,18 @@ class ObservationFamily(ABC):
     ) -> float | np.ndarray:
         """KL divergence between two post-change densities."""
 
-    @property
-    def supports_paired_sampling(self) -> bool:
-        """True when paths can be built from a shared standard-normal stream.
-
-        Paired sampling makes the pre-change portion of a path bitwise
-        independent of the true post-change parameter, so false-alarm
-        estimates can be compared across parameters on identical draws.
-        """
-        return False
-
+    @abstractmethod
     def pre_from_std(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("family has no standard-normal representation")
+        """Pre-change observations from standard normals z, elementwise."""
 
+    @abstractmethod
     def post_from_std(self, lam: float, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("family has no standard-normal representation")
+        """Post-change observations at lam from standard normals z, elementwise.
 
-    def sample_pre(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.pre_from_std(rng.standard_normal(size))
-
-    def sample_post(self, lam: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        self._check_lam(lam)
-        return self.post_from_std(lam, rng.standard_normal(size))
+        Paths map one standard-normal stream through these two, so the
+        pre-change portion of a path is bitwise independent of the true
+        post-change parameter, and a shorter path is a prefix of a longer one.
+        """
 
 
 @dataclass(frozen=True)
@@ -216,10 +204,6 @@ class GaussianMeanShift(ObservationFamily):
         other_arr = self._check_lam(lam_other)
         out = (lam_arr - other_arr) ** 2 / (2.0 * self.sigma**2)
         return float(out) if np.ndim(out) == 0 else out
-
-    @property
-    def supports_paired_sampling(self) -> bool:
-        return True
 
     def pre_from_std(self, z):
         return self.pre_mean + self.sigma * np.asarray(z, dtype=float)
@@ -266,10 +250,6 @@ class GaussianVarianceShift(ObservationFamily):
         out = 0.5 * (r - 1.0 - np.log(r))
         return float(out) if np.ndim(out) == 0 else out
 
-    @property
-    def supports_paired_sampling(self) -> bool:
-        return True
-
     def pre_from_std(self, z):
         return self.center + self.pre_sigma * np.asarray(z, dtype=float)
 
@@ -277,91 +257,10 @@ class GaussianVarianceShift(ObservationFamily):
         return self.center + float(lam) * np.asarray(z, dtype=float)
 
 
-@dataclass(frozen=True)
-class GenericFamily(ObservationFamily):
-    """Family given by log-density callables and samplers.
-
-    ``log_pre`` and ``log_post`` must accept numpy arrays.  Divergences are
-    estimated by Monte Carlo with a declared sample count and seed; use
-    ``kl_post_vs_pre_detail`` when the standard error matters.
-    """
-
-    post_params: ParamSet
-    log_pre: Callable[[np.ndarray], np.ndarray]
-    log_post: Callable[[float, np.ndarray], np.ndarray]
-    pre_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    post_sampler: Callable[[float, np.random.Generator, int], np.ndarray]
-    kl_mc_samples: int = 200_000
-    kl_mc_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kl_mc_samples < 100:
-            raise ValueError("kl_mc_samples too small for a usable estimate")
-
-    def _llr(self, lam_arr, x_arr):
-        if np.ndim(lam_arr) == 0:
-            out = self.log_post(float(lam_arr), x_arr) - self.log_pre(x_arr)
-        else:
-            lam_b, x_b = np.broadcast_arrays(lam_arr, x_arr)
-            out = np.empty(lam_b.shape)
-            flat_lam, flat_x = lam_b.ravel(), x_b.ravel()
-            flat_out = out.ravel()
-            for i, (lv, xv) in enumerate(zip(flat_lam, flat_x)):
-                flat_out[i] = self.log_post(float(lv), np.asarray(xv)) - self.log_pre(np.asarray(xv))
-        flat = np.atleast_1d(np.asarray(out, dtype=float))
-        if np.any(np.isnan(flat)) or np.any(np.isposinf(flat)):
-            raise ValueError("log likelihood ratio undefined; observation outside support?")
-        return out
-
-    def kl_post_vs_pre_detail(self, lam: float) -> tuple[float, float]:
-        """Monte Carlo divergence estimate, returned as (value, standard error)."""
-        lam_f = float(self._check_lam(lam))
-        rng = np.random.default_rng([self.kl_mc_seed, np.float64(lam_f).view(np.uint64)])
-        xs = self.post_sampler(lam_f, rng, self.kl_mc_samples)
-        vals = np.asarray(self.log_post(lam_f, xs)) - np.asarray(self.log_pre(xs))
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-
-    def kl_post_vs_pre(self, lam):
-        if np.ndim(lam) > 0:
-            return np.array([self.kl_post_vs_pre(float(v)) for v in np.asarray(lam).ravel()]).reshape(np.shape(lam))
-        return self.kl_post_vs_pre_detail(float(lam))[0]
-
-    def kl_post_vs_post(self, lam, lam_other):
-        if np.ndim(lam) > 0 or np.ndim(lam_other) > 0:
-            lam_b, other_b = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(lam_other, dtype=float))
-            out = np.empty(lam_b.shape)
-            for i, (lv, ov) in enumerate(zip(lam_b.ravel(), other_b.ravel())):
-                out.ravel()[i] = self.kl_post_vs_post(float(lv), float(ov))
-            return out
-        lam_f = float(self._check_lam(lam))
-        other_f = float(self._check_lam(lam_other))
-        rng = np.random.default_rng(
-            [self.kl_mc_seed, np.float64(lam_f).view(np.uint64), np.float64(other_f).view(np.uint64)]
-        )
-        xs = self.post_sampler(lam_f, rng, self.kl_mc_samples)
-        vals = np.asarray(self.log_post(lam_f, xs)) - np.asarray(self.log_post(other_f, xs))
-        return float(vals.mean())
-
-    def sample_pre(self, rng, size):
-        return np.asarray(self.pre_sampler(rng, size), dtype=float)
-
-    def sample_post(self, lam, rng, size):
-        self._check_lam(lam)
-        return np.asarray(self.post_sampler(float(lam), rng, size), dtype=float)
-
-
 def _std_to_path(family: ObservationFamily, lam: float, n_pre: int, x: np.ndarray) -> None:
     """Map the standard normals in x to observations in place: pre-change before n_pre."""
     x[:n_pre] = family.pre_from_std(x[:n_pre])
     x[n_pre:] = family.post_from_std(lam, x[n_pre:])
-
-
-def _draw_path(family: ObservationFamily, lam: float, rng: np.random.Generator, n_pre: int, x: np.ndarray) -> None:
-    """Fill x with n_pre pre-change draws, then post-change draws, from the family's samplers."""
-    if n_pre:
-        x[:n_pre] = family.sample_pre(rng, n_pre)
-    if x.size - n_pre:
-        x[n_pre:] = family.sample_post(lam, rng, x.size - n_pre)
 
 
 def _out_block(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -385,13 +284,12 @@ def sample_path(
     Returns (t, x) where slots 1..t-1 of x are pre-change and slots t..horizon
     are post-change (x is 0-indexed, slot n lives at x[n-1]).  The change time
     is drawn first and the observation noise afterwards, so two calls with the
-    same seed but different lam_true share the change time and, for families
-    with a standard-normal representation, every pre-change observation
-    bitwise.  For those families a shorter horizon also gives a bitwise prefix
-    of a longer one.  With ``out`` (contiguous float64, length horizon) the
-    path is written there, so a caller can fill the rows of one block.
-    ``seed`` may also be a ``numpy.random.Generator``: the call continues its
-    stream, and for those families the caller can draw later slots from it.
+    same seed but different lam_true share the change time and every
+    pre-change observation bitwise, and a shorter horizon gives a bitwise
+    prefix of a longer one.  With ``out`` (contiguous float64, length
+    horizon) the path is written there, so a caller can fill the rows of one
+    block.  ``seed`` may also be a ``numpy.random.Generator``: the call
+    continues its stream, and the caller can draw later slots from it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -400,11 +298,8 @@ def sample_path(
     rng = np.random.default_rng(seed)
     t = prior.sample(rng)
     n_pre = min(t - 1, horizon)
-    if family.supports_paired_sampling:
-        rng.standard_normal(out=x)
-        _std_to_path(family, lam_true, n_pre, x)
-    else:
-        _draw_path(family, lam_true, rng, n_pre, x)
+    rng.standard_normal(out=x)
+    _std_to_path(family, lam_true, n_pre, x)
     return t, x
 
 
@@ -434,11 +329,7 @@ def sample_path_multi(
     rng = np.random.default_rng(seed)
     t = prior.sample(rng)
     n_pre = min(t - 1, horizon)
-    if all(f.supports_paired_sampling for f in families):
-        rng.standard_normal(out=x)
-        for fam, lam, row in zip(families, lams, x):
-            _std_to_path(fam, lam, n_pre, row)
-    else:
-        for fam, lam, row in zip(families, lams, x):
-            _draw_path(fam, lam, rng, n_pre, row)
+    rng.standard_normal(out=x)
+    for fam, lam, row in zip(families, lams, x):
+        _std_to_path(fam, lam, n_pre, row)
     return t, x

@@ -4,8 +4,8 @@ Each run draws a change time from the prior, builds an observation path and
 drives a fresh detector over it.  Runs are seeded individually from
 (base seed, run index), so results are bitwise reproducible under any batch
 size, compaction schedule or sharing of paths between templates, and two
-estimates that share a base seed see identical paths wherever the
-observation model allows pairing.
+estimates that share a base seed see identical change times and pre-change
+observations.
 
 The batch kernels run the detectors' own per-slot steps (``BankBatch``,
 ``RingBatch``) over many runs at once and step only runs that are still
@@ -144,11 +144,10 @@ class PathBlock:
     finiteness once, so the kernels can call the families' unchecked llr.
 
     A block built here from arrays is whole.  ``draw_paths`` builds a lazy
-    one for a bank whose family has a standard-normal representation: its
-    slots are stored in chunks of CHUNK_SLOTS, row r holds its first
-    ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk at a time from
-    each run's own bit generator, which continues the run's one long draw
-    bitwise.  A chunk is allocated when a row first reaches it and fills
+    one for a bank: its slots are stored in chunks of CHUNK_SLOTS, row r
+    holds its first ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk
+    at a time from each run's own bit generator, which continues the run's
+    one long draw bitwise.  A chunk is allocated when a row first reaches it and fills
     only the rows that do, so deep chunks stay small in memory.
     ``observations`` refuses to show a block that is not drawn to the end.
     """
@@ -220,11 +219,10 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
     """Draw the change times and paths of the given runs, row by row into one block.
 
     Run r is seeded from (seed, r) and its path comes from ``sample_path``
-    or ``sample_path_multi``.  For a bank whose family has a standard-normal
-    representation and a horizon over CHUNK_SLOTS the block is lazy:
-    ``sample_path`` draws the first CHUNK_SLOTS slots on the run's
-    generator, whose bit generator the block keeps to draw the rest as far
-    as a kernel reads.  Its first h slots equal the block drawn at horizon h
+    or ``sample_path_multi``.  For a bank with a horizon over CHUNK_SLOTS
+    the block is lazy: ``sample_path`` draws the first CHUNK_SLOTS slots on
+    the run's generator, whose bit generator the block keeps to draw the
+    rest as far as a kernel reads.  Its first h slots equal the block drawn at horizon h
     bitwise, so one block serves banks of any shorter horizon.
     """
     seed_base = _seed_list(seed)
@@ -235,7 +233,7 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
             ts[j], _ = sample_path_multi(spec.families, spec.prior, lam_true, horizon, seed_base + [rid], out=xs[j])
         return PathBlock(ts, xs)
     lam = float(lam_true)
-    if not spec.family.supports_paired_sampling or horizon <= CHUNK_SLOTS:
+    if horizon <= CHUNK_SLOTS:
         xs = np.empty((len(runs), horizon))
         for j, rid in enumerate(runs):
             ts[j], _ = sample_path(spec.family, spec.prior, lam, horizon, seed_base + [rid], out=xs[j])
@@ -595,8 +593,7 @@ def _shared_paths_key(spec: DetectorSpec, horizon: int) -> tuple:
     """Cells with equal keys at one alpha can run on one block from ``draw_paths``."""
     if isinstance(spec, BankSpec):
         # one standard-normal draw per run: a shorter horizon reads a prefix
-        prefix = spec.family.supports_paired_sampling
-        return (BankSpec, spec.family, spec.prior, None if prefix else horizon)
+        return (BankSpec, spec.family, spec.prior)
     # an [n_sources, horizon] draw is no prefix of a longer one, row 1 onwards
     return (WindowSpec, spec.families, spec.prior, horizon)
 

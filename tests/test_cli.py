@@ -69,6 +69,7 @@ lambda_high = 0.4
 lambda_true = 1.0
 rho = 1.5
 alphas = 0.01, 0.1
+variants = sr, SR
 grids = 1.6,0.4
 n_runs = 500
 seed = 7
@@ -78,6 +79,7 @@ mystery = 3
             parse_config_text(bad)
         text = str(err.value)
         assert "mystery" in text
+        assert "variants must not repeat" in text
         assert "rho" in text
         assert "strictly decreasing" in text
         assert "lambda_low < lambda_high" in text
@@ -153,6 +155,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_config("fig9")
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("fig4", "5aae312c57183efeb64b8b71846937c57e4f6a216169e326dc9f627405d912b3"),
+            ("fig5", "dafb68561af87e9bfe755d201cab53e57edda793efe61bad92612c001b6de1fb"),
+            ("example1", "c196e9bd5b89a6d1e9d1a94d56bd586c05309cb0238a2ca690931d64172255df"),
+        ],
+    )
+    def test_resolved_config_is_pinned(self, name, digest):
+        # every value of a preset, defaults included, as config.txt renders it
+        assert hashlib.sha256(config_to_text(preset_config(name)).encode()).hexdigest() == digest
+
 
 class TestMainRun:
     def write_config(self, tmp_path, text):
@@ -223,6 +237,50 @@ class TestMainRun:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert problem in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "preset, change, problem",
+        [
+            ("example1", {"pre_param": 1.0}, "pre_param 1.0 lies in [lambda_low, lambda_high]"),
+            ("example1", {"pre_param": 0.37}, "pre_param 0.37 lies in [lambda_low, lambda_high]"),
+            (
+                "fig4",
+                {"family": "gaussian-variance-shift", "pre_param": 1.0, "grids": ((1.5, 2.0),)},
+                "sr-grid1: no chart grows under lam_true=1.0",
+            ),
+            (
+                "fig5",
+                {"pre_params": (1.0, 1.0), "lambda_true": (1.0, 1.0), "source_grids": ((1.5, 2.0), (1.5, 2.0))},
+                "windowed-max: no chart grows",
+            ),
+            (
+                "fig5",
+                {"pre_params": (1.0, 1.0), "lambda_true": (0.5, 0.5), "source_grids": ((1.5, 2.0), (1.5, 2.0))},
+                "windowed-max: no chart grows",
+            ),
+            (
+                "fig5",
+                {"pre_params": (1.0, 1.0), "lambda_true": (-1.0, 2.0), "source_grids": ((1.5, 2.0), (1.5, 2.0))},
+                "lambda_true must be positive scales",
+            ),
+        ],
+        ids=[
+            "design-holds-pre",
+            "design-edge-is-pre",
+            "single-sweep-no-change",
+            "multisource-no-change",
+            "multisource-lower",
+            "multisource-negative-scale",
+        ],
+    )
+    def test_config_a_sweep_cannot_run_is_a_config_error(self, tmp_path, capsys, preset, change, problem):
+        # each of these used to parse cleanly and then die mid-run with a traceback
+        cfg = dataclasses.replace(preset_config(preset, runs=50), **change)
+        path = self.write_config(tmp_path, config_to_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["single-sweep", "differential-test"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, experiment):

@@ -10,7 +10,6 @@ from chartbank import (
     FiniteSet,
     GaussianMeanShift,
     GaussianVarianceShift,
-    GenericFamily,
     GeometricPrior,
     Interval,
     sample_path,
@@ -185,7 +184,6 @@ class TestGaussianMeanShift:
         assert fam.kl_post_vs_pre(3.0) == pytest.approx((3.0 - 1.0) ** 2 / 8.0)
 
     def test_paired_sampling_is_shifted_noise(self):
-        assert self.family.supports_paired_sampling
         z = np.array([-0.7, 0.0, 1.9])
         pre = self.family.pre_from_std(z)
         post = self.family.post_from_std(2.0, z)
@@ -251,56 +249,6 @@ class TestGaussianVarianceShift:
         pre = self.family.pre_from_std(z)
         post = self.family.post_from_std(2.5, z)
         assert np.allclose(post, pre * 2.5)
-
-
-class TestGenericFamily:
-    def _normal_generic(self):
-        return GenericFamily(
-            post_params=Interval(0.2, 3.0),
-            log_pre=lambda x: gaussian_logpdf(x, 0.0, 1.0),
-            log_post=lambda lam, x: gaussian_logpdf(x, lam, 1.0),
-            pre_sampler=lambda rng, size: rng.normal(0.0, 1.0, size),
-            post_sampler=lambda lam, rng, size: rng.normal(lam, 1.0, size),
-            kl_mc_samples=60_000,
-        )
-
-    def test_llr_matches_closed_form_family(self):
-        generic = self._normal_generic()
-        closed = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            x = float(rng.normal(0, 2))
-            lam = float(rng.uniform(0.2, 3.0))
-            assert generic.llr(lam, x) == pytest.approx(closed.llr(lam, x), abs=1e-10)
-
-    def test_kl_monte_carlo_near_truth(self):
-        generic = self._normal_generic()
-        value, se = generic.kl_post_vs_pre_detail(1.5)
-        assert se > 0
-        assert abs(value - 1.125) < 4 * se
-
-    def test_rejects_nan_llr(self):
-        bad = GenericFamily(
-            post_params=Interval(0.2, 3.0),
-            log_pre=lambda x: math.nan,
-            log_post=lambda lam, x: 0.0,
-            pre_sampler=lambda rng, size: rng.normal(0.0, 1.0, size),
-            post_sampler=lambda lam, rng, size: rng.normal(lam, 1.0, size),
-        )
-        with pytest.raises(ValueError):
-            bad.llr(1.0, 0.0)
-
-    def test_allows_impossible_observation(self):
-        # -inf log post density means x cannot occur after the change; the
-        # ratio is then -inf, which the charts absorb without complaint
-        fam = GenericFamily(
-            post_params=Interval(0.2, 3.0),
-            log_pre=lambda x: 0.0,
-            log_post=lambda lam, x: -math.inf,
-            pre_sampler=lambda rng, size: rng.normal(0.0, 1.0, size),
-            post_sampler=lambda lam, rng, size: rng.normal(lam, 1.0, size),
-        )
-        assert fam.llr(1.0, 0.0) == -math.inf
 
 
 class TestSamplePath:
