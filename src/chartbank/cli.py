@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import DesignSpec, default_lipschitz_constant, design_grid, verify_grid
+from .design import DesignSpec, _mesh_and_denominator, default_lipschitz_constant, design_grid, verify_grid
 from .detectors import (
     ChartBank,
     ChartVariant,
@@ -351,9 +351,17 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             lo, hi = v["lambda_low"], v["lambda_high"]
             if any(not (lo <= e <= hi) for e in v["eval_lambdas"]):
                 out.append("eval_lambdas must lie inside the design interval")
-    if not out and experiment != "epsilon-design":
+    if out:
+        return out
+    cfg = _CONFIG_CLASSES[experiment](**v)
+    if experiment == "epsilon-design":
+        # the design refuses a mesh point it cannot tell from no change, e.g. one whose divergence underflows
+        try:
+            _mesh_and_denominator(_design_spec(cfg), cfg.mesh_points)
+        except ValueError as exc:
+            out.append(f"[lambda_low, lambda_high] = [{cfg.lambda_low!r}, {cfg.lambda_high!r}]: {exc}")
+    else:
         # a template none of whose charts grows under lambda_true never detects the change
-        cfg = _CONFIG_CLASSES[experiment](**v)
         for template in _sweep_templates(cfg):
             try:
                 best_drift(template, cfg.lambda_true)
@@ -433,12 +441,16 @@ def _run_sweep(cfg: SingleSweepConfig | MultiSweepConfig) -> tuple[list[SweepRow
     return rows, ({"window": templates[0].window_len} if isinstance(cfg, MultiSweepConfig) else {})
 
 
-def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
+def _design_spec(cfg: DesignRunConfig) -> DesignSpec:
     interval = Interval(cfg.lambda_low, cfg.lambda_high)
     family = GaussianMeanShift(pre_mean=cfg.pre_param, sigma=cfg.noise_sigma, post_params=interval)
-    prior = GeometricPrior(cfg.rho)
     k = default_lipschitz_constant(family, interval) if cfg.construction == "uniform" else None
-    spec = DesignSpec(family=family, interval=interval, epsilon=cfg.epsilon, prior=prior, lipschitz_k=k)
+    prior = GeometricPrior(cfg.rho)
+    return DesignSpec(family=family, interval=interval, epsilon=cfg.epsilon, prior=prior, lipschitz_k=k)
+
+
+def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
+    spec = _design_spec(cfg)
     grid = design_grid(spec, mesh_points=cfg.mesh_points, max_candidates=cfg.grid_cap)
     max_ratio = verify_grid(spec, grid, mesh_points=cfg.mesh_points)
 
@@ -448,8 +460,8 @@ def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
         evals = tuple(sorted(set(float(g) for g in grid) | set(mids)))
     template = BankTemplate(
         label="sr-designed",
-        family=family,
-        prior=prior,
+        family=spec.family,
+        prior=spec.prior,
         grid=tuple(float(g) for g in grid),
         variant=ChartVariant.SR,
     )

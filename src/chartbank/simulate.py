@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .design import add_lower_bound, efficiency, threshold_for
 from .detectors import BankBatch, ChartVariant, check_charts
 from .errors import CapacityError
 from .families import GeometricPrior, ObservationFamily, sample_path, sample_path_multi
@@ -117,6 +118,21 @@ class WindowSpec:
 DetectorSpec = BankSpec | WindowSpec
 
 
+def _sources(d) -> tuple[tuple, tuple]:
+    """(families, grids) of a spec or template, one entry per source; a bank is one source."""
+    if isinstance(d, (BankSpec, BankTemplate)):
+        return (d.family,), (d.grid,)
+    return d.families, d.grids
+
+
+def _lams(families, lam_true) -> tuple[float, ...]:
+    """One true parameter per source; a bank takes a float or a one-element sequence."""
+    lams = np.atleast_1d(np.asarray(lam_true, dtype=float))
+    if lams.shape != (len(families),):
+        raise ValueError(f"{len(families)} source(s) but {lams.size} true parameter(s) in lam_true={lam_true!r}")
+    return tuple(float(v) for v in lams)
+
+
 def _seed_list(seed) -> list[int]:
     if isinstance(seed, (int, np.integer)):
         return [int(seed)]
@@ -143,8 +159,8 @@ class PathBlock:
     for the window engine.  Every drawn observation is checked for
     finiteness once, so the kernels can call the families' unchecked llr.
 
-    A block built here from arrays is whole.  ``draw_paths`` builds a lazy
-    one for a bank: its slots are stored in chunks of CHUNK_SLOTS, row r
+    A block built here from arrays is whole.  ``draw_paths`` builds every
+    bank block lazy: its slots are stored in chunks of CHUNK_SLOTS, row r
     holds its first ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk
     at a time from each run's own bit generator, which continues the run's
     one long draw bitwise.  A chunk is allocated when a row first reaches it and fills
@@ -219,31 +235,27 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
     """Draw the change times and paths of the given runs, row by row into one block.
 
     Run r is seeded from (seed, r) and its path comes from ``sample_path``
-    or ``sample_path_multi``.  For a bank with a horizon over CHUNK_SLOTS
-    the block is lazy: ``sample_path`` draws the first CHUNK_SLOTS slots on
-    the run's generator, whose bit generator the block keeps to draw the
-    rest as far as a kernel reads.  Its first h slots equal the block drawn at horizon h
-    bitwise, so one block serves banks of any shorter horizon.
+    or ``sample_path_multi``; ``lam_true`` holds one parameter per source.
+    Every bank block is lazy, with a head of min(horizon, CHUNK_SLOTS)
+    slots: ``sample_path`` draws the head on the run's generator, whose bit
+    generator the block keeps to draw the rest as far as a kernel reads.
+    Its first h slots equal the block drawn at horizon h bitwise, so one
+    block serves banks of any shorter horizon.
     """
     seed_base = _seed_list(seed)
+    lams = _lams(_sources(spec)[0], lam_true)
     ts = np.empty(len(runs), dtype=np.int64)
     if isinstance(spec, WindowSpec):
         xs = np.empty((len(runs), len(spec.families), horizon))
         for j, rid in enumerate(runs):
-            ts[j], _ = sample_path_multi(spec.families, spec.prior, lam_true, horizon, seed_base + [rid], out=xs[j])
+            ts[j], _ = sample_path_multi(spec.families, spec.prior, lams, horizon, seed_base + [rid], out=xs[j])
         return PathBlock(ts, xs)
-    lam = float(lam_true)
-    if horizon <= CHUNK_SLOTS:
-        xs = np.empty((len(runs), horizon))
-        for j, rid in enumerate(runs):
-            ts[j], _ = sample_path(spec.family, spec.prior, lam, horizon, seed_base + [rid], out=xs[j])
-        return PathBlock(ts, xs)
-    head = np.empty((len(runs), CHUNK_SLOTS))
+    head = np.empty((len(runs), min(horizon, CHUNK_SLOTS)))
     bitgens = []  # a Generator holds three times the memory of its bit generator
     for j, rid in enumerate(runs):
         bitgens.append(np.random.PCG64(seed_base + [rid]))  # default_rng's generator
-        ts[j], _ = sample_path(spec.family, spec.prior, lam, CHUNK_SLOTS, np.random.Generator(bitgens[j]), out=head[j])
-    return PathBlock._lazy(ts, head, horizon, spec.family, lam, bitgens)
+        ts[j], _ = sample_path(spec.family, spec.prior, lams[0], head.shape[1], np.random.Generator(bitgens[j]), out=head[j])
+    return PathBlock._lazy(ts, head, horizon, spec.family, lams[0], bitgens)
 
 
 def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
@@ -282,8 +294,8 @@ def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
     return stop, firing
 
 
-def _window_batch(spec: WindowSpec, xs: np.ndarray):
-    """Stop slot (0 if censored) and composite firing chart per row of xs.
+def _window_batch(spec: WindowSpec, paths: PathBlock, rows: slice, horizon: int):
+    """Stop slot (0 if censored) and composite firing chart per block row in ``rows``.
 
     Every row's tables advance on every slot, but only running rows whose
     bound statistic reaches the threshold (suspects) get exact maxima; the
@@ -291,15 +303,16 @@ def _window_batch(spec: WindowSpec, xs: np.ndarray):
     Rows that stopped stay in the ring tables until fewer than COMPACT_BELOW
     of them still run; then the running rows move down in place.
     """
-    batch, _, horizon = xs.shape
+    xs = paths.observations[rows, :, :horizon]
+    batch = xs.shape[0]
     threshold = spec.log_threshold
     rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, batch, bounded=True)
     stop = np.zeros(batch, dtype=np.int64)
     firing = np.full(batch, -1, dtype=np.int64)
-    rows = np.arange(batch)  # batch row of each table row
+    table_rows = np.arange(batch)  # batch row of each table row
     running = np.ones(batch, dtype=bool)  # per table row
     for s in range(horizon):
-        rings.advance(xs[rows, :, s])
+        rings.advance(xs[table_rows, :, s])
         suspect = np.flatnonzero(running & (rings.joint(rings.bounds).max(axis=1) >= threshold))
         if suspect.size == 0:
             continue
@@ -309,16 +322,16 @@ def _window_batch(spec: WindowSpec, xs: np.ndarray):
         if newly.size == 0:
             continue
         for r, row_total in zip(newly.tolist(), total[crossed]):
-            _, firing[rows[r]] = rings.fired(r, int(rings.slots[np.argmax(row_total)]))
-        stop[rows[newly]] = s + 1
+            _, firing[table_rows[r]] = rings.fired(r, int(rings.slots[np.argmax(row_total)]))
+        stop[table_rows[newly]] = s + 1
         running[newly] = False
         n_running = int(running.sum())
         if n_running == 0:
             break
-        if n_running < COMPACT_BELOW * rows.size:
+        if n_running < COMPACT_BELOW * table_rows.size:
             keep = np.flatnonzero(running)
             rings.compact(keep)
-            rows = rows[keep]
+            table_rows = table_rows[keep]
             running = running[keep]
     return stop, firing
 
@@ -334,7 +347,8 @@ def simulate_runs(
 ) -> RunArrays:
     """Run n_runs independent paths through fresh detector state.
 
-    Per-run seeds are (seed, run index) and runs never interact, so the
+    ``lam_true`` holds one true parameter per source; a bank also takes a
+    float.  Per-run seeds are (seed, run index) and runs never interact, so the
     result is bitwise the same under any batch size, and the kernels' dropping
     of stopped rows does not change it either.  ``paths`` passes a block from
     ``draw_paths`` holding exactly these runs at ``horizon`` slots or more, so
@@ -348,20 +362,19 @@ def simulate_runs(
         raise ValueError("batch_size must be at least 1")
     if paths is not None and (paths.change_points.size != n_runs or paths.horizon < horizon):
         raise ValueError(f"paths must hold {n_runs} runs of at least {horizon} slots")
+    lams = _lams(_sources(spec)[0], lam_true)
+    kernel = _bank_batch if isinstance(spec, BankSpec) else _window_batch
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty(n_runs, dtype=np.int64)
     firing = np.empty(n_runs, dtype=np.int64)
     for lo in range(0, n_runs, batch_size):
         hi = min(lo + batch_size, n_runs)
         if paths is None:
-            block, rows = draw_paths(spec, lam_true, range(lo, hi), horizon, seed), slice(0, hi - lo)
+            block, rows = draw_paths(spec, lams, range(lo, hi), horizon, seed), slice(0, hi - lo)
         else:
             block, rows = paths, slice(lo, hi)
         ts[lo:hi] = block.change_points[rows]
-        if isinstance(spec, BankSpec):
-            stop[lo:hi], firing[lo:hi] = _bank_batch(spec, block, rows, horizon)
-        else:
-            stop[lo:hi], firing[lo:hi] = _window_batch(spec, block.observations[rows, :, :horizon])
+        stop[lo:hi], firing[lo:hi] = kernel(spec, block, rows, horizon)
         del block  # free this batch's paths before the next are drawn
 
     stopped = stop > 0
@@ -533,24 +546,16 @@ class SweepRow:
 def best_drift(template: Template, lam_true) -> float:
     """Fastest post-change growth rate among the template's charts, in nats per slot.
 
-    For a bank this is max_i [D(f_lam, g) - D(f_lam, f_cand_i)] + slot_cost;
-    for the windowed engine the per-source best rates add.  Must be positive
-    for the detector to catch the change at all.
+    slot_cost plus, per source, max_i [D(f_lam, g) - D(f_lam, f_cand_i)]; a
+    bank is one source.  ``lam_true`` holds one true parameter per source.
+    Must be positive for the detector to catch the change at all.
     """
-    if isinstance(template, BankTemplate):
-        lam = float(np.atleast_1d(np.asarray(lam_true, dtype=float))[0])
-        d_pre = float(template.family.kl_post_vs_pre(lam))
-        d_cands = np.atleast_1d(
-            np.asarray(template.family.kl_post_vs_post(lam, np.asarray(template.grid)), dtype=float)
-        )
-        rate = d_pre - float(d_cands.min()) + template.prior.slot_cost
-    else:
-        lams = np.atleast_1d(np.asarray(lam_true, dtype=float))
-        rate = template.prior.slot_cost
-        for fam, grid, lam in zip(template.families, template.grids, lams):
-            d_pre = float(fam.kl_post_vs_pre(float(lam)))
-            d_cands = np.atleast_1d(np.asarray(fam.kl_post_vs_post(float(lam), np.asarray(grid)), dtype=float))
-            rate += d_pre - float(d_cands.min())
+    families, grids = _sources(template)
+    rate = template.prior.slot_cost
+    for fam, grid, lam in zip(families, grids, _lams(families, lam_true)):
+        d_pre = float(fam.kl_post_vs_pre(lam))
+        d_cands = np.atleast_1d(np.asarray(fam.kl_post_vs_post(lam, np.asarray(grid)), dtype=float))
+        rate += d_pre - float(d_cands.min())
     if rate <= 0:
         raise ValueError(
             f"no chart grows under lam_true={lam_true!r}; the change is undetectable for this grid"
@@ -582,13 +587,6 @@ def default_horizon(
     return int(math.ceil(8.0 * abs(math.log(alpha)) / drift)) + prior_allowance
 
 
-def _threshold(alpha: float, rho: float, n_charts: int) -> float:
-    # local import keeps design importable from simulate without a cycle
-    from .design import threshold_for
-
-    return threshold_for(alpha, rho, n_charts)
-
-
 def _shared_paths_key(spec: DetectorSpec, horizon: int) -> tuple:
     """Cells with equal keys at one alpha can run on one block from ``draw_paths``."""
     if isinstance(spec, BankSpec):
@@ -604,7 +602,6 @@ class _Cell:
 
     template: Template
     spec: DetectorSpec
-    lam: object  # as simulate_runs takes it for this spec
     lam_vec: tuple[float, ...]
     d_total: float
     horizon: int
@@ -632,8 +629,6 @@ def add_vs_alpha_sweep(
     that share an observation model draw each path once per alpha, in blocks
     of BATCH_SIZE runs at the longest of their horizons.
     """
-    from .design import add_lower_bound, efficiency
-
     alphas = [float(a) for a in alphas]
     if len(alphas) == 0:
         raise ValueError("alphas must be nonempty")
@@ -645,10 +640,10 @@ def add_vs_alpha_sweep(
     for a_idx, alpha in enumerate(alphas):
         cells = []
         for template in templates:
-            rho = template.prior.rho
+            families, grids = _sources(template)
+            lam_vec = _lams(families, lam_true)
+            log_b = threshold_for(alpha, template.prior.rho, math.prod(len(g) for g in grids))
             if isinstance(template, BankTemplate):
-                n_charts = len(template.grid)
-                log_b = _threshold(alpha, rho, n_charts)
                 spec: DetectorSpec = BankSpec(
                     family=template.family,
                     prior=template.prior,
@@ -656,11 +651,7 @@ def add_vs_alpha_sweep(
                     log_thresholds=(log_b,),
                     variant=template.variant,
                 )
-                lam_vec = (float(np.atleast_1d(np.asarray(lam_true, dtype=float))[0]),)
-                d_total = float(template.family.kl_post_vs_pre(lam_vec[0])) + template.prior.slot_cost
             else:
-                n_charts = int(np.prod([len(g) for g in template.grids]))
-                log_b = _threshold(alpha, rho, n_charts)
                 spec = WindowSpec(
                     families=template.families,
                     prior=template.prior,
@@ -668,15 +659,11 @@ def add_vs_alpha_sweep(
                     window_len=template.window_len,
                     log_threshold=log_b,
                 )
-                lam_vec = tuple(float(v) for v in np.atleast_1d(np.asarray(lam_true, dtype=float)))
-                d_total = composite_kl(list(template.families), lam_vec, template.prior)
+            d_total = composite_kl(families, lam_vec, template.prior)
             cell_horizon = horizon
             if cell_horizon is None:
-                cell_horizon = default_horizon(
-                    alpha, template.prior, best_drift(template, lam_true), censor_cap, n_runs
-                )
-            lam = lam_vec[0] if isinstance(spec, BankSpec) else lam_true
-            cells.append(_Cell(template, spec, lam, lam_vec, d_total, cell_horizon))
+                cell_horizon = default_horizon(alpha, template.prior, best_drift(template, lam_vec), censor_cap, n_runs)
+            cells.append(_Cell(template, spec, lam_vec, d_total, cell_horizon))
 
         groups: dict[tuple, list[_Cell]] = {}
         for cell in cells:
@@ -685,9 +672,9 @@ def add_vs_alpha_sweep(
             longest = max(cell.horizon for cell in group)
             for lo in range(0, n_runs, BATCH_SIZE):
                 runs = range(lo, min(lo + BATCH_SIZE, n_runs))
-                block = draw_paths(group[0].spec, group[0].lam, runs, longest, [seed, a_idx])
+                block = draw_paths(group[0].spec, group[0].lam_vec, runs, longest, [seed, a_idx])
                 for cell in group:
-                    cell.runs.append(simulate_runs(cell.spec, cell.lam, len(runs), cell.horizon, [seed, a_idx], paths=block))
+                    cell.runs.append(simulate_runs(cell.spec, cell.lam_vec, len(runs), cell.horizon, [seed, a_idx], paths=block))
                 del block  # free this block before the next is drawn
 
         for cell in cells:

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,6 +246,11 @@ class TestMainRun:
             ("example1", {"pre_param": 1.0}, "pre_param 1.0 lies in [lambda_low, lambda_high]"),
             ("example1", {"pre_param": 0.37}, "pre_param 0.37 lies in [lambda_low, lambda_high]"),
             (
+                "example1",
+                {"lambda_low": 1e-170},
+                "[lambda_low, lambda_high] = [1e-170, 2.63]: design interval contains a parameter indistinguishable",
+            ),
+            (
                 "fig4",
                 {"family": "gaussian-variance-shift", "pre_param": 1.0, "grids": ((1.5, 2.0),)},
                 "sr-grid1: no chart grows under lam_true=1.0",
@@ -267,6 +274,7 @@ class TestMainRun:
         ids=[
             "design-holds-pre",
             "design-edge-is-pre",
+            "design-divergence-underflows",
             "single-sweep-no-change",
             "multisource-no-change",
             "multisource-lower",
@@ -402,6 +410,21 @@ class TestPinnedResults:
         out = tmp_path / "fig5"
         assert main(["run", str(path), "--out", str(out)]) == 0
         self.assert_pinned("fig5-window", out)
+
+    def test_example1_preset(self, tmp_path, capsys):
+        out = tmp_path / "example1"
+        assert main(["preset", "example1", "--seed", "0", "--runs", "200", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+        assert digest == "39a9919a7cab3d0fed9a77178be86367166414c6e7dde8aca95740662af4a102"
+
+
+def test_benchmark_selftest_passes():
+    # the harness calls the template constructors, best_drift, simulate_runs and
+    # simulate's sampler bindings; a break there fails here, not only in the benchmark
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 README = ROOT / "README.md"

@@ -576,6 +576,39 @@ class TestSizingHelpers:
             best_drift(t, 0.1)
 
 
+class TestTrueParameters:
+    """Every entry point takes one true parameter per source, a bank being one source."""
+
+    WINDOW_FAMILY = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5))
+
+    def test_bank_sweep_refuses_two_parameters(self):
+        with pytest.raises(ValueError, match="1 source.* but 2 true parameter"):
+            add_vs_alpha_sweep([BankTemplate("sr", FAMILY, PRIOR, GRID)], (1.0, 2.4), (0.1,), 50, 0)
+
+    def test_best_drift_refuses_a_wrong_count(self):
+        with pytest.raises(ValueError, match="1 source.* but 2 true parameter"):
+            best_drift(BankTemplate("sr", FAMILY, PRIOR, GRID), (1.0, 2.4))
+        grid = (1.5, 2.0)
+        window = WindowTemplate("w", (self.WINDOW_FAMILY,) * 3, PRIOR, (grid,) * 3, 50)
+        for lams in [(1.7, 2.0), (1.7, 2.0, 2.2, 2.4)]:
+            with pytest.raises(ValueError, match=f"3 source.* but {len(lams)} true parameter"):
+                best_drift(window, lams)
+
+    def test_simulate_runs_takes_a_one_element_bank_vector(self):
+        by_float = simulate_runs(bank_spec(), 1.0, 64, 300, 5)
+        by_vector = simulate_runs(bank_spec(), (1.0,), 64, 300, 5)
+        assert_same_runs(by_float, by_vector)
+        with pytest.raises(ValueError, match="1 source.* but 2 true parameter"):
+            simulate_runs(bank_spec(), (1.0, 2.4), 64, 300, 5)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.7, 4.2])
+    def test_bank_is_a_one_source_window(self, lam):
+        for family, grid, lam_true in [(FAMILY, GRID, lam), (self.WINDOW_FAMILY, (1.4, 1.8, 2.6), 1.0 + lam / 2)]:
+            bank = BankTemplate("b", family, PRIOR, grid)
+            window = WindowTemplate("w", (family,), PRIOR, (grid,), 50)
+            assert best_drift(bank, lam_true) == best_drift(window, (lam_true,))
+
+
 class TestSweep:
     def test_rows_ordered_and_consistent(self):
         templates = [
