@@ -47,8 +47,9 @@ from .simulate import (
     SweepRow,
     Template,
     WindowTemplate,
+    _check_alphas,
+    _sweep_cell,
     add_vs_alpha_sweep,
-    best_drift,
     direct_stat_oracle,
     direct_window_stat_oracle,
 )
@@ -94,16 +95,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_int_or_auto(text: str) -> int | None:
-    if text.strip().lower() == "auto":
-        return None
-    return int(text)
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
@@ -111,10 +102,21 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(s) for s in items)
 
 
-def _parse_float_list_or_auto(text: str) -> tuple[float, ...] | None:
-    if text.strip().lower() == "auto":
-        return None
-    return _parse_float_list(text)
+def _or_auto(parse):
+    """``parse``, with ``auto`` read as None."""
+    return lambda text: None if text.strip().lower() == "auto" else parse(text)
+
+
+def _one_of(*names: str):
+    """Parser of one name from ``names``, case-insensitive."""
+
+    def parse(text: str) -> str:
+        name = text.strip().lower()
+        if name not in names:
+            raise ValueError(f"must be {' or '.join(names)}")
+        return name
+
+    return parse
 
 
 def _parse_grids(text: str) -> tuple[tuple[float, ...], ...]:
@@ -133,33 +135,26 @@ def _parse_variants(text: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_family(text: str) -> str:
-    name = text.strip().lower()
-    if name not in ("gaussian-mean-shift", "gaussian-variance-shift"):
-        raise ValueError("family must be gaussian-mean-shift or gaussian-variance-shift")
-    return name
-
-
-def _parse_construction(text: str) -> str:
-    name = text.strip().lower()
-    if name not in ("greedy", "uniform"):
-        raise ValueError("construction must be greedy or uniform")
-    return name
+# family name -> constructor from (pre_param, noise_sigma, interval)
+_FAMILIES = {
+    "gaussian-mean-shift": lambda pre, sigma, interval: GaussianMeanShift(pre, sigma, post_params=interval),
+    "gaussian-variance-shift": lambda pre, _sigma, interval: GaussianVarianceShift(pre, post_params=interval),
+}
 
 
 # key -> (parser, required, default, unit/help); the help text lands in config.txt
 _COMMON_SWEEP = {
     "rho": (_parse_float, True, None, "change probability per slot, in (0, 1)"),
     "alphas": (_parse_float_list, True, None, "false-alarm targets, strictly decreasing"),
-    "n_runs": (_parse_int, False, 10_000, "Monte Carlo runs per cell"),
-    "horizon": (_parse_int_or_auto, False, None, "slots per run, or auto"),
+    "n_runs": (int, False, 10_000, "Monte Carlo runs per cell"),
+    "horizon": (_or_auto(int), False, None, "slots per run, or auto"),
     "censor_cap": (_parse_float, False, 1e-3, "max tolerated censored fraction"),
-    "seed": (_parse_int, False, 0, "base seed; per-run seeds derive from it"),
+    "seed": (int, False, 0, "base seed; per-run seeds derive from it"),
 }
 
 SCHEMAS: dict[str, dict] = {
     "single-sweep": {
-        "family": (_parse_family, True, None, "observation family kind"),
+        "family": (_one_of(*_FAMILIES), True, None, "observation family kind"),
         "pre_param": (_parse_float, True, None, "pre-change mean (mean shift) or scale (variance shift)"),
         "noise_sigma": (_parse_float, False, 1.0, "observation scale, mean-shift family only"),
         "lambda_low": (_parse_float, True, None, "admissible post-change parameter, lower end"),
@@ -173,7 +168,7 @@ SCHEMAS: dict[str, dict] = {
         "pre_params": (_parse_float_list, True, None, "pre-change scale per source"),
         "lambda_true": (_parse_float_list, True, None, "true post-change scale per source"),
         "source_grids": (_parse_grids, True, None, "candidate scales per source, pipe-separated"),
-        "window": (_parse_int_or_auto, False, None, "window length in slots, or auto"),
+        "window": (_or_auto(int), False, None, "window length in slots, or auto"),
         **_COMMON_SWEEP,
     },
     "epsilon-design": {
@@ -182,16 +177,16 @@ SCHEMAS: dict[str, dict] = {
         "lambda_low": (_parse_float, True, None, "design interval, lower end"),
         "lambda_high": (_parse_float, True, None, "design interval, upper end"),
         "epsilon": (_parse_float, True, None, "relative delay penalty budget, in (0, 1)"),
-        "mesh_points": (_parse_int, False, 1000, "verification mesh resolution"),
-        "grid_cap": (_parse_int, False, 4096, "max candidates before a capacity error"),
-        "construction": (_parse_construction, False, "greedy", "greedy or uniform"),
-        "eval_lambdas": (_parse_float_list_or_auto, False, None, "parameters to simulate, or auto"),
+        "mesh_points": (int, False, 1000, "verification mesh resolution"),
+        "grid_cap": (int, False, 4096, "max candidates before a capacity error"),
+        "construction": (_one_of("greedy", "uniform"), False, "greedy", "greedy or uniform"),
+        "eval_lambdas": (_or_auto(_parse_float_list), False, None, "parameters to simulate, or auto"),
         **_COMMON_SWEEP,
     },
     "differential-test": {
-        "n_paths": (_parse_int, False, 50, "random paths per identity check"),
-        "path_length": (_parse_int, False, 80, "slots per path"),
-        "seed": (_parse_int, False, 0, "rng seed for the checks"),
+        "n_paths": (int, False, 50, "random paths per identity check"),
+        "path_length": (int, False, 80, "slots per path"),
+        "seed": (int, False, 0, "rng seed for the checks"),
     },
 }
 
@@ -266,6 +261,7 @@ def parse_config_text(text: str) -> AnyConfig:
 
 
 def _semantic_problems(experiment: str, v: dict) -> list[str]:
+    """The CLI's own rules, then the run's construction: what passes here builds every sweep cell."""
     out: list[str] = []
     if v["seed"] < 0:
         out.append(f"seed must be non-negative, got {v['seed']}")
@@ -276,13 +272,11 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             out.append("path_length must be at least 2")
         return out
 
-    if not (0.0 < v["rho"] < 1.0):
-        out.append(f"rho must lie in (0, 1), got {v['rho']}")
-    alphas = v["alphas"]
-    if any(not (0.0 < a < 1.0) for a in alphas):
-        out.append("every alpha must lie in (0, 1)")
-    elif list(alphas) != sorted(alphas, reverse=True) or len(set(alphas)) != len(alphas):
-        out.append("alphas must be strictly decreasing")
+    for check, value in ((GeometricPrior, v["rho"]), (_check_alphas, v["alphas"])):
+        try:
+            check(value)
+        except ValueError as exc:
+            out.append(str(exc))
     if v["n_runs"] < 2:
         out.append("n_runs must be at least 2")
     if v["horizon"] is not None and v["horizon"] < 1:
@@ -298,42 +292,25 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             out.append("need lambda_low < lambda_high")
         if len(set(v["variants"])) != len(v["variants"]):
             out.append(f"variants must not repeat, got {', '.join(v['variants'])}")
-        lo, hi = v["lambda_low"], v["lambda_high"]
-        if interval_ok and not (lo <= v["lambda_true"] <= hi):
+        if interval_ok and not (v["lambda_low"] <= v["lambda_true"] <= v["lambda_high"]):
             out.append("lambda_true must lie in [lambda_low, lambda_high]")
         for gi, grid in enumerate(v["grids"], start=1):
             if list(grid) != sorted(set(grid)):
                 out.append(f"grid {gi} must be strictly increasing")
-            elif interval_ok and any(not (lo <= g <= hi) for g in grid):
-                out.append(f"grid {gi} has candidates outside [lambda_low, lambda_high]")
             if v["pre_param"] in grid:
                 out.append(f"grid {gi} contains pre_param {v['pre_param']!r}, which no chart can tell from no change")
-        if v["family"] == "gaussian-variance-shift":
-            if v["pre_param"] <= 0:
-                out.append("pre_param must be a positive scale for the variance-shift family")
-            if v["lambda_low"] <= 0:
-                out.append("lambda_low must be positive for the variance-shift family")
     elif experiment == "multisource-sweep":
         n = len(v["pre_params"])
         if len(v["lambda_true"]) != n or len(v["source_grids"]) != n:
             out.append("pre_params, lambda_true and source_grids must agree on the source count")
-        if any(p <= 0 for p in v["pre_params"]):
-            out.append("pre_params must be positive scales")
         if any(t <= 0 for t in v["lambda_true"]):
             out.append("lambda_true must be positive scales")
-        for gi, grid in enumerate(v["source_grids"], start=1):
-            if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
-                out.append(f"source grid {gi} must be strictly increasing and positive")
-            elif gi <= n and v["pre_params"][gi - 1] in grid:
+        for gi, (pre, grid) in enumerate(zip(v["pre_params"], v["source_grids"]), start=1):
+            if pre in grid:
                 out.append(
-                    f"source grid {gi} contains its pre_params scale {v['pre_params'][gi - 1]!r}, "
-                    "which no chart can tell from no change"
+                    f"source grid {gi} contains its pre_params scale {pre!r}, which no chart can tell from no change"
                 )
-        if v["window"] is not None and v["window"] < 1:
-            out.append("window must be a positive slot count or auto")
     elif experiment == "epsilon-design":
-        if v["noise_sigma"] <= 0:
-            out.append("noise_sigma must be positive")
         if v["lambda_low"] >= v["lambda_high"]:
             out.append("need lambda_low < lambda_high")
         elif v["lambda_low"] <= v["pre_param"] <= v["lambda_high"]:
@@ -341,10 +318,6 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
                 f"pre_param {v['pre_param']!r} lies in [lambda_low, lambda_high], "
                 "so the design interval holds a change no chart can tell from no change"
             )
-        if not (0.0 < v["epsilon"] < 1.0):
-            out.append("epsilon must lie in (0, 1)")
-        if v["mesh_points"] < 2:
-            out.append("mesh_points must be at least 2")
         if v["grid_cap"] < 1:
             out.append("grid_cap must be at least 1")
         if v["eval_lambdas"] is not None:
@@ -355,18 +328,22 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
         return out
     cfg = _CONFIG_CLASSES[experiment](**v)
     if experiment == "epsilon-design":
-        # the design refuses a mesh point it cannot tell from no change, e.g. one whose divergence underflows
         try:
             _mesh_and_denominator(_design_spec(cfg), cfg.mesh_points)
         except ValueError as exc:
             out.append(f"[lambda_low, lambda_high] = [{cfg.lambda_low!r}, {cfg.lambda_high!r}]: {exc}")
-    else:
-        # a template none of whose charts grows under lambda_true never detects the change
-        for template in _sweep_templates(cfg):
-            try:
-                best_drift(template, cfg.lambda_true)
-            except ValueError as exc:
-                out.append(f"{template.label}: {exc}")
+        return out
+    try:
+        templates = _sweep_templates(cfg)
+    except ValueError as exc:  # a family refuses the scales it is given
+        keys = "pre_param, lambda_low" if experiment == "single-sweep" else "pre_params, source_grids"
+        return [f"{keys}: {exc}"]
+    for template in templates:
+        try:
+            for alpha in cfg.alphas:
+                _sweep_cell(template, cfg.lambda_true, alpha, cfg.n_runs, cfg.horizon, cfg.censor_cap)
+        except ValueError as exc:
+            out.append(f"{template.label}: {exc}")
     return out
 
 
@@ -415,11 +392,7 @@ def _sweep_templates(cfg: SingleSweepConfig | MultiSweepConfig) -> list[Template
             )
             window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
         return [WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)]
-    interval = Interval(cfg.lambda_low, cfg.lambda_high)
-    if cfg.family == "gaussian-mean-shift":
-        family = GaussianMeanShift(pre_mean=cfg.pre_param, sigma=cfg.noise_sigma, post_params=interval)
-    else:
-        family = GaussianVarianceShift(pre_sigma=cfg.pre_param, post_params=interval)
+    family = _FAMILIES[cfg.family](cfg.pre_param, cfg.noise_sigma, Interval(cfg.lambda_low, cfg.lambda_high))
     return [
         BankTemplate(f"{variant_name}-grid{gi}", family, prior, grid, ChartVariant(variant_name))
         for variant_name in cfg.variants
@@ -443,7 +416,7 @@ def _run_sweep(cfg: SingleSweepConfig | MultiSweepConfig) -> tuple[list[SweepRow
 
 def _design_spec(cfg: DesignRunConfig) -> DesignSpec:
     interval = Interval(cfg.lambda_low, cfg.lambda_high)
-    family = GaussianMeanShift(pre_mean=cfg.pre_param, sigma=cfg.noise_sigma, post_params=interval)
+    family = _FAMILIES["gaussian-mean-shift"](cfg.pre_param, cfg.noise_sigma, interval)
     k = default_lipschitz_constant(family, interval) if cfg.construction == "uniform" else None
     prior = GeometricPrior(cfg.rho)
     return DesignSpec(family=family, interval=interval, epsilon=cfg.epsilon, prior=prior, lipschitz_k=k)
@@ -513,10 +486,7 @@ def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: 
     """Write results.csv, manifest.json and config.txt; returns (csv path, all valid)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "tool": "chartbank",
-        "version": __version__,
-        "experiment": cfg.experiment,
-        "config": _jsonable(asdict(cfg)),
+        **_manifest_head(cfg),
         "derived": _jsonable(derived),
         "cells": [
             {
@@ -547,6 +517,11 @@ def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: 
     return csv_path, all(r.valid for r in rows)
 
 
+def _manifest_head(cfg: AnyConfig) -> dict:
+    """The manifest entries naming the tool and the resolved config."""
+    return {"tool": "chartbank", "version": __version__, "experiment": cfg.experiment, "config": _jsonable(asdict(cfg))}
+
+
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -566,18 +541,7 @@ def execute_config(cfg: AnyConfig, out_dir: Path) -> int:
     except CapacityError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "tool": "chartbank",
-                    "version": __version__,
-                    "experiment": cfg.experiment,
-                    "config": _jsonable(asdict(cfg)),
-                    "error": f"capacity: {exc}",
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+            json.dumps({**_manifest_head(cfg), "error": f"capacity: {exc}"}, sort_keys=True, indent=2) + "\n"
         )
         print(f"capacity failure: {exc}", file=sys.stderr)
         return EXIT_VALIDITY

@@ -612,6 +612,45 @@ def _concat_runs(parts: list[RunArrays]) -> RunArrays:
     return RunArrays(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RunArrays)))
 
 
+def _check_alphas(alphas) -> list[float]:
+    """The sweep's alpha grid as floats: nonempty, inside (0, 1) and strictly decreasing."""
+    alphas = [float(a) for a in alphas]
+    if any(not (0.0 < a < 1.0) for a in alphas):
+        raise ValueError("every alpha must lie in (0, 1)")
+    if not alphas or sorted(set(alphas), reverse=True) != alphas:
+        raise ValueError("alphas must be nonempty and strictly decreasing")
+    return alphas
+
+
+def _sweep_cell(
+    template: Template, lam_true, alpha: float, n_runs: int, horizon: int | None, censor_cap: float
+) -> _Cell:
+    """The (alpha, template) cell a sweep runs; ValueError for a cell that cannot run at any horizon."""
+    families, grids = _sources(template)
+    lam_vec = _lams(families, lam_true)
+    log_b = threshold_for(alpha, template.prior.rho, math.prod(len(g) for g in grids))
+    if isinstance(template, BankTemplate):
+        spec: DetectorSpec = BankSpec(
+            family=template.family,
+            prior=template.prior,
+            grid=template.grid,
+            log_thresholds=(log_b,),
+            variant=template.variant,
+        )
+    else:
+        spec = WindowSpec(
+            families=template.families,
+            prior=template.prior,
+            grids=template.grids,
+            window_len=template.window_len,
+            log_threshold=log_b,
+        )
+    d_total = composite_kl(families, lam_vec, template.prior)
+    drift = best_drift(template, lam_true)  # refuses a template none of whose charts grows
+    horizon = default_horizon(alpha, template.prior, drift, censor_cap, n_runs) if horizon is None else horizon
+    return _Cell(template, spec, lam_vec, d_total, horizon)
+
+
 def add_vs_alpha_sweep(
     templates: Sequence[Template],
     lam_true,
@@ -628,42 +667,15 @@ def add_vs_alpha_sweep(
     between chart variants carries over to the estimates exactly.  Templates
     that share an observation model draw each path once per alpha, in blocks
     of BATCH_SIZE runs at the longest of their horizons.
+
+    ``alphas`` must be strictly decreasing, so a repeated value is refused;
+    a template none of whose charts grows under ``lam_true`` is refused at
+    any horizon.  A cell whose runs all have zero delay has efficiency inf.
     """
-    alphas = [float(a) for a in alphas]
-    if len(alphas) == 0:
-        raise ValueError("alphas must be nonempty")
-    if any(not (0.0 < a < 1.0) for a in alphas):
-        raise ValueError("every alpha must lie in (0, 1)")
-    if sorted(alphas, reverse=True) != alphas:
-        raise ValueError("alphas must be strictly decreasing")
+    alphas = _check_alphas(alphas)
     rows: list[SweepRow] = []
     for a_idx, alpha in enumerate(alphas):
-        cells = []
-        for template in templates:
-            families, grids = _sources(template)
-            lam_vec = _lams(families, lam_true)
-            log_b = threshold_for(alpha, template.prior.rho, math.prod(len(g) for g in grids))
-            if isinstance(template, BankTemplate):
-                spec: DetectorSpec = BankSpec(
-                    family=template.family,
-                    prior=template.prior,
-                    grid=template.grid,
-                    log_thresholds=(log_b,),
-                    variant=template.variant,
-                )
-            else:
-                spec = WindowSpec(
-                    families=template.families,
-                    prior=template.prior,
-                    grids=template.grids,
-                    window_len=template.window_len,
-                    log_threshold=log_b,
-                )
-            d_total = composite_kl(families, lam_vec, template.prior)
-            cell_horizon = horizon
-            if cell_horizon is None:
-                cell_horizon = default_horizon(alpha, template.prior, best_drift(template, lam_vec), censor_cap, n_runs)
-            cells.append(_Cell(template, spec, lam_vec, d_total, cell_horizon))
+        cells = [_sweep_cell(template, lam_true, alpha, n_runs, horizon, censor_cap) for template in templates]
 
         groups: dict[tuple, list[_Cell]] = {}
         for cell in cells:
@@ -689,7 +701,7 @@ def add_vs_alpha_sweep(
                     pfa_hat=summary.pfa_hat,
                     pfa_se=summary.pfa_se,
                     lower_bound=add_lower_bound(alpha, cell.d_total),
-                    efficiency=efficiency(summary.add_hat, alpha, cell.d_total),
+                    efficiency=efficiency(summary.add_hat, alpha, cell.d_total) if summary.add_hat > 0 else math.inf,
                     censored=summary.censored,
                     n_runs=n_runs,
                     seed=seed,

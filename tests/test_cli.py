@@ -255,6 +255,7 @@ class TestMainRun:
                 {"family": "gaussian-variance-shift", "pre_param": 1.0, "grids": ((1.5, 2.0),)},
                 "sr-grid1: no chart grows under lam_true=1.0",
             ),
+            ("fig4", {"lambda_low": 1e-170, "grids": ((1e-170, 1.0, 2.8),)}, "indistinguishable"),
             (
                 "fig5",
                 {"pre_params": (1.0, 1.0), "lambda_true": (1.0, 1.0), "source_grids": ((1.5, 2.0), (1.5, 2.0))},
@@ -276,6 +277,7 @@ class TestMainRun:
             "design-edge-is-pre",
             "design-divergence-underflows",
             "single-sweep-no-change",
+            "single-sweep-divergence-underflows",
             "multisource-no-change",
             "multisource-lower",
             "multisource-negative-scale",
@@ -289,6 +291,66 @@ class TestMainRun:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, change, names",
+        [
+            ("fig4", {"noise_sigma": 0.0}, "noise_sigma"),
+            ("example1", {"noise_sigma": 0.0}, "sigma must be positive"),
+            ("fig4", {"family": "gaussian-variance-shift", "pre_param": 1.0, "noise_sigma": -1.0,
+                      "lambda_true": 1.6, "grids": ((1.5, 2.0),)}, "noise_sigma"),
+            ("fig4", {"grids": ((0.2, 1.0),)}, "grid 1|sr-grid1"),
+            ("fig4", {"family": "gaussian-variance-shift", "pre_param": 0.0, "grids": ((1.5, 2.0),)}, "pre_param"),
+            ("fig4", {"family": "gaussian-variance-shift", "pre_param": 1.0, "lambda_low": 0.0, "grids": ((1.5, 2.0),)},
+             "lambda_low"),
+            ("fig5", {"pre_params": (0.0, 1.0, 1.0)}, "pre_params"),
+            ("fig5", {"source_grids": ((-1.5, 2.0), (1.5, 2.0), (1.5, 2.0))}, "source grid 1|source_grids"),
+            ("fig5", {"source_grids": ((2.0, 1.5), (1.5, 2.0), (1.5, 2.0))}, "source grid 1|windowed-max"),
+            ("fig5", {"window": 0}, "window"),
+            ("example1", {"epsilon": 0.0}, "epsilon"),
+            ("example1", {"epsilon": 1.0}, "epsilon"),
+            ("example1", {"mesh_points": 1}, "mesh"),
+            ("example1", {"grid_cap": 0}, "grid_cap"),
+            ("fig4", {"horizon": 0}, "horizon"),
+            ("fig4", {"censor_cap": 1.0}, "censor_cap"),
+        ],
+        ids=[
+            "mean-shift-noise-0",
+            "design-noise-0",
+            "variance-shift-noise-negative",
+            "grid-outside-interval",
+            "variance-shift-pre-param-0",
+            "variance-shift-lambda-low-0",
+            "pre-params-0",
+            "source-grid-negative",
+            "source-grid-unsorted",
+            "window-0",
+            "epsilon-0",
+            "epsilon-1",
+            "mesh-points-1",
+            "grid-cap-0",
+            "horizon-0",
+            "censor-cap-1",
+        ],
+    )
+    def test_config_the_run_refuses_is_a_config_error(self, tmp_path, capsys, preset, change, names):
+        # the refusal set the config check keeps, whether a rule of its own or the run's construction refuses
+        cfg = dataclasses.replace(preset_config(preset, runs=50), **change)
+        path = self.write_config(tmp_path, config_to_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert re.search(names, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_cells_with_zero_delay_report_infinite_efficiency(self, tmp_path, capsys):
+        # at rho = 0.99 nearly every change comes on slot 1 and every run stops with zero delay
+        text = self.small_config().replace("rho = 0.02", "rho = 0.99").replace("n_runs = 150", "n_runs = 50")
+        path = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        header, row = (out / "results.csv").read_text().splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["add_hat"], cells["efficiency"]) == ("0.0", "inf")
 
     @pytest.mark.parametrize("experiment", ["single-sweep", "differential-test"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, experiment):

@@ -649,6 +649,43 @@ class TestSweep:
             add_vs_alpha_sweep(t, 1.0, (0.1, 1.5), 100, 0)
 
 
+    def test_repeated_alpha_is_refused(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            add_vs_alpha_sweep([BankTemplate("sr", FAMILY, PRIOR, GRID)], 1.0, (0.1, 0.1), 100, 0)
+
+    def test_undetectable_template_is_refused_at_a_fixed_horizon(self):
+        # no chart grows, so no horizon is long enough; the sweep must not run it
+        with pytest.raises(ValueError, match="no chart grows"):
+            add_vs_alpha_sweep([BankTemplate("c", FAMILY, PRIOR, (2.8,))], 0.1, (0.1,), 100, 0, horizon=200)
+
+    def test_zero_delay_cells_report_infinite_efficiency(self):
+        # at rho = 0.99 nearly every change comes on slot 1 and every run stops with zero delay
+        prior = GeometricPrior(0.99)
+        rows = add_vs_alpha_sweep([BankTemplate("sr", FAMILY, prior, GRID)], 1.0, (0.1,), 50, 0)
+        assert rows[0].add_hat == 0.0
+        assert rows[0].efficiency == math.inf
+
+
+class TestEdgeInputs:
+    """The batch kernel stops where the stepped bank does at extreme priors and llrs in the thousands."""
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.99, 0.999999])
+    @pytest.mark.parametrize("sigma", [1.0, 1e-3])
+    def test_bank_batch_matches_stepped_bank(self, rho, sigma):
+        family = GaussianMeanShift(pre_mean=0.0, sigma=sigma, post_params=Interval(0.05, 5.0))
+        prior = GeometricPrior(rho)
+        horizon, n_runs = 120, 24
+        for variant in ChartVariant:
+            spec = BankSpec(family, prior, GRID, (threshold_for(0.05, rho, len(GRID)),), variant)
+            runs = simulate_runs(spec, 1.0, n_runs, horizon, seed=8, batch_size=10)
+            for rid in range(n_runs):
+                t, x = sample_path(family, prior, 1.0, horizon, [8, rid])
+                report = ChartBank(family, prior, GRID, spec.log_thresholds[0], variant).run_to_stop(x)
+                assert runs.change_point[rid] == t
+                assert runs.stop_time[rid] == (0 if report is None else report.stopped_at)
+                assert runs.firing_chart[rid] == (-1 if report is None else report.firing_chart)
+
+
 class TestOracleCaps:
     def test_direct_oracle_capacity(self):
         path = np.zeros(501)
