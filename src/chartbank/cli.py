@@ -55,21 +55,23 @@ from .simulate import (
 )
 from .windowed import WindowEngine, window_length_for
 
-CSV_COLUMNS = [
-    "alpha",
-    "log_alpha_abs",
-    "detector",
-    "lambda_true",
-    "add_hat",
-    "add_se",
-    "pfa_hat",
-    "pfa_se",
-    "lower_bound",
-    "efficiency",
-    "censored",
-    "n_runs",
-    "seed",
+# results.csv in column order: each column and its cell for a SweepRow
+_CSV_TABLE = [
+    ("alpha", lambda r: repr(float(r.alpha))),
+    ("log_alpha_abs", lambda r: repr(abs(math.log(r.alpha)))),
+    ("detector", lambda r: r.detector),
+    ("lambda_true", lambda r: "|".join(repr(float(v)) for v in r.lam_true)),
+    ("add_hat", lambda r: repr(float(r.add_hat))),
+    ("add_se", lambda r: repr(float(r.add_se))),
+    ("pfa_hat", lambda r: repr(float(r.pfa_hat))),
+    ("pfa_se", lambda r: repr(float(r.pfa_se))),
+    ("lower_bound", lambda r: repr(float(r.lower_bound))),
+    ("efficiency", lambda r: repr(float(r.efficiency))),
+    ("censored", lambda r: str(r.censored)),
+    ("n_runs", lambda r: str(r.n_runs)),
+    ("seed", lambda r: str(r.seed)),
 ]
+CSV_COLUMNS = [column for column, _ in _CSV_TABLE]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -464,24 +466,6 @@ def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
 # output files
 
 
-def _row_cells(row: SweepRow) -> list[str]:
-    return [
-        repr(float(row.alpha)),
-        repr(abs(math.log(row.alpha))),
-        row.detector,
-        "|".join(repr(float(v)) for v in row.lam_true),
-        repr(float(row.add_hat)),
-        repr(float(row.add_se)),
-        repr(float(row.pfa_hat)),
-        repr(float(row.pfa_se)),
-        repr(float(row.lower_bound)),
-        repr(float(row.efficiency)),
-        str(row.censored),
-        str(row.n_runs),
-        str(row.seed),
-    ]
-
-
 def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: dict) -> tuple[Path, bool]:
     """Write results.csv, manifest.json and config.txt; returns (csv path, all valid)."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -507,7 +491,7 @@ def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: 
     manifest["manifest_sha256"] = digest
 
     lines = [f"# manifest_sha256={digest}", ",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_row_cells(r)) for r in rows)
+    lines.extend(",".join(cell(r) for _, cell in _CSV_TABLE) for r in rows)
     csv_path = out_dir / "results.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

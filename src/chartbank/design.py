@@ -176,8 +176,7 @@ def threshold_for(alpha: float, rho: float, n_charts: int) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    GeometricPrior(rho)  # validates rho
     if n_charts < 1:
         raise ValueError(f"n_charts must be at least 1, got {n_charts}")
     return math.log(n_charts) - math.log(rho) - math.log(alpha)

@@ -220,7 +220,7 @@ def posterior_from_stat(log_r: float, rho: float) -> float:
     Uses the identity log odds = log rho + log R_n, evaluated without forming
     the linear-domain statistic.
     """
-    _check_rho(rho)
+    GeometricPrior(rho)  # validates rho
     z = math.log(rho) + log_r
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -235,7 +235,7 @@ def posterior_complement_from_stat(log_r: float, rho: float) -> float:
     it as ``1 - posterior_from_stat(...)`` loses all precision once the
     posterior rounds to 1.
     """
-    _check_rho(rho)
+    GeometricPrior(rho)  # validates rho
     z = -(math.log(rho) + log_r)
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -251,7 +251,7 @@ def stat_from_posterior(posterior: float, rho: float, complement: float | None =
     otherwise the complement is formed by subtraction and precision degrades
     as 1 - posterior underflows.
     """
-    _check_rho(rho)
+    GeometricPrior(rho)  # validates rho
     if not (0.0 <= posterior <= 1.0):
         raise ValueError(f"posterior must lie in [0, 1], got {posterior}")
     if posterior == 0.0:
@@ -263,8 +263,3 @@ def stat_from_posterior(posterior: float, rho: float, complement: float | None =
             return math.inf
         log_odds = math.log(posterior) - math.log(complement)
     return log_odds - math.log(rho)
-
-
-def _check_rho(rho: float) -> None:
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")

@@ -257,18 +257,12 @@ class GaussianVarianceShift(ObservationFamily):
         return self.center + float(lam) * np.asarray(z, dtype=float)
 
 
-def _std_to_path(family: ObservationFamily, lam: float, n_pre: int, x: np.ndarray) -> None:
-    """Map the standard normals in x to observations in place: pre-change before n_pre."""
-    x[:n_pre] = family.pre_from_std(x[:n_pre])
-    x[n_pre:] = family.post_from_std(lam, x[n_pre:])
-
-
-def _out_block(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
-    return out
+def _lams(families, lam_true) -> tuple[float, ...]:
+    """One true parameter per source; a bank takes a float or a one-element sequence."""
+    lams = np.atleast_1d(np.asarray(lam_true, dtype=float))
+    if lams.shape != (len(families),):
+        raise ValueError(f"{len(families)} source(s) but {lams.size} true parameter(s) in lam_true={lam_true!r}")
+    return tuple(float(v) for v in lams)
 
 
 def sample_path(
@@ -279,28 +273,14 @@ def sample_path(
     seed,
     out: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Draw a change time and a horizon-long observation path.
+    """Draw a change time and a horizon-long path: ``sample_path_multi`` with one source.
 
     Returns (t, x) where slots 1..t-1 of x are pre-change and slots t..horizon
-    are post-change (x is 0-indexed, slot n lives at x[n-1]).  The change time
-    is drawn first and the observation noise afterwards, so two calls with the
-    same seed but different lam_true share the change time and every
-    pre-change observation bitwise, and a shorter horizon gives a bitwise
-    prefix of a longer one.  With ``out`` (contiguous float64, length
-    horizon) the path is written there, so a caller can fill the rows of one
-    block.  ``seed`` may also be a ``numpy.random.Generator``: the call
-    continues its stream, and the caller can draw later slots from it.
+    are post-change (x is 0-indexed, slot n lives at x[n-1]).  ``out``
+    (contiguous float64, length horizon) receives the path.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    family._check_lam(lam_true)
-    x = _out_block(out, (horizon,))
-    rng = np.random.default_rng(seed)
-    t = prior.sample(rng)
-    n_pre = min(t - 1, horizon)
-    rng.standard_normal(out=x)
-    _std_to_path(family, lam_true, n_pre, x)
-    return t, x
+    t, x = sample_path_multi((family,), prior, (lam_true,), horizon, seed, None if out is None else out[None])
+    return t, x[0]
 
 
 def sample_path_multi(
@@ -313,23 +293,32 @@ def sample_path_multi(
 ) -> tuple[int, np.ndarray]:
     """Draw one shared change time and an [n_sources, horizon] observation block.
 
-    All sources switch to their post-change densities on the same slot t.
-    Draw order (change time first, then a fixed-shape noise block) matches
-    ``sample_path`` so pre-change draws stay pairable across true parameters.
-    ``out`` works as in ``sample_path``, with shape [n_sources, horizon].
+    ``lams_true`` holds one true parameter per source; all sources change on
+    the same slot t.  The change time is drawn first, then one row-major
+    standard-normal block that each source maps pre/post.  So two calls with
+    the same seed but different true parameters share t and every
+    pre-change observation bitwise, and with one source a shorter horizon
+    gives a bitwise prefix of a longer one.  ``out`` (contiguous float64,
+    [n_sources, horizon]) receives the block.  ``seed`` may also be a
+    ``numpy.random.Generator``: the call continues its stream.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    lams = [float(v) for v in np.atleast_1d(np.asarray(lams_true, dtype=float))]
-    if len(lams) != len(families):
-        raise ValueError(f"{len(families)} sources but {len(lams)} true parameters")
+    # a tuple with one entry per source skips the array round trip; each family checks its entry
+    lams = lams_true if type(lams_true) is tuple and len(lams_true) == len(families) else _lams(families, lams_true)
     for fam, lam in zip(families, lams):
         fam._check_lam(lam)
-    x = _out_block(out, (len(families), horizon))
+    shape = (len(families), horizon)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     rng = np.random.default_rng(seed)
     t = prior.sample(rng)
     n_pre = min(t - 1, horizon)
-    rng.standard_normal(out=x)
-    for fam, lam, row in zip(families, lams, x):
-        _std_to_path(fam, lam, n_pre, row)
-    return t, x
+    rng.standard_normal(out=out)
+    for i, fam in enumerate(families):
+        row = out[i]  # indexed: iterating over an array costs about 1 us more
+        row[:n_pre] = fam.pre_from_std(row[:n_pre])
+        row[n_pre:] = fam.post_from_std(lams[i], row[n_pre:])
+    return t, out

@@ -32,7 +32,7 @@ import numpy as np
 from .design import add_lower_bound, efficiency, threshold_for
 from .detectors import BankBatch, ChartVariant, check_charts
 from .errors import CapacityError
-from .families import GeometricPrior, ObservationFamily, sample_path, sample_path_multi
+from .families import GeometricPrior, ObservationFamily, _lams, sample_path_multi
 from .windowed import RingBatch, check_window, composite_kl
 
 __all__ = [
@@ -125,20 +125,6 @@ def _sources(d) -> tuple[tuple, tuple]:
     return d.families, d.grids
 
 
-def _lams(families, lam_true) -> tuple[float, ...]:
-    """One true parameter per source; a bank takes a float or a one-element sequence."""
-    lams = np.atleast_1d(np.asarray(lam_true, dtype=float))
-    if lams.shape != (len(families),):
-        raise ValueError(f"{len(families)} source(s) but {lams.size} true parameter(s) in lam_true={lam_true!r}")
-    return tuple(float(v) for v in lams)
-
-
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 # Rows per kernel call, and per path block a sweep draws.
 BATCH_SIZE = 2048
 
@@ -151,6 +137,11 @@ CHUNK_SLOTS = 128
 # near the live count, rarely enough that the row copies stay cheap.
 COMPACT_BELOW = 0.75
 
+# The longest horizon default_horizon sizes, reached at rho near 1e-5: a bank
+# batch steps each slot until its last run stops (about 10 us a slot), and a
+# window block holds BATCH_SIZE x sources x horizon float64s (16 KB a slot per source).
+MAX_AUTO_HORIZON = 1_000_000
+
 
 class PathBlock:
     """Change times and observation paths of consecutive runs, one row per run.
@@ -159,34 +150,32 @@ class PathBlock:
     for the window engine.  Every drawn observation is checked for
     finiteness once, so the kernels can call the families' unchecked llr.
 
-    A block built here from arrays is whole.  ``draw_paths`` builds every
-    bank block lazy: its slots are stored in chunks of CHUNK_SLOTS, row r
-    holds its first ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk
-    at a time from each run's own bit generator, which continues the run's
-    one long draw bitwise.  A chunk is allocated when a row first reaches it and fills
-    only the rows that do, so deep chunks stay small in memory.
-    ``observations`` refuses to show a block that is not drawn to the end.
+    Given only ``observations``, a block is whole.  Given a longer
+    ``horizon`` and the ``streams`` (family, true parameter, one bit generator
+    per row) that continue them, it is a lazy bank block: row r holds its
+    first ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk of the
+    head's width at a time, continuing each run's one long draw bitwise.  A
+    chunk fills only the rows that reach it, so deep chunks stay small, and
+    ``observations`` refuses a block that is not drawn to the end.
     """
 
-    def __init__(self, change_points: np.ndarray, observations: np.ndarray) -> None:
+    def __init__(
+        self,
+        change_points: np.ndarray,
+        observations: np.ndarray,
+        horizon: int | None = None,
+        streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None,
+    ) -> None:
         if observations.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
         if not np.isfinite(observations).all():
             raise ValueError("x must be finite")
         self.change_points = change_points
-        self.horizon = observations.shape[-1]
-        self.drawn = np.full(change_points.size, self.horizon, dtype=np.int64)
+        self._width = observations.shape[-1]
+        self.horizon = self._width if horizon is None else horizon
+        self.drawn = np.full(change_points.size, self._width, dtype=np.int64)
         self._chunks = [observations]  # chunk k holds slots [k * width, (k + 1) * width)
-        self._width = self.horizon
-        self._streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None
-
-    @classmethod
-    def _lazy(cls, change_points, head: np.ndarray, horizon: int, family, lam: float, bitgens) -> "PathBlock":
-        """A bank block whose rows hold the slots in ``head``; ``bitgens`` continue them."""
-        block = cls(change_points, head)  # checks the head; chunks are its width
-        block.horizon = horizon
-        block._streams = (family, lam, bitgens)
-        return block
+        self._streams = streams
 
     @property
     def observations(self) -> np.ndarray:
@@ -222,6 +211,8 @@ class PathBlock:
         x = self._chunks[k]
         for r in rows.tolist():
             np.random.Generator(bitgens[r]).standard_normal(out=x[r])
+        # one pre/post mapping for all rows: mapping row by row, as
+        # sample_path_multi does, measured 1.5x slower (1000 rows x 3 chunks)
         z = x[rows]
         pre = np.arange(lo, hi)[None, :] < self.change_points[rows, None] - 1
         chunk = np.where(pre, family.pre_from_std(z), family.post_from_std(lam, z))
@@ -234,28 +225,29 @@ class PathBlock:
 def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) -> PathBlock:
     """Draw the change times and paths of the given runs, row by row into one block.
 
-    Run r is seeded from (seed, r) and its path comes from ``sample_path``
-    or ``sample_path_multi``; ``lam_true`` holds one parameter per source.
-    Every bank block is lazy, with a head of min(horizon, CHUNK_SLOTS)
-    slots: ``sample_path`` draws the head on the run's generator, whose bit
-    generator the block keeps to draw the rest as far as a kernel reads.
-    Its first h slots equal the block drawn at horizon h bitwise, so one
-    block serves banks of any shorter horizon.
+    Run r draws on its own generator, seeded from (seed, r), through
+    ``sample_path_multi``, a bank as its one-source case; ``lam_true`` holds
+    one parameter per source.  A window block is drawn whole: a multi-source
+    draw is row-major, so no prefix of a longer one.  A bank block is lazy
+    from a head of min(horizon, CHUNK_SLOTS) slots, and its first h slots
+    equal the block drawn at horizon h bitwise.
     """
-    seed_base = _seed_list(seed)
-    lams = _lams(_sources(spec)[0], lam_true)
+    families = _sources(spec)[0]
+    lams = _lams(families, lam_true)
+    bank = isinstance(spec, BankSpec)
+    width = min(horizon, CHUNK_SLOTS) if bank else horizon
+    seed_base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     ts = np.empty(len(runs), dtype=np.int64)
-    if isinstance(spec, WindowSpec):
-        xs = np.empty((len(runs), len(spec.families), horizon))
-        for j, rid in enumerate(runs):
-            ts[j], _ = sample_path_multi(spec.families, spec.prior, lams, horizon, seed_base + [rid], out=xs[j])
-        return PathBlock(ts, xs)
-    head = np.empty((len(runs), min(horizon, CHUNK_SLOTS)))
+    xs = np.empty((len(runs), len(families), width))
     bitgens = []  # a Generator holds three times the memory of its bit generator
     for j, rid in enumerate(runs):
-        bitgens.append(np.random.PCG64(seed_base + [rid]))  # default_rng's generator
-        ts[j], _ = sample_path(spec.family, spec.prior, lams[0], head.shape[1], np.random.Generator(bitgens[j]), out=head[j])
-    return PathBlock._lazy(ts, head, horizon, spec.family, lams[0], bitgens)
+        bitgen = np.random.PCG64(seed_base + [rid])  # default_rng's generator
+        ts[j], _ = sample_path_multi(families, spec.prior, lams, width, np.random.Generator(bitgen), out=xs[j])
+        if bank:
+            bitgens.append(bitgen)
+    if not bank:
+        return PathBlock(ts, xs)
+    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
 
 
 def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
@@ -574,6 +566,7 @@ def default_horizon(
     When ``n_runs`` is given and the cap allows no censored run at all
     (``censor_cap * n_runs < 1``), the tail is sized so that a change past
     the horizon happens in about one sweep of n_runs runs in a thousand.
+    A horizon past MAX_AUTO_HORIZON is refused: such a sweep must set its own.
     """
     if drift <= 0:
         raise ValueError("drift must be positive")
@@ -584,7 +577,10 @@ def default_horizon(
         tail = min(tail, 1e-3 / n_runs)  # never a shorter horizon than the cap alone asks for
     tail = max(tail, 1e-12)
     prior_allowance = int(math.ceil(-math.log(tail) / prior.slot_cost))
-    return int(math.ceil(8.0 * abs(math.log(alpha)) / drift)) + prior_allowance
+    horizon = int(math.ceil(8.0 * abs(math.log(alpha)) / drift)) + prior_allowance
+    if horizon > MAX_AUTO_HORIZON:
+        raise ValueError(f"rho = {prior.rho!r} asks for an auto horizon of {horizon} slots; set horizon")
+    return horizon
 
 
 def _shared_paths_key(spec: DetectorSpec, horizon: int) -> tuple:

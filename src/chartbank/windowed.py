@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import AlreadyStoppedError
 from .detectors import StopReport, check_charts
-from .families import GeometricPrior, ObservationFamily
+from .families import GeometricPrior, ObservationFamily, _lams
 
 __all__ = [
     "RingBatch",
@@ -278,8 +278,7 @@ def window_length_for(alpha: float, rho: float, d_min: float, slack: float = 1.5
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    GeometricPrior(rho)  # validates rho
     if d_min <= 0:
         raise ValueError(f"d_min must be positive, got {d_min}")
     if slack <= 1.0:
@@ -298,9 +297,7 @@ def composite_kl(
     families: Sequence[ObservationFamily], lams: Sequence[float], prior: GeometricPrior
 ) -> float:
     """Joint post-change drift: summed per-source divergences plus slot cost."""
-    if len(families) != len(lams):
-        raise ValueError(f"{len(families)} families but {len(lams)} parameters")
     if len(families) == 0:
         raise ValueError("need at least one source")
-    total = sum(float(f.kl_post_vs_pre(float(lam))) for f, lam in zip(families, lams))
+    total = sum(float(f.kl_post_vs_pre(lam)) for f, lam in zip(families, _lams(families, lams)))
     return total + prior.slot_cost

@@ -1,13 +1,17 @@
+import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from chartbank import cli
 from chartbank.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -195,6 +199,38 @@ class TestMainRun:
         assert lines[0].startswith("# manifest_sha256=")
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3  # one alpha, one detector
+
+    def test_every_csv_column_holds_its_sweep_row_field(self, tmp_path, capsys):
+        text = self.small_config().replace("alphas = 0.1\n", "alphas = 0.1, 0.01\nvariants = sr, max\n")
+        out = tmp_path / "out"
+        with mock.patch.object(cli, "write_outputs", wraps=cli.write_outputs) as write:
+            assert main(["run", str(self.write_config(tmp_path, text)), "--out", str(out)]) == 0
+        rows = write.call_args.args[2]
+        with open(out / "results.csv", newline="") as f:
+            next(f)  # the manifest hash line
+            reader = csv.DictReader(f)
+            cells = list(reader)
+        assert reader.fieldnames == CSV_COLUMNS and len(cells) == len(rows) == 4
+        for row, cell in zip(rows, cells):
+            assert float(cell["alpha"]) == row.alpha
+            assert float(cell["log_alpha_abs"]) == abs(math.log(row.alpha))
+            assert cell["detector"] == row.detector
+            assert tuple(float(v) for v in cell["lambda_true"].split("|")) == row.lam_true
+            for name in ("add_hat", "add_se", "pfa_hat", "pfa_se", "lower_bound", "efficiency"):
+                assert float(cell[name]) == getattr(row, name)
+            for name in ("censored", "n_runs", "seed"):
+                assert int(cell[name]) == getattr(row, name)
+
+    def test_auto_horizon_past_the_cap_is_a_config_error(self, tmp_path, capsys):
+        cfg = dataclasses.replace(preset_config("fig4", runs=50), rho=1e-9)
+        with pytest.raises(ConfigError):  # checked before main, which would start a 9.2e9-slot sweep
+            parse_config_text(config_to_text(cfg))
+        path = self.write_config(tmp_path, config_to_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert re.search(r"sr-grid1: rho = 1e-09 .* set horizon", capsys.readouterr().err)
+        assert not out.exists()
+        parse_config_text(config_to_text(dataclasses.replace(cfg, horizon=500)))  # a set horizon is not capped
 
     def test_manifest_hash_is_self_consistent(self, tmp_path):
         cfg = self.write_config(tmp_path, self.small_config())

@@ -320,6 +320,27 @@ class TestSamplePath:
             sample_path_multi(fams, self.prior, (1.0,), 50, seed=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    # entries past 2**32 span several 32-bit words of the seed
+    words=st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=4),
+    as_generator=st.booleans(),
+    rho=st.floats(min_value=1e-4, max_value=0.9),
+    lam=st.floats(min_value=0.2, max_value=3.0),
+    horizon=st.integers(min_value=1, max_value=300),
+)
+def test_sample_path_is_the_one_source_multi_draw(words, as_generator, rho, lam, horizon):
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    prior = GeometricPrior(rho)
+    seeds = [np.random.default_rng(words) if as_generator else words for _ in range(2)]
+    t, x = sample_path(family, prior, lam, horizon, seeds[0])
+    t_multi, x_multi = sample_path_multi([family], prior, (lam,), horizon, seeds[1])
+    assert t == t_multi and x.shape == (horizon,) and x_multi.shape == (1, horizon)
+    assert x.tobytes() == x_multi[0].tobytes()
+    if as_generator:  # both leave the stream at the same point
+        assert seeds[0].random() == seeds[1].random()
+
+
 @settings(max_examples=30)
 @given(
     rho=st.floats(min_value=0.001, max_value=0.5),

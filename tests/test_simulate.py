@@ -207,6 +207,17 @@ class TestCompactionInvariance:
             assert np.array_equal(long.change_points, short.change_points)
             assert np.array_equal(long.observations[:, :short_horizon], short.observations)
 
+    @pytest.mark.parametrize("horizon", [1, 127, 128, 300])
+    def test_bank_block_is_the_one_source_window_block(self, horizon):
+        # a lazy bank block drawn to its end is the whole block a one-source window draws
+        runs = range(3, 40)
+        bank = draw_paths(bank_spec(), 1.0, runs, horizon, [6, 2])
+        assert bank.draw_to(np.arange(len(runs)), horizon) == horizon
+        window = WindowSpec(families=(FAMILY,), prior=PRIOR, grids=(GRID,), window_len=15, log_threshold=6.0)
+        whole = draw_paths(window, (1.0,), runs, horizon, [6, 2])
+        assert np.array_equal(bank.change_points, whole.change_points)
+        assert bank.observations.tobytes() == whole.observations[:, 0].tobytes()
+
     def test_path_block_validation(self):
         block = draw_paths(bank_spec(), 1.0, range(5), 50, 0)
         with pytest.raises(ValueError):
@@ -548,6 +559,13 @@ class TestSizingHelpers:
         for cap in (0.0, 1e-6):
             assert default_horizon(1e-3, prior, drift, cap, 400) == default_horizon(1e-3, prior, drift, cap)
 
+    def test_default_horizon_refuses_a_horizon_that_cannot_run(self):
+        drift = 0.5 + GeometricPrior(1e-9).slot_cost
+        # about 9.2e9 slots of prior tail
+        with pytest.raises(ValueError, match=r"rho = 1e-09 .* set horizon"):
+            default_horizon(1e-3, GeometricPrior(1e-9), drift)
+        assert default_horizon(1e-3, GeometricPrior(1e-4), drift) <= simulate.MAX_AUTO_HORIZON
+
     def test_default_horizon_validation(self):
         with pytest.raises(ValueError):
             default_horizon(1e-3, PRIOR, 0.0)
@@ -684,6 +702,23 @@ class TestEdgeInputs:
                 assert runs.change_point[rid] == t
                 assert runs.stop_time[rid] == (0 if report is None else report.stopped_at)
                 assert runs.firing_chart[rid] == (-1 if report is None else report.firing_chart)
+
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.99, 0.999999])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_window_batch_matches_stepped_engine(self, rho, scale):
+        family = GaussianMeanShift(pre_mean=0.0, sigma=scale, post_params=Interval(0.05, 5.0))
+        families, grids, lam = (family, family), ((0.5, 2.0), (1.0,)), (1.0, 1.0)
+        prior = GeometricPrior(rho)
+        horizon, n_runs, window_len = 120, 40, 30
+        spec = WindowSpec(families, prior, grids, window_len, threshold_for(0.05, rho, 2))
+        runs = simulate_runs(spec, lam, n_runs, horizon, seed=8, batch_size=15)
+        for rid in range(n_runs):
+            t, x = sample_path_multi(families, prior, lam, horizon, [8, rid])
+            report = WindowEngine(families, prior, grids, window_len, spec.log_threshold).run_to_stop(x)
+            assert runs.change_point[rid] == t
+            assert runs.stop_time[rid] == (0 if report is None else report.stopped_at)
+            assert runs.firing_chart[rid] == (-1 if report is None else report.firing_chart)
 
 
 class TestOracleCaps:
