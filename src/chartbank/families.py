@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Interval",
@@ -112,8 +113,14 @@ class GeometricPrior:
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse-CDF on a single uniform per draw keeps the draw count
         # independent of the outcome, which downstream seed pairing relies on.
-        u = rng.random(size)
-        return np.floor(np.log1p(-u) / math.log1p(-self.rho)).astype(np.int64) + 1
+        return self._from_uniform(rng.random(size))
+
+    def _from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Change times of uniforms u in [0, 1), by inverse CDF."""
+        t = np.floor(np.log1p(-u) / math.log1p(-self.rho))
+        if t.max(initial=0.0) >= 2.0**62:
+            raise ValueError(f"rho = {self.rho!r} draws a change time past the int64 range")
+        return t.astype(np.int64) + 1
 
 
 def _as_float_array(x: float | np.ndarray, name: str) -> np.ndarray:
@@ -265,6 +272,128 @@ def _lams(families, lam_true) -> tuple[float, ...]:
     return tuple(float(v) for v in lams)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); fixed by
+# its stream-compatibility policy, and checked against PCG64(seed) by the tests
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool, in 32-bit words
+
+
+def _seed_words(seed) -> list[int]:
+    """The 32-bit words, low first, that SeedSequence takes from an integer seed or a sequence of them."""
+    words = []
+    for s in seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]:
+        if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"seed elements must be non-negative integers, got {s!r} in seed={seed!r}")
+        s = int(s)
+        words.append(s & _MASK32)
+        while s > _MASK32:
+            s >>= 32
+            words.append(s & _MASK32)
+    return words
+
+
+def _pcg64_seeds(entropy: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every row e of a block, at once.
+
+    ``entropy`` [rows, k] (k >= _POOL) holds each row's 32-bit entropy words,
+    zero-padded past ``length`` [rows]; numpy hashes a short entropy's pool
+    words from 0, so padding to the pool size changes nothing.  The hash
+    constants advance per call and never depend on the data, so one pass
+    over columns mixes every row.
+    """
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):  # words past the pool, for the rows that have them
+        more = length > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(more, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    hash_b = _INIT_B
+    state = np.empty((entropy.shape[0], 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * np.uint32(hash_b)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Seeded(ISeedSequence):
+    """Hands PCG64 the four seed words ``_pcg64_seeds`` computed for one row."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _bit_generators(seed, runs: range | None = None) -> list[np.random.PCG64]:
+    """One generator per run r, bitwise ``np.random.PCG64(seed + [r])``; without runs, ``[PCG64(seed)]``.
+
+    ``seed`` is a non-negative integer or a sequence of them, as numpy takes
+    it.  numpy hashes a seed list through SeedSequence in Python-level calls,
+    about 20 us per run; for a block of runs the hashing runs over every run
+    at once and each run's PCG64 gets its finished state words.  One seed
+    alone is cheaper through numpy's own hashing.
+    """
+    base = _seed_words(seed)
+    if runs is None:
+        if not base:
+            raise ValueError("seed must hold at least one integer")
+        return [np.random.PCG64(np.array(base, dtype=np.uint32))]
+    ids = np.arange(runs.start, runs.stop, runs.step, dtype=np.int64)
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"run ids must be non-negative, got {runs!r}")
+    entropy = np.zeros((ids.size, max(len(base) + 2, _POOL)), dtype=np.uint32)
+    entropy[:, : len(base)] = base
+    entropy[:, len(base)] = ids & _MASK32
+    entropy[:, len(base) + 1] = ids >> 32
+    length = len(base) + 1 + (ids > _MASK32)
+    return [np.random.PCG64(_Seeded(words)) for words in _pcg64_seeds(entropy, length)]
+
+
+# Cells of one source that _map_std maps at a time: 128 KB of float64, within L2.
+_MAP_CELLS = 1 << 14
+
+
+def _map_std(families, lams, change_points: np.ndarray, z: np.ndarray, lo: int) -> None:
+    """Map standard normals z [rows, n_sources, w], slots lo..lo+w-1 (0-indexed), to observations in place.
+
+    Slots before each row's change time map pre-change, the rest
+    post-change at that source's true parameter.  Rows go a few at a time,
+    so no temporary holds more than _MAP_CELLS cells.
+    """
+    rows, _, w = z.shape
+    slots = np.arange(lo, lo + w)
+    step = max(1, _MAP_CELLS // w)
+    for a in range(0, rows, step):
+        pre = slots[None, :] < change_points[a : a + step, None] - 1
+        for i, (fam, lam) in enumerate(zip(families, lams)):
+            zi = z[a : a + step, i]
+            zi[...] = np.where(pre, fam.pre_from_std(zi), fam.post_from_std(lam, zi))
+
+
 def sample_path(
     family: ObservationFamily,
     prior: GeometricPrior,
@@ -299,8 +428,13 @@ def sample_path_multi(
     the same seed but different true parameters share t and every
     pre-change observation bitwise, and with one source a shorter horizon
     gives a bitwise prefix of a longer one.  ``out`` (contiguous float64,
-    [n_sources, horizon]) receives the block.  ``seed`` may also be a
-    ``numpy.random.Generator``: the call continues its stream.
+    [n_sources, horizon]) receives the block.  ``seed`` is a non-negative
+    integer or a sequence of them, drawn on ``np.random.default_rng(seed)``'s
+    stream, or a ``numpy.random.Generator`` whose stream the call continues.
+
+    Given ``out`` of shape [rows, n_sources, horizon] and one bit generator
+    per row as ``seed``, it draws every row as that row's own call would,
+    and returns the change times as an int64 array with ``out``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -308,17 +442,24 @@ def sample_path_multi(
     lams = lams_true if type(lams_true) is tuple and len(lams_true) == len(families) else _lams(families, lams_true)
     for fam, lam in zip(families, lams):
         fam._check_lam(lam)
-    shape = (len(families), horizon)
+    block = out is not None and out.ndim == 3
+    if block:
+        bitgens = seed
+    elif isinstance(seed, np.random.Generator):
+        bitgens = [seed.bit_generator]
+    else:
+        bitgens = _bit_generators(seed)
+    shape = (len(bitgens), len(families), horizon) if block else (len(families), horizon)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
-    rng = np.random.default_rng(seed)
-    t = prior.sample(rng)
-    n_pre = min(t - 1, horizon)
-    rng.standard_normal(out=out)
-    for i, fam in enumerate(families):
-        row = out[i]  # indexed: iterating over an array costs about 1 us more
-        row[:n_pre] = fam.pre_from_std(row[:n_pre])
-        row[n_pre:] = fam.post_from_std(lams[i], row[n_pre:])
-    return t, out
+    z = out if block else out[None]
+    u = np.empty(len(bitgens))
+    for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals
+        rng = np.random.Generator(bitgen)
+        u[r] = rng.random()
+        rng.standard_normal(out=z[r])
+    ts = prior._from_uniform(u)
+    _map_std(families, lams, ts, z, 0)
+    return (ts, out) if block else (int(ts[0]), out)

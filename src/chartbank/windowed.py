@@ -30,6 +30,10 @@ additions of the exact one, never falls below the exact statistic.  The
 Monte Carlo kernel takes exact maxima only for rows whose bound reaches the
 threshold and resets their bound to them; every other row provably does not
 cross, so stop slots and firing charts stay bitwise those of the exact step.
+A batch with bound rings also advances only columns 0..n while slot n is
+below the ring width: a column whose start has not come yet is zeroed when
+it starts.  ``WindowEngine`` keeps no bound rings and advances every column,
+so its work counters count the work it does.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ class RingBatch:
 
     Source l keeps a ring table [rows, I_l, width] of llr sums per run,
     candidate and start slot, and with ``bounded`` a bound ring [rows, width]
-    that is never below the table's per-column maximum.  ``WindowEngine`` is
+    that is never below the table's per-column maximum; a bounded batch
+    leaves columns past slot n alone until they start.  ``WindowEngine`` is
     a batch of one; grids come from ``check_window``.
     """
 
@@ -128,11 +133,13 @@ class RingBatch:
         """Advance each row's tables, and bound rings if kept, by x[row]."""
         self.n += 1
         slot_new = self.n % self.width
+        # with bound rings, columns past n have not started: each is zeroed when it starts
+        cols = self.width if self.bounds is None or self.n >= self.width else self.n + 1
         for l, (fam, grid, table) in enumerate(zip(self.families, self.grids, self.tables)):
             llr = fam._llr(grid, x[:, l, None])
-            ring_advance(table, llr, slot_new)
+            ring_advance(table[..., :cols], llr, slot_new)
             if self.bounds is not None:
-                bound = self.bounds[l]
+                bound = self.bounds[l][:, :cols]
                 bound[:, slot_new] = 0.0
                 bound += llr.max(axis=1)[:, None]
         self.starts, self.slots = window_offsets(self.n, self.width)

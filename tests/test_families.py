@@ -15,6 +15,7 @@ from chartbank import (
     sample_path,
     sample_path_multi,
 )
+from chartbank.families import _bit_generators
 from conftest import gaussian_logpdf, quadrature_kl
 
 
@@ -352,3 +353,59 @@ def test_prior_and_family_compose(rho, lam):
     assert prior.slot_cost > 0
     assert family.kl_post_vs_pre(lam) > 0
     assert family.kl_post_vs_post(lam, lam) == 0.0
+
+
+# 32-bit word edges of a seed element: one word, the largest one-word value,
+# two words and three
+WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)), min_size=1, max_size=3),
+    # a second 2048-run block, and run ids that cross into two words
+    lo=st.one_of(st.integers(0, 3000), st.sampled_from([2048, 2**32 - 3])),
+    n=st.integers(1, 6),
+)
+def test_block_seeding_is_numpys_pcg64(base, lo, n):
+    # the vectorised SeedSequence mixing must give numpy's PCG64 state for
+    # entropy shorter and longer than its four-word pool
+    runs = range(lo, lo + n)
+    bitgens = _bit_generators(base, runs)
+    assert len(bitgens) == n
+    for r, bitgen in zip(runs, bitgens):
+        assert bitgen.state == np.random.PCG64(base + [r]).state
+        first = np.random.Generator(bitgen).random(3)
+        assert first.tobytes() == np.random.default_rng(base + [r]).random(3).tobytes()
+
+
+def test_integer_seed_is_a_one_element_base():
+    runs = range(5, 9)
+    for r, bitgen in zip(runs, _bit_generators(np.int64(7), runs)):
+        assert bitgen.state == np.random.PCG64([7, r]).state
+    assert _bit_generators(2**64)[0].state == np.random.PCG64(2**64).state
+
+
+# Seed elements numpy would truncate, reinterpret or refuse unclearly
+BAD_SEEDS = [[0.9, 1], 0.9, [np.float64(2.0), 1], True, [True, 1], [np.True_, 1], -1, [0, -1], "7", [None]]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_per_run_draws_refuse_non_integer_seed_elements(seed):
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    prior = GeometricPrior(0.05)
+    with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
+        sample_path(family, prior, 1.0, 10, seed)
+    with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
+        sample_path_multi([family, family], prior, (1.0, 2.0), 10, seed)
+
+
+def test_per_run_draws_take_multi_word_seeds():
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    prior = GeometricPrior(0.05)
+    for seed in (2**64, [2**64, 3], [np.uint64(2**63), 0]):
+        t, x = sample_path(family, prior, 1.0, 40, seed)
+        t_ref, x_ref = sample_path(family, prior, 1.0, 40, np.random.default_rng(seed))
+        assert t == t_ref and x.tobytes() == x_ref.tobytes()
+    with pytest.raises(ValueError, match="at least one integer"):
+        sample_path(family, prior, 1.0, 10, [])

@@ -462,6 +462,104 @@ class TestPrunedWindowKernel:
                 rings.compact(np.flatnonzero(rng.random(n_rows) < 0.7))
                 assert_bounded()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sources=window_sources(),
+        window_len=st.integers(1, 40),
+        data=st.data(),
+        rho=st.sampled_from([1e-4, 0.05, 0.5]),
+        level=st.sampled_from([0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_window_wider_than_the_path(self, sources, window_len, data, rho, level, seed):
+        # horizons up to the ring width and just past it: the kernel's rings
+        # leave unstarted columns alone on every slot but the last one or two
+        families, grids, lam = sources
+        horizon = data.draw(st.integers(1, window_len + 2), label="horizon")
+        prior = GeometricPrior(rho)
+        probe = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=0.0)
+        threshold = float(np.quantile(exact_statistics(probe, lam, PRUNED_RUNS, horizon, seed), level))
+        spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=threshold)
+        runs = simulate_runs(spec, lam, PRUNED_RUNS, horizon, seed, batch_size=7)
+        for rid in range(PRUNED_RUNS):
+            _, x = sample_path_multi(list(families), prior, lam, horizon, [seed, rid])
+            report = WindowEngine(list(families), prior, list(grids), window_len, threshold).run_to_stop(x)
+            expected = (0, -1) if report is None else (report.stopped_at, report.firing_chart)
+            assert (runs.stop_time[rid], runs.firing_chart[rid]) == expected
+
+
+# Per-run seeds of a block property: one element or a base list, across 32-bit words
+BLOCK_SEEDS = st.one_of(
+    st.integers(0, 2**70),
+    st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**40)), min_size=1, max_size=2),
+)
+
+
+def per_run_seed(seed, run):
+    return ([seed] if isinstance(seed, (int, np.integer)) else list(seed)) + [run]
+
+
+class TestBlockDraws:
+    """Every row of a draw_paths block is bitwise the per-run draw seeded with seed + [run]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=BLOCK_SEEDS,
+        lo=st.one_of(st.integers(0, 3000), st.just(simulate.BATCH_SIZE)),
+        n_runs=st.integers(1, 8),
+        horizon=st.sampled_from([1, 5, simulate.CHUNK_SLOTS - 1, simulate.CHUNK_SLOTS, simulate.CHUNK_SLOTS + 1, 300]),
+        rho=st.sampled_from([1e-4, 0.02, 0.5]),
+        lam=st.floats(0.05, 5.0),
+    )
+    def test_bank_rows_are_per_run_draws(self, seed, lo, n_runs, horizon, rho, lam):
+        prior = GeometricPrior(rho)
+        spec = BankSpec(family=FAMILY, prior=prior, grid=GRID, log_thresholds=(6.0,))
+        runs = range(lo, lo + n_runs)
+        block = draw_paths(spec, lam, runs, horizon, seed)
+        rows = np.arange(n_runs)
+        block.draw_to(rows[::2], horizon // 2 + 1)  # some rows extended first, and further
+        assert block.draw_to(rows, horizon) == horizon
+        for j, run in enumerate(runs):
+            t, x = sample_path(FAMILY, prior, lam, horizon, per_run_seed(seed, run))
+            assert block.change_points[j] == t
+            assert block.observations[j].tobytes() == x.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sources=window_sources(),
+        seed=BLOCK_SEEDS,
+        lo=st.integers(0, 3000),
+        n_runs=st.integers(1, 8),
+        horizon=st.integers(1, 60),
+        rho=st.sampled_from([1e-4, 0.05, 0.5]),
+    )
+    def test_window_rows_are_per_run_draws(self, sources, seed, lo, n_runs, horizon, rho):
+        families, grids, lams = sources
+        prior = GeometricPrior(rho)
+        spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=5, log_threshold=6.0)
+        runs = range(lo, lo + n_runs)
+        block = draw_paths(spec, lams, runs, horizon, seed)
+        assert block.observations.shape == (n_runs, len(families), horizon)
+        for j, run in enumerate(runs):
+            t, x = sample_path_multi(list(families), prior, lams, horizon, per_run_seed(seed, run))
+            assert block.change_points[j] == t
+            assert block.observations[j].tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("seed", [[0.9, 1], 0.9, True, [True, 1], -1, [0, -1], "7"], ids=repr)
+    def test_refuses_non_integer_seed_elements(self, seed):
+        # a float element is refused, never truncated to an integer seed
+        with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
+            simulate_runs(bank_spec(), 1.0, 5, 20, seed)
+        with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
+            draw_paths(window_spec(), (1.8, 2.2), range(3), 20, seed)
+
+    def test_takes_multi_word_seeds(self):
+        for seed in (2**64, [2**64, 1], np.int64(3)):
+            runs = simulate_runs(bank_spec(), 1.0, 4, 50, seed)
+            for run in range(4):
+                t, _ = sample_path(FAMILY, PRIOR, 1.0, 50, per_run_seed(seed, run))
+                assert runs.change_point[run] == t
+
 
 class TestInfiniteThresholds:
     N_RUNS = 12
