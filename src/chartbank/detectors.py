@@ -90,7 +90,7 @@ def advance_log_stats(
 def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Grid and one log threshold per chart, checked: the one check behind
     ``ChartBank``, ``BankSpec`` and, per source, ``WindowEngine`` and
-    ``WindowSpec``, so stepped detectors and batch kernels refuse alike.
+    ``WindowSpec``, so stepped detectors and the slot loop refuse alike.
     """
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.ndim != 1 or grid_arr.size == 0:
@@ -116,8 +116,9 @@ def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.nd
 class BankBatch:
     """The bank's per-slot step over a batch of runs, one row of charts each.
 
-    ``ChartBank`` is a batch of one.  Grid and thresholds must have passed
-    ``check_charts``; thresholds may be one value for every chart.
+    ``rows`` holds the block row of each state row.  ``ChartBank`` is a
+    batch of one.  Grid and thresholds must have passed ``check_charts``;
+    thresholds may be one value for every chart.
     """
 
     def __init__(
@@ -127,21 +128,36 @@ class BankBatch:
         grid,
         log_thresholds,
         variant: ChartVariant,
-        rows: int,
+        rows: np.ndarray,
     ) -> None:
         self.family = family
         self.variant = variant
         self.cost = prior.slot_cost
         self.grid = np.asarray(grid, dtype=float)[None, :]
         self.log_thresholds = np.asarray(log_thresholds, dtype=float)
+        self.rows = rows
         n_charts = self.grid.size
-        self.log_stats = np.broadcast_to(initial_log_stats(variant, n_charts), (rows, n_charts)).copy()
+        self.log_stats = np.broadcast_to(initial_log_stats(variant, n_charts), (rows.size, n_charts)).copy()
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Advance each row by its observation (``x`` is [rows, 1]); return the [rows, charts] crossings."""
-        llr = self.family._llr(self.grid, x)
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance each row by its observation x[row]; return the rows that crossed and each one's firing chart."""
+        llr = self.family._llr(self.grid, x[:, None])
         self.log_stats = advance_log_stats(self.variant, self.log_stats, self.cost, llr)
-        return self.log_stats >= self.log_thresholds
+        hits = np.flatnonzero(self.log_stats >= self.log_thresholds)
+        if hits.size == 0:
+            return hits, hits
+        # row-major order: a row's first hit is its lowest crossing chart, which wins ties
+        rows, charts = np.divmod(hits, self.grid.size)
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        return rows[first], charts[first]
+
+    def retire(self, rows: np.ndarray) -> int:
+        """Drop the given rows at once; return how many rows still run."""
+        keep = np.ones(self.rows.size, dtype=bool)
+        keep[rows] = False
+        self.rows, self.log_stats = self.rows[keep], self.log_stats[keep]
+        return self.rows.size
 
 
 class ChartBank:
@@ -159,8 +175,8 @@ class ChartBank:
         self.family = family
         self.prior = prior
         self.variant = variant
-        self._batch = BankBatch(family, prior, grid_arr, thr, variant, rows=1)
-        self._x = np.empty((1, 1))  # the observation, reused by every step
+        self._batch = BankBatch(family, prior, grid_arr, thr, variant, rows=np.zeros(1, dtype=np.int64))
+        self._x = np.empty(1)  # the observation, reused by every step
         self._n = 0
         self._report: StopReport | None = None
 
@@ -193,11 +209,11 @@ class ChartBank:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")
-        self._x[0, 0] = x
-        crossed = self._batch.step(self._x)
+        self._x[0] = x
+        crossed, charts = self._batch.step(self._x)
         self._n += 1
-        if crossed.any():
-            chart = int(np.argmax(crossed))  # ties resolve to the lowest index
+        if crossed.size:
+            chart = int(charts[0])
             self._report = StopReport(self._n, chart, float(self._batch.log_stats[0, chart]))
             return self._report
         return None

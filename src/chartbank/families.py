@@ -105,11 +105,6 @@ class GeometricPrior:
         out = np.where(k_arr < 1, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator) -> int:
-        # sample_many for one draw, bitwise: numpy's log1p on a 0-d value runs
-        # the same loop as on an array (math.log1p can differ in the last bit)
-        return math.floor(np.log1p(-rng.random()) / math.log1p(-self.rho)) + 1
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse-CDF on a single uniform per draw keeps the draw count
         # independent of the outcome, which downstream seed pairing relies on.
@@ -156,7 +151,7 @@ class ObservationFamily(ABC):
     def _llr(self, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
         """``llr`` on float arrays the caller has already validated.
 
-        Batch kernels and stepped detectors check the grid once up front and
+        The slot loop and stepped detectors check the grid once up front and
         the observations once per block or call, then call this directly.
         """
 

@@ -11,12 +11,12 @@ state words that ``np.random.PCG64(seed + [run])`` would compute for itself;
 so each run's stream is bitwise the one ``default_rng(seed + [run])`` gives,
 whatever block the run is drawn in.
 
-The batch kernels run the detectors' own per-slot steps (``BankBatch``,
-``RingBatch``) over many runs at once and step only runs that are still
-going: the bank kernel drops a row as soon as it stops, the window kernel
-compacts its ring tables once enough rows have stopped.  A sweep draws each
-block of paths once per alpha and runs every template with the same
-observation model on it.
+One slot loop runs a detector's own per-slot step (``BankBatch`` or
+``RingBatch``) over many runs at once: each slot it reads the running rows'
+observations, records the rows that crossed and retires them, and the
+detector's batch decides how (a bank drops them at once, a ring batch
+compacts once enough have stopped).  A sweep draws each block of paths once
+per alpha and runs every template with the same observation model on it.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -91,8 +91,8 @@ class McSummary:
 class BankSpec:
     """Single-sequence chart bank ready to run: grid plus log thresholds.
 
-    Validated by ``check_charts`` as ``ChartBank`` is, so the kernels need no
-    check of their own.
+    Validated by ``check_charts`` as ``ChartBank`` is, so the slot loop needs
+    no check of its own.
     """
 
     family: ObservationFamily
@@ -129,17 +129,12 @@ def _sources(d) -> tuple[tuple, tuple]:
     return d.families, d.grids
 
 
-# Rows per kernel call, and per path block a sweep draws.
+# Rows per slot-loop call, and per path block a sweep draws.
 BATCH_SIZE = 2048
 
 # A lazy block draws its rows this many slots at a time: a fig4 run stops
 # after about 120 slots on average, against a horizon near a thousand.
 CHUNK_SLOTS = 128
-
-# The window kernel moves its ring tables' running rows down once fewer than
-# this share of the rows still runs: often enough to keep the per-slot work
-# near the live count, rarely enough that the row copies stay cheap.
-COMPACT_BELOW = 0.75
 
 # The longest horizon default_horizon sizes, reached at rho near 1e-5: a bank
 # batch steps each slot until its last run stops (about 10 us a slot), and a
@@ -152,7 +147,7 @@ class PathBlock:
 
     The paths are [runs, horizon] for a bank and [runs, n_sources, horizon]
     for the window engine.  Every drawn observation is checked for
-    finiteness once, so the kernels can call the families' unchecked llr.
+    finiteness once, so the batch steps can call the families' unchecked llr.
     ``draw_paths`` seeds every run of a block in one pass; row r's bit
     generator is bitwise ``np.random.PCG64(seed + [run])``.
 
@@ -189,6 +184,11 @@ class PathBlock:
             raise ValueError("block is drawn only in part; draw_to(rows, horizon) draws the rest")
         return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks, axis=-1)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """[runs, horizon] for a bank block, [runs, n_sources, horizon] for a window block."""
+        return (*self._chunks[0].shape[:-1], self.horizon)
+
     def chunk(self, s: int) -> tuple[np.ndarray, int]:
         """The chunk holding slot s (0-indexed) and its first slot; valid for rows drawn past s."""
         k = s // self._width
@@ -197,7 +197,7 @@ class PathBlock:
     def draw_to(self, rows: np.ndarray, upto: int) -> int:
         """Draw each of the given rows to at least ``upto`` slots (at most the horizon).
 
-        Returns the fewest slots any of those rows now holds, so a kernel
+        Returns the fewest slots any of those rows now holds, so a loop
         reading them needs no call before that slot.
         """
         drawn, upto = self.drawn, min(upto, self.horizon)
@@ -250,81 +250,30 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
     return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
 
 
-def _bank_batch(spec: BankSpec, paths: PathBlock, rows: slice, horizon: int):
-    """Stop slot (0 if censored) and firing chart per block row in ``rows``, stepping only running rows.
+def _run_batch(spec: DetectorSpec, paths: PathBlock, rows: slice, horizon: int):
+    """Stop slot (0 if censored) and firing chart per block row in ``rows``.
 
     Running rows are drawn one chunk at a time, as they reach it.
     """
-    batch = rows.stop - rows.start
-    bank = BankBatch(spec.family, spec.prior, spec.grid, spec.log_thresholds, spec.variant, batch)
-    n_charts = bank.grid.size
-    live = np.arange(rows.start, rows.stop)  # block row of each bank row
-    stop = np.zeros(batch, dtype=np.int64)
-    firing = np.full(batch, -1, dtype=np.int64)
+    live = np.arange(rows.start, rows.stop)
+    if isinstance(spec, BankSpec):
+        det = BankBatch(spec.family, spec.prior, spec.grid, spec.log_thresholds, spec.variant, live)
+    else:
+        det = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, spec.log_threshold, live, bounded=True)
+    stop = np.zeros(live.size, dtype=np.int64)
+    firing = np.full(live.size, -1, dtype=np.int64)
     ready = 0  # every running row holds the slots of xs below this
     for s in range(horizon):
         if s == ready:
-            drawn = paths.draw_to(live, s + 1)
+            drawn = paths.draw_to(det.rows, s + 1)
             xs, base = paths.chunk(s)
             ready = min(drawn, base + xs.shape[-1])
-        crossed = bank.step(xs[live, s - base][:, None])
-        hits = np.flatnonzero(crossed)
-        if hits.size:
-            # row-major order: a row's first hit is its lowest crossing chart
-            hit_rows, charts = np.divmod(hits, n_charts)
-            first = np.ones(hits.size, dtype=bool)
-            first[1:] = hit_rows[1:] != hit_rows[:-1]
-            hit_rows = hit_rows[first]
-            stop[live[hit_rows] - rows.start] = s + 1
-            firing[live[hit_rows] - rows.start] = charts[first]
-            keep = np.ones(live.size, dtype=bool)
-            keep[hit_rows] = False
-            live = live[keep]
-            if live.size == 0:
+        crossed, charts = det.step(xs[det.rows, ..., s - base])
+        if crossed.size:
+            done = det.rows[crossed] - rows.start
+            stop[done], firing[done] = s + 1, charts
+            if det.retire(crossed) == 0:
                 break
-            bank.log_stats = bank.log_stats[keep]
-    return stop, firing
-
-
-def _window_batch(spec: WindowSpec, paths: PathBlock, rows: slice, horizon: int):
-    """Stop slot (0 if censored) and composite firing chart per block row in ``rows``.
-
-    Every row's tables advance on every slot, but only running rows whose
-    bound statistic reaches the threshold (suspects) get exact maxima; the
-    bound is never below the exact statistic, so no other row can cross.
-    Rows that stopped stay in the ring tables until fewer than COMPACT_BELOW
-    of them still run; then the running rows move down in place.
-    """
-    xs = paths.observations[rows, :, :horizon]
-    batch = xs.shape[0]
-    threshold = spec.log_threshold
-    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, batch, bounded=True)
-    stop = np.zeros(batch, dtype=np.int64)
-    firing = np.full(batch, -1, dtype=np.int64)
-    table_rows = np.arange(batch)  # batch row of each table row
-    running = np.ones(batch, dtype=bool)  # per table row
-    for s in range(horizon):
-        rings.advance(xs[table_rows, :, s])
-        suspect = np.flatnonzero(running & (rings.joint(rings.bounds).max(axis=1) >= threshold))
-        if suspect.size == 0:
-            continue
-        total = rings.tighten(suspect)
-        crossed = total.max(axis=1) >= threshold
-        newly = suspect[crossed]
-        if newly.size == 0:
-            continue
-        for r, row_total in zip(newly.tolist(), total[crossed]):
-            _, firing[table_rows[r]] = rings.fired(r, int(rings.slots[np.argmax(row_total)]))
-        stop[table_rows[newly]] = s + 1
-        running[newly] = False
-        n_running = int(running.sum())
-        if n_running == 0:
-            break
-        if n_running < COMPACT_BELOW * table_rows.size:
-            keep = np.flatnonzero(running)
-            rings.compact(keep)
-            table_rows = table_rows[keep]
-            running = running[keep]
     return stop, firing
 
 
@@ -341,10 +290,11 @@ def simulate_runs(
 
     ``lam_true`` holds one true parameter per source; a bank also takes a
     float.  Per-run seeds are (seed, run index) and runs never interact, so the
-    result is bitwise the same under any batch size, and the kernels' dropping
-    of stopped rows does not change it either.  ``paths`` passes a block from
-    ``draw_paths`` holding exactly these runs at ``horizon`` slots or more, so
-    that several detectors share one draw; nothing is drawn then.
+    result is bitwise the same under any batch size, and how the detector's
+    batch retires stopped rows does not change it either.  ``paths`` passes a
+    block from ``draw_paths`` of this detector's shape, holding exactly these
+    runs at ``horizon`` slots or more, so that several detectors share one
+    draw; nothing is drawn then.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -352,10 +302,11 @@ def simulate_runs(
         raise ValueError("horizon must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if paths is not None and (paths.change_points.size != n_runs or paths.horizon < horizon):
-        raise ValueError(f"paths must hold {n_runs} runs of at least {horizon} slots")
+    if paths is not None:
+        want = (n_runs, horizon) if isinstance(spec, BankSpec) else (n_runs, len(spec.families), horizon)
+        if paths.shape[:-1] != want[:-1] or paths.shape[-1] < horizon:
+            raise ValueError(f"paths must be a block of shape {want} or more slots, got {paths.shape}")
     lams = _lams(_sources(spec)[0], lam_true)
-    kernel = _bank_batch if isinstance(spec, BankSpec) else _window_batch
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty(n_runs, dtype=np.int64)
     firing = np.empty(n_runs, dtype=np.int64)
@@ -366,7 +317,7 @@ def simulate_runs(
         else:
             block, rows = paths, slice(lo, hi)
         ts[lo:hi] = block.change_points[rows]
-        stop[lo:hi], firing[lo:hi] = kernel(spec, block, rows, horizon)
+        stop[lo:hi], firing[lo:hi] = _run_batch(spec, block, rows, horizon)
         del block  # free this batch's paths before the next are drawn
 
     stopped = stop > 0

@@ -17,17 +17,17 @@ Per-source tables are rings indexed by start slot modulo (m_alpha + 1): the
 slot freed by the expired oldest start is exactly the slot the newest start
 needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
 per-column maxima; no column moves.  ``RingBatch`` holds the tables of many
-runs at once, one row each, and is the only implementation of the step: the
-Monte Carlo kernel compacts its rows in place as runs stop, and
-``WindowEngine`` is a batch of one that evaluates the exact joint statistic
-on every step.
+runs at once, one row each, and is the only implementation of the step and
+its stop rule.  Its ``retire`` compacts the tables in place once fewer than
+COMPACT_BELOW of the rows still run; ``WindowEngine`` is a batch of one
+that evaluates the exact joint statistic on every step.
 
 A batch may also keep a bound ring [rows, width] per source, which absorbs
 the largest llr of the slot where the table absorbs each candidate's llr.
 Rounded addition is monotone, so the bound never falls below the table's
 per-column maximum, and the bound's joint statistic, built with the very
-additions of the exact one, never falls below the exact statistic.  The
-Monte Carlo kernel takes exact maxima only for rows whose bound reaches the
+additions of the exact one, never falls below the exact statistic.  A
+bounded batch takes exact maxima only for rows whose bound reaches the
 threshold and resets their bound to them; every other row provably does not
 cross, so stop slots and firing charts stay bitwise those of the exact step.
 A batch with bound rings also advances only columns 0..n while slot n is
@@ -58,6 +58,12 @@ __all__ = [
     "ring_maxima",
     "window_offsets",
 ]
+
+
+# A bounded batch moves its ring tables' running rows down once fewer than
+# this share of its rows still runs: often enough to keep the per-slot work
+# near the live count, rarely enough that the row copies stay cheap.
+COMPACT_BELOW = 0.75
 
 
 def ring_advance(table: np.ndarray, llr, slot_new: int) -> None:
@@ -106,8 +112,9 @@ class RingBatch:
     Source l keeps a ring table [rows, I_l, width] of llr sums per run,
     candidate and start slot, and with ``bounded`` a bound ring [rows, width]
     that is never below the table's per-column maximum; a bounded batch
-    leaves columns past slot n alone until they start.  ``WindowEngine`` is
-    a batch of one; grids come from ``check_window``.
+    leaves columns past slot n alone until they start.  ``rows`` holds the
+    block row of each state row.  ``WindowEngine`` is a batch of one; grids
+    come from ``check_window``.
     """
 
     def __init__(
@@ -116,18 +123,23 @@ class RingBatch:
         prior: GeometricPrior,
         grids: Sequence,
         window_len: int,
-        rows: int,
+        log_threshold: float,
+        rows: np.ndarray,
         bounded: bool = False,
     ) -> None:
         self.families = tuple(families)
         self.grids = [np.asarray(grid, dtype=float)[None, :] for grid in grids]
+        self.log_threshold = log_threshold
         self.width = window_len + 1
-        self.tables = [np.zeros((rows, grid.size, self.width)) for grid in self.grids]
-        self.bounds = [np.zeros((rows, self.width)) for _ in self.grids] if bounded else None
+        self.rows = rows
+        self.running = np.ones(rows.size, dtype=bool)
+        self.tables = [np.zeros((rows.size, grid.size, self.width)) for grid in self.grids]
+        self.bounds = [np.zeros((rows.size, self.width)) for _ in self.grids] if bounded else None
         # weight for start k at slot n depends only on the span n - k + 1
         self.weights = np.arange(1, self.width + 1) * prior.slot_cost
         self.n = 0
         self.starts = self.slots = np.zeros(0, dtype=np.int64)  # in-window starts and their ring slots
+        self.total = np.full((rows.size, 1), -np.inf)
 
     def advance(self, x: np.ndarray) -> None:
         """Advance each row's tables, and bound rings if kept, by x[row]."""
@@ -160,18 +172,46 @@ class RingBatch:
             bound[rows] = best
         return self.joint(exact)
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance each row by x[row]; return the exact joint statistic [rows, starts], the starts and their slots."""
-        self.advance(x)
-        return self.joint(self.maxima()), self.starts, self.slots
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance each row by x[row]; return the running rows that crossed and each one's composite firing chart.
 
-    def fired(self, row: int, slot: int) -> tuple[tuple[int, ...], int]:
-        """Each source's best candidate of ``row`` at a ring slot, and their composite chart index."""
-        rows = tuple(int(np.argmax(table[row, :, slot])) for table in self.tables)
-        u = 0
-        for best, grid in zip(rows, self.grids):
-            u = u * grid.size + best  # mixed radix, first source slowest
-        return rows, u
+        An unbounded batch keeps every row's exact joint statistic [rows, starts] in ``total``.
+        A bounded one takes exact maxima only of running rows whose bound
+        statistic reaches the threshold (suspects): the bound is never below
+        the exact statistic, so no other row can cross.
+        """
+        self.advance(x)
+        if self.bounds is None:
+            self.total = self.joint(self.maxima())
+            rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.log_threshold))
+            total = self.total[rows]
+        else:
+            rows = np.flatnonzero(self.running & (self.joint(self.bounds).max(axis=1) >= self.log_threshold))
+            if rows.size == 0:
+                return rows, rows
+            total = self.tighten(rows)
+            crossed = total.max(axis=1) >= self.log_threshold
+            rows, total = rows[crossed], total[crossed]
+        if rows.size == 0:
+            return rows, rows
+        return rows, self.decode(rows, total)[2]
+
+    def decode(self, rows: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Per given row of a joint statistic [rows, starts]: the position in ``starts`` of its oldest
+        best start, each source's lowest best candidate there, and their composite chart."""
+        best = np.argmax(total, axis=1)  # first max: the oldest start wins ties
+        slots = self.slots[best]
+        picks = [np.argmax(table[rows, :, slots], axis=1) for table in self.tables]
+        # mixed radix, first source slowest
+        return best, picks, np.ravel_multi_index(picks, [grid.size for grid in self.grids])
+
+    def retire(self, rows: np.ndarray) -> int:
+        """Stop the given rows, compacting once fewer than COMPACT_BELOW still run; return how many run."""
+        self.running[rows] = False
+        n_running = int(np.count_nonzero(self.running))
+        if 0 < n_running < COMPACT_BELOW * self.rows.size:
+            self.compact(np.flatnonzero(self.running))
+        return n_running
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (ascending), moved down in place: no table is copied whole."""
@@ -182,6 +222,7 @@ class RingBatch:
         self.tables = [table[: keep.size] for table in self.tables]
         if self.bounds is not None:
             self.bounds = [bound[: keep.size] for bound in self.bounds]
+        self.rows, self.running = self.rows[keep], self.running[keep]
 
 
 class WindowEngine:
@@ -200,9 +241,8 @@ class WindowEngine:
         self.window_len = window_len
         self.log_threshold = float(log_threshold)
         self.width = window_len + 1
-        self._rings = RingBatch(families, prior, grid_arrs, window_len, rows=1)
+        self._rings = RingBatch(families, prior, grid_arrs, window_len, self.log_threshold, np.zeros(1, dtype=np.int64))
         self._cells = sum(grid.size for grid in grid_arrs) * self.width
-        self._total = np.array([-np.inf])  # joint statistic per in-window start
         self._report: StopReport | None = None
         self.work = {"cell_adds": 0, "max_scans": 0, "combines": 0}
 
@@ -220,7 +260,7 @@ class WindowEngine:
 
     def statistic(self) -> float:
         """Current joint statistic; -inf before the first observation."""
-        return float(self._total.max())
+        return float(self._rings.total.max())
 
     def column_for_start(self, source: int, k: int) -> np.ndarray:
         """Accumulated llr sums of one source for the window start k, one entry per candidate."""
@@ -241,21 +281,19 @@ class WindowEngine:
             raise ValueError(f"expected {self.n_sources} observations, got shape {xs.shape}")
         if not np.isfinite(xs).all():  # before any source moves, so a bad vector changes nothing
             raise ValueError("x must be finite")
-        total, starts, slots = self._rings.step(xs[None, :])
-        self._total = total = total[0]
+        crossed, charts = self._rings.step(xs[None, :])
+        total = self._rings.total[0]
         self.work["cell_adds"] += self._cells
         self.work["max_scans"] += self.n_sources * self.width
         self.work["combines"] += total.size
-        best = int(np.argmax(total))  # first max: lowest start wins ties
-        value = float(total[best])
-        if value >= self.log_threshold:
-            rows, chart = self._rings.fired(0, int(slots[best]))
+        if crossed.size:
+            best, picks, _ = self._rings.decode(crossed, total[None, :])
             self._report = StopReport(
                 stopped_at=self.time,
-                firing_chart=chart,
-                firing_value=value,
-                window_start=int(starts[best]),
-                source_rows=rows,
+                firing_chart=int(charts[0]),
+                firing_value=float(total[best[0]]),
+                window_start=int(self._rings.starts[best[0]]),
+                source_rows=tuple(int(pick[0]) for pick in picks),
             )
             return self._report
         return None

@@ -111,30 +111,9 @@ class TestGeometricPrior:
 
     def test_sample_deterministic(self):
         prior = GeometricPrior(0.3)
-        assert prior.sample(np.random.default_rng(5)) == prior.sample(
-            np.random.default_rng(5)
-        )
         a = prior.sample_many(np.random.default_rng(9), 50)
         b = prior.sample_many(np.random.default_rng(9), 50)
         assert np.array_equal(a, b)
-
-
-    def test_single_draw_is_sample_many_bitwise(self):
-        # paths drawn before and after the scalar draw replaced sample_many(rng, 1)
-        # share their change times only if the two agree on every uniform; each
-        # draw takes one uniform, so the generators stay in step across rhos
-        priors = [GeometricPrior(rho) for rho in (1e-6, 0.01, 0.999)]
-        mismatched = []
-        for seed in range(100_000):
-            rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            for prior in priors:
-                if prior.sample(rng) != int(prior.sample_many(rng2, 1)[0]):
-                    mismatched.append((seed, prior.rho))
-        assert mismatched == []
-
-    def test_single_draw_type(self):
-        draw = GeometricPrior(0.3).sample(np.random.default_rng(2))
-        assert type(draw) is int and draw >= 1
 
 
 class TestGaussianMeanShift:

@@ -162,7 +162,7 @@ class TestPairingInvariants:
 
 
 # Low thresholds on a short horizon: some runs stop on slot 1, the rest at
-# scattered slots, and some are censored, so the kernels drop rows mid-batch.
+# scattered slots, and some are censored, so the slot loop retires rows mid-batch.
 SCATTER_RUNS = 60
 SCATTER_SEED = 4
 
@@ -176,6 +176,23 @@ def scattered_cases():
 def assert_same_runs(a, b):
     for field in ("change_point", "stop_time", "firing_chart", "false_alarm", "delay"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def one_family_window(n_sources):
+    return WindowSpec(families=(FAMILY,) * n_sources, prior=PRIOR, grids=(GRID,) * n_sources, window_len=15, log_threshold=6.0)
+
+
+# (spec a block is drawn for, its true parameters), (spec given the block, its true parameters), message
+MISMATCHED_BLOCKS = {
+    "bank-block-window-spec": ((bank_spec(), 1.0), (window_spec(), (1.8, 2.2)), r"shape \(5, 2, 50\) .* got \(5, 50\)"),
+    "window-block-bank-spec": ((window_spec(), (1.8, 2.2)), (bank_spec(), 1.0), r"shape \(5, 50\) .* got \(5, 2, 50\)"),
+    "one-source-block-bank-spec": ((one_family_window(1), (1.0,)), (bank_spec(), 1.0), r"shape \(5, 50\) .* got \(5, 1, 50\)"),
+    "three-source-block-two-source-spec": (
+        (one_family_window(3), (1.0,) * 3),
+        (one_family_window(2), (1.0,) * 2),
+        r"shape \(5, 2, 50\) .* got \(5, 3, 50\)",
+    ),
+}
 
 
 class TestCompactionInvariance:
@@ -197,7 +214,7 @@ class TestCompactionInvariance:
 
     def test_shorter_bank_draw_is_a_prefix(self):
         # 120 fits in the first chunk, 200 does not: both blocks are drawn to
-        # their ends here, as the kernels draw them, and then compared
+        # their ends here, as the slot loop draws them, and then compared
         rows = np.arange(6)
         long = draw_paths(bank_spec(), 1.0, range(3, 9), 300, [6, 1])
         assert long.draw_to(rows, 1000) == 300  # never past the horizon
@@ -230,6 +247,13 @@ class TestCompactionInvariance:
             PathBlock(block.change_points, bad)
         with pytest.raises(ValueError):
             PathBlock(block.change_points[:4], block.observations)
+
+    @pytest.mark.parametrize("case", list(MISMATCHED_BLOCKS))
+    def test_refuses_a_block_drawn_for_another_detector(self, case):
+        (drawn_for, drawn_lam), (spec, lam), message = MISMATCHED_BLOCKS[case]
+        block = draw_paths(drawn_for, drawn_lam, range(5), 50, 0)
+        with pytest.raises(ValueError, match=message):
+            simulate_runs(spec, lam, 5, 50, 0, paths=block)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
@@ -375,12 +399,16 @@ def window_sources(draw):
 def exact_statistics(spec, lam, n_runs, horizon, seed):
     """Every run's exact joint statistic at every slot, from a ring batch that never stops a row."""
     xs = draw_paths(spec, lam, range(n_runs), horizon, seed).observations
-    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, n_runs)
-    return np.stack([rings.step(xs[:, :, s])[0].max(axis=1) for s in range(horizon)], axis=1)
+    rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, math.inf, np.arange(n_runs))
+    stats = []
+    for s in range(horizon):
+        rings.step(xs[:, :, s])
+        stats.append(rings.total.max(axis=1))
+    return np.stack(stats, axis=1)
 
 
 class TestPrunedWindowKernel:
-    """The window kernel evaluates exact maxima only for rows whose bound reaches the threshold."""
+    """The slot loop's ring batch evaluates exact maxima only for rows whose bound reaches the threshold."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -441,7 +469,7 @@ class TestPrunedWindowKernel:
     def test_bound_never_below_exact_maxima(self, sources, window_len, rows, seed):
         families, grids, _ = sources
         rng = np.random.default_rng(seed)
-        rings = RingBatch(families, GeometricPrior(0.05), grids, window_len, rows, bounded=True)
+        rings = RingBatch(families, GeometricPrior(0.05), grids, window_len, math.inf, np.arange(rows), bounded=True)
 
         def assert_bounded():
             for bound, best in zip(rings.bounds, rings.maxima()):
@@ -472,7 +500,7 @@ class TestPrunedWindowKernel:
         seed=st.integers(0, 2**16),
     )
     def test_window_wider_than_the_path(self, sources, window_len, data, rho, level, seed):
-        # horizons up to the ring width and just past it: the kernel's rings
+        # horizons up to the ring width and just past it: the loop's bounded rings
         # leave unstarted columns alone on every slot but the last one or two
         families, grids, lam = sources
         horizon = data.draw(st.integers(1, window_len + 2), label="horizon")
@@ -597,6 +625,36 @@ class TestInfiniteThresholds:
             report = engines[0].step(x[:, 0])
             assert (report.stopped_at, report.firing_chart) == (1, low.firing_chart[rid])
             assert engines[1].run_to_stop(x) is None
+
+
+class TestTieRulesThroughTheLoop:
+    N_RUNS = 9
+
+    def test_bank_ties_fire_the_lowest_chart(self):
+        # the exact tie of test_tie_breaks_to_lowest_chart: after one zero
+        # observation both charts sit at slot_cost - 1/2
+        family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
+        prior = GeometricPrior(0.05)
+        spec = BankSpec(family, prior, (-1.0, 1.0), (prior.slot_cost - 0.5,), ChartVariant.SUM)
+        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.zeros((self.N_RUNS, 4)))
+        runs = simulate_runs(spec, 1.0, self.N_RUNS, 4, 0, batch_size=4, paths=block)
+        assert (runs.stop_time == 1).all() and (runs.firing_chart == 0).all()
+
+    def test_window_ties_fire_the_oldest_start(self):
+        # candidates 1 and 2 read llrs (0.5, 1.5) and (0, 2) on x = (1, 2), and
+        # the slot cost (1e-300) vanishes in the sums: on slot 2 starts 1 and 2
+        # both reach 2 per source, start 1 through either candidate (so the
+        # lowest, 0) and start 2 through candidate 1 only.  The oldest start
+        # fires composite chart 0; the newest would fire 1 * 2 + 1 = 3.
+        family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.5, 3.0))
+        families, prior, grids = (family, family), GeometricPrior(1e-300), ((1.0, 2.0), (1.0, 2.0))
+        spec = WindowSpec(families, prior, grids, window_len=5, log_threshold=4.0)
+        x = np.array([[1.0, 2.0, 0.0]] * 2)
+        report = WindowEngine(families, prior, grids, 5, 4.0).run_to_stop(x)
+        assert (report.stopped_at, report.window_start, report.source_rows, report.firing_chart) == (2, 1, (0, 0), 0)
+        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.broadcast_to(x, (self.N_RUNS, 2, 3)).copy())
+        runs = simulate_runs(spec, (1.0, 1.0), self.N_RUNS, 3, 0, batch_size=4, paths=block)
+        assert (runs.stop_time == 2).all() and (runs.firing_chart == 0).all()
 
 
 class TestSummaries:
@@ -783,7 +841,7 @@ class TestSweep:
 
 
 class TestEdgeInputs:
-    """The batch kernel stops where the stepped bank does at extreme priors and llrs in the thousands."""
+    """The slot loop stops where the stepped detectors do at extreme priors and llrs in the thousands."""
 
     @pytest.mark.parametrize("rho", [1e-6, 0.99, 0.999999])
     @pytest.mark.parametrize("sigma", [1.0, 1e-3])
@@ -817,6 +875,96 @@ class TestEdgeInputs:
             assert runs.change_point[rid] == t
             assert runs.stop_time[rid] == (0 if report is None else report.stopped_at)
             assert runs.firing_chart[rid] == (-1 if report is None else report.firing_chart)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the message of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as err:
+        return str(err)
+
+
+def stepped_runs(spec, lam, n_runs, horizon, seed):
+    """(change time, stop slot, firing chart) of each run, from the stepped detector on the run's own path."""
+    out = []
+    for rid in range(n_runs):
+        if isinstance(spec, BankSpec):
+            t, x = sample_path(spec.family, spec.prior, lam, horizon, [seed, rid])
+            detector = ChartBank(spec.family, spec.prior, spec.grid, spec.log_thresholds[0], spec.variant)
+        else:
+            t, x = sample_path_multi(list(spec.families), spec.prior, lam, horizon, [seed, rid])
+            detector = WindowEngine(list(spec.families), spec.prior, list(spec.grids), spec.window_len, spec.log_threshold)
+        report = detector.run_to_stop(x)
+        out.append((t, 0, -1) if report is None else (t, report.stopped_at, report.firing_chart))
+    return out
+
+
+def batched_runs(spec, lam, n_runs, horizon, seed, batch_size):
+    runs = simulate_runs(spec, lam, n_runs, horizon, seed, batch_size=batch_size)
+    return list(zip(runs.change_point.tolist(), runs.stop_time.tolist(), runs.firing_chart.tolist()))
+
+
+def bank_statistics(spec, lam, n_runs, horizon, seed):
+    """Every run's largest chart statistic at every slot, from a bank that never stops."""
+    stats = []
+    for rid in range(n_runs):
+        bank = ChartBank(spec.family, spec.prior, spec.grid, math.inf, spec.variant)
+        for x in sample_path(spec.family, spec.prior, lam, horizon, [seed, rid])[1]:
+            bank.step(x)
+            stats.append(bank.log_stats.max())
+    return np.array(stats)
+
+
+# rho log-uniform over [1e-6, 1 - 1e-6]; observation scales down to 1e-3 give llrs up to about 1e6
+EXTREME_RHOS = st.floats(math.log(1e-6), math.log1p(-1e-6)).map(lambda log_rho: GeometricPrior(math.exp(log_rho)))
+EXTREME_SCALES = st.sampled_from([1.0, 1e-2, 1e-3])
+EXTREME_HORIZON, EXTREME_RUNS = 30, 9
+
+
+class TestExtremeProperty:
+    """The slot loop equals the stepped detectors, run by run, across priors and llr magnitudes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        prior=EXTREME_RHOS,
+        scale=EXTREME_SCALES,
+        lam=st.sampled_from([0.5, 1.0, 2.0]),
+        level=st.sampled_from([0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bank(self, prior, scale, lam, level, seed):
+        family = GaussianMeanShift(pre_mean=0.0, sigma=scale, post_params=Interval(0.05, 5.0))
+        for variant in ChartVariant:
+            probe = BankSpec(family, prior, GRID, (math.inf,), variant)
+            threshold = float(np.quantile(bank_statistics(probe, lam, EXTREME_RUNS, EXTREME_HORIZON, seed), level))
+            spec = BankSpec(family, prior, GRID, (threshold,), variant)
+            expected = outcome(lambda: stepped_runs(spec, lam, EXTREME_RUNS, EXTREME_HORIZON, seed))
+            for batch_size in (1, 7):
+                assert outcome(lambda: batched_runs(spec, lam, EXTREME_RUNS, EXTREME_HORIZON, seed, batch_size)) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        prior=EXTREME_RHOS,
+        scale=EXTREME_SCALES,
+        grids=st.lists(
+            st.lists(st.sampled_from([0.3, 0.6, 1.0, 1.5, 2.5]), min_size=1, max_size=3, unique=True).map(sorted),
+            min_size=1,
+            max_size=3,
+        ),
+        window_len=st.integers(1, 12),
+        level=st.sampled_from([0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_window(self, prior, scale, grids, window_len, level, seed):
+        families = (GaussianMeanShift(pre_mean=0.0, sigma=scale, post_params=Interval(0.05, 5.0)),) * len(grids)
+        grids, lam = tuple(map(tuple, grids)), (1.0,) * len(grids)
+        probe = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=0.0)
+        threshold = float(np.quantile(exact_statistics(probe, lam, EXTREME_RUNS, EXTREME_HORIZON, seed), level))
+        spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=threshold)
+        expected = outcome(lambda: stepped_runs(spec, lam, EXTREME_RUNS, EXTREME_HORIZON, seed))
+        for batch_size in (1, 7):
+            assert outcome(lambda: batched_runs(spec, lam, EXTREME_RUNS, EXTREME_HORIZON, seed, batch_size)) == expected
 
 
 class TestOracleCaps:
