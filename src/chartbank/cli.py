@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``run <config>``: execute a flat key=value config file.
+* ``run <config>``: execute a flat key=value config file, whose check first
+  builds every cell of the one sweep plan (``_sweep_plan``) the run follows.
 * ``preset <fig4|fig5|example1> --out DIR [--seed N] [--runs N]``: run a
   built-in configuration, materializing the equivalent config file next to
   the results.  Presets are config text in ``PRESETS``, parsed and checked
@@ -26,13 +27,14 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .design import DesignSpec, _mesh_and_denominator, default_lipschitz_constant, design_grid, verify_grid
+from .design import DesignSpec, default_lipschitz_constant, design_grid, verify_grid
 from .detectors import (
     ChartBank,
     ChartVariant,
@@ -48,6 +50,7 @@ from .simulate import (
     Template,
     WindowTemplate,
     _check_alphas,
+    _check_censor_cap,
     _sweep_cell,
     add_vs_alpha_sweep,
     direct_stat_oracle,
@@ -263,7 +266,7 @@ def parse_config_text(text: str) -> AnyConfig:
 
 
 def _semantic_problems(experiment: str, v: dict) -> list[str]:
-    """The CLI's own rules, then the run's construction: what passes here builds every sweep cell."""
+    """The CLI's own rules, then the run's construction: what passes here builds every planned sweep cell."""
     out: list[str] = []
     if v["seed"] < 0:
         out.append(f"seed must be non-negative, got {v['seed']}")
@@ -274,7 +277,8 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
             out.append("path_length must be at least 2")
         return out
 
-    for check, value in ((GeometricPrior, v["rho"]), (_check_alphas, v["alphas"])):
+    rules = ((GeometricPrior, v["rho"]), (_check_alphas, v["alphas"]), (_check_censor_cap, v["censor_cap"]))
+    for check, value in rules:
         try:
             check(value)
         except ValueError as exc:
@@ -283,12 +287,10 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
         out.append("n_runs must be at least 2")
     if v["horizon"] is not None and v["horizon"] < 1:
         out.append("horizon must be a positive slot count or auto")
-    if not (0.0 <= v["censor_cap"] < 1.0):
-        out.append("censor_cap must lie in [0, 1)")
+    if "noise_sigma" in v and v["noise_sigma"] <= 0:
+        out.append("noise_sigma must be positive")
 
     if experiment == "single-sweep":
-        if v["noise_sigma"] <= 0:
-            out.append("noise_sigma must be positive")
         interval_ok = v["lambda_low"] < v["lambda_high"]
         if not interval_ok:
             out.append("need lambda_low < lambda_high")
@@ -320,6 +322,8 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
                 f"pre_param {v['pre_param']!r} lies in [lambda_low, lambda_high], "
                 "so the design interval holds a change no chart can tell from no change"
             )
+        if v["mesh_points"] < 2:
+            out.append("mesh_points must be at least 2")
         if v["grid_cap"] < 1:
             out.append("grid_cap must be at least 1")
         if v["eval_lambdas"] is not None:
@@ -328,25 +332,21 @@ def _semantic_problems(experiment: str, v: dict) -> list[str]:
                 out.append("eval_lambdas must lie inside the design interval")
     if out:
         return out
-    cfg = _CONFIG_CLASSES[experiment](**v)
-    if experiment == "epsilon-design":
-        try:
-            _mesh_and_denominator(_design_spec(cfg), cfg.mesh_points)
-        except ValueError as exc:
-            out.append(f"[lambda_low, lambda_high] = [{cfg.lambda_low!r}, {cfg.lambda_high!r}]: {exc}")
-        return out
     try:
-        templates = _sweep_templates(cfg)
-    except ValueError as exc:  # a family refuses the scales it is given
-        keys = "pre_param, lambda_low" if experiment == "single-sweep" else "pre_params, source_grids"
-        return [f"{keys}: {exc}"]
-    for template in templates:
-        try:
-            for alpha in cfg.alphas:
-                _sweep_cell(template, cfg.lambda_true, alpha, cfg.n_runs, cfg.horizon, cfg.censor_cap)
-        except ValueError as exc:
-            out.append(f"{template.label}: {exc}")
-    return out
+        plan, _derived = _sweep_plan(_CONFIG_CLASSES[experiment](**v))
+    except CapacityError:  # the run reports it and writes the capacity manifest
+        plan = []
+    except ValueError as exc:
+        return [str(exc)]
+    problems: dict[str, str] = {}  # one line per template label, at however many parameters it runs
+    for templates, lam_true in plan:
+        for template in templates:
+            try:
+                for alpha in v["alphas"]:
+                    _sweep_cell(template, lam_true, alpha, v["n_runs"], v["horizon"], v["censor_cap"])
+            except ValueError as exc:
+                problems.setdefault(template.label, f"{template.label}: {exc}")
+    return list(problems.values())
 
 
 def config_to_text(cfg: AnyConfig) -> str:
@@ -377,89 +377,69 @@ def _render_value(value) -> str:
 # experiment execution
 
 
-def _sweep_templates(cfg: SingleSweepConfig | MultiSweepConfig) -> list[Template]:
+@contextmanager
+def _blamed_on(keys: str):
+    """Re-raise a ValueError under the config keys that caused it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{keys}: {exc}") from None
+
+
+def _sweep_plan(cfg: AnyConfig) -> tuple[list[tuple[list[Template], object]], dict]:
+    """The sweeps a config runs, in run order, and the manifest's derived values.
+
+    Each sweep is (templates, true parameter).  A design designs and verifies
+    its grid, then runs its one template once per eval parameter.  A
+    ValueError names the config keys it came from; a CapacityError from the
+    design is left to the caller.
+    """
     prior = GeometricPrior(cfg.rho)
     if isinstance(cfg, MultiSweepConfig):
-        families = tuple(
-            GaussianVarianceShift(
-                pre_sigma=p,
-                post_params=Interval(min(*g, t) * 0.5, max(*g, t) * 2.0),
+        with _blamed_on("pre_params, source_grids"):
+            families = tuple(
+                GaussianVarianceShift(
+                    pre_sigma=p,
+                    post_params=Interval(min(*g, t) * 0.5, max(*g, t) * 2.0),
+                )
+                for p, g, t in zip(cfg.pre_params, cfg.source_grids, cfg.lambda_true)
             )
-            for p, g, t in zip(cfg.pre_params, cfg.source_grids, cfg.lambda_true)
-        )
-        window = cfg.window
-        if window is None:
-            slowest = prior.slot_cost + sum(
-                min(float(f.kl_post_vs_pre(g)) for g in grid) for f, grid in zip(families, cfg.source_grids)
-            )
-            window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
-        return [WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)]
-    family = _FAMILIES[cfg.family](cfg.pre_param, cfg.noise_sigma, Interval(cfg.lambda_low, cfg.lambda_high))
-    return [
-        BankTemplate(f"{variant_name}-grid{gi}", family, prior, grid, ChartVariant(variant_name))
-        for variant_name in cfg.variants
-        for gi, grid in enumerate(cfg.grids, start=1)
-    ]
-
-
-def _run_sweep(cfg: SingleSweepConfig | MultiSweepConfig) -> tuple[list[SweepRow], dict]:
-    templates = _sweep_templates(cfg)
-    rows = add_vs_alpha_sweep(
-        templates,
-        cfg.lambda_true,
-        cfg.alphas,
-        cfg.n_runs,
-        cfg.seed,
-        horizon=cfg.horizon,
-        censor_cap=cfg.censor_cap,
-    )
-    return rows, ({"window": templates[0].window_len} if isinstance(cfg, MultiSweepConfig) else {})
-
-
-def _design_spec(cfg: DesignRunConfig) -> DesignSpec:
+            window = cfg.window
+            if window is None:
+                slowest = prior.slot_cost + sum(
+                    min(float(f.kl_post_vs_pre(g)) for g in grid) for f, grid in zip(families, cfg.source_grids)
+                )
+                window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
+        template = WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)
+        return [([template], cfg.lambda_true)], {"window": window}
     interval = Interval(cfg.lambda_low, cfg.lambda_high)
+    if isinstance(cfg, SingleSweepConfig):
+        with _blamed_on("pre_param, lambda_low"):
+            family = _FAMILIES[cfg.family](cfg.pre_param, cfg.noise_sigma, interval)
+        templates = [
+            BankTemplate(f"{variant_name}-grid{gi}", family, prior, grid, ChartVariant(variant_name))
+            for variant_name in cfg.variants
+            for gi, grid in enumerate(cfg.grids, start=1)
+        ]
+        return [(templates, cfg.lambda_true)], {}
+
     family = _FAMILIES["gaussian-mean-shift"](cfg.pre_param, cfg.noise_sigma, interval)
     k = default_lipschitz_constant(family, interval) if cfg.construction == "uniform" else None
-    prior = GeometricPrior(cfg.rho)
-    return DesignSpec(family=family, interval=interval, epsilon=cfg.epsilon, prior=prior, lipschitz_k=k)
-
-
-def _run_design(cfg: DesignRunConfig) -> tuple[list[SweepRow], dict]:
-    spec = _design_spec(cfg)
-    grid = design_grid(spec, mesh_points=cfg.mesh_points, max_candidates=cfg.grid_cap)
-    max_ratio = verify_grid(spec, grid, mesh_points=cfg.mesh_points)
-
+    spec = DesignSpec(family=family, interval=interval, epsilon=cfg.epsilon, prior=prior, lipschitz_k=k)
+    with _blamed_on(f"[lambda_low, lambda_high] = [{cfg.lambda_low!r}, {cfg.lambda_high!r}]"):
+        grid = design_grid(spec, mesh_points=cfg.mesh_points, max_candidates=cfg.grid_cap)
     evals = cfg.eval_lambdas
     if evals is None:
         mids = [(a + b) / 2.0 for a, b in zip(grid[:-1], grid[1:])]
         evals = tuple(sorted(set(float(g) for g in grid) | set(mids)))
-    template = BankTemplate(
-        label="sr-designed",
-        family=spec.family,
-        prior=spec.prior,
-        grid=tuple(float(g) for g in grid),
-        variant=ChartVariant.SR,
-    )
-    rows: list[SweepRow] = []
-    for lam in evals:
-        rows.extend(
-            add_vs_alpha_sweep(
-                [template],
-                lam,
-                cfg.alphas,
-                cfg.n_runs,
-                cfg.seed,
-                horizon=cfg.horizon,
-                censor_cap=cfg.censor_cap,
-            )
-        )
+    template = BankTemplate("sr-designed", family, prior, tuple(float(g) for g in grid), ChartVariant.SR)
     derived = {
         "designed_grid": [float(g) for g in grid],
-        "criterion_max_ratio": max_ratio,
+        "criterion_max_ratio": verify_grid(spec, grid, mesh_points=cfg.mesh_points),
         "eval_lambdas": [float(e) for e in evals],
         "construction": cfg.construction,
     }
-    return rows, derived
+    return [([template], lam) for lam in evals], derived
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +501,14 @@ def execute_config(cfg: AnyConfig, out_dir: Path) -> int:
         ok = run_selftest(n_paths=cfg.n_paths, path_length=cfg.path_length, seed=cfg.seed)
         return EXIT_OK if ok else 1
     try:
-        rows, derived = _run_design(cfg) if isinstance(cfg, DesignRunConfig) else _run_sweep(cfg)
+        plan, derived = _sweep_plan(cfg)
+        rows = [
+            row
+            for templates, lam_true in plan
+            for row in add_vs_alpha_sweep(
+                templates, lam_true, cfg.alphas, cfg.n_runs, cfg.seed, horizon=cfg.horizon, censor_cap=cfg.censor_cap
+            )
+        ]
     except CapacityError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_text(

@@ -523,6 +523,8 @@ def default_horizon(
         raise ValueError("drift must be positive")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if n_runs is not None and n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
     tail = censor_cap / 10.0
     if n_runs is not None and censor_cap * n_runs < 1:
         tail = min(tail, 1e-3 / n_runs)  # never a shorter horizon than the cap alone asks for
@@ -567,6 +569,12 @@ def _check_alphas(alphas) -> list[float]:
     if not alphas or sorted(set(alphas), reverse=True) != alphas:
         raise ValueError("alphas must be nonempty and strictly decreasing")
     return alphas
+
+
+def _check_censor_cap(censor_cap: float) -> None:
+    """The sweep's censoring cap: the largest tolerated censored fraction, in [0, 1)."""
+    if not (0.0 <= censor_cap < 1.0):
+        raise ValueError(f"censor_cap must lie in [0, 1), got {censor_cap}")
 
 
 def _sweep_cell(
@@ -615,10 +623,14 @@ def add_vs_alpha_sweep(
     that share an observation model draw each path once per alpha, in blocks
     of BATCH_SIZE runs at the longest of their horizons.
 
-    ``alphas`` must be strictly decreasing, so a repeated value is refused;
-    a template none of whose charts grows under ``lam_true`` is refused at
-    any horizon.  A cell whose runs all have zero delay has efficiency inf.
+    ``alphas`` must be strictly decreasing, so a repeated value is refused,
+    ``n_runs`` at least 1 and ``censor_cap`` in [0, 1); a template none of
+    whose charts grows under ``lam_true`` is refused at any horizon.  A cell
+    whose runs all have zero delay has efficiency inf.
     """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    _check_censor_cap(censor_cap)
     alphas = _check_alphas(alphas)
     rows: list[SweepRow] = []
     for a_idx, alpha in enumerate(alphas):

@@ -307,6 +307,7 @@ class TestMainRun:
                 {"pre_params": (1.0, 1.0), "lambda_true": (-1.0, 2.0), "source_grids": ((1.5, 2.0), (1.5, 2.0))},
                 "lambda_true must be positive scales",
             ),
+            ("example1", {"rho": 1e-6}, "sr-designed: rho = 1e-06 asks for an auto horizon"),
         ],
         ids=[
             "design-holds-pre",
@@ -317,6 +318,7 @@ class TestMainRun:
             "multisource-no-change",
             "multisource-lower",
             "multisource-negative-scale",
+            "design-auto-horizon-past-the-cap",
         ],
     )
     def test_config_a_sweep_cannot_run_is_a_config_error(self, tmp_path, capsys, preset, change, problem):
@@ -349,6 +351,9 @@ class TestMainRun:
             ("example1", {"grid_cap": 0}, "grid_cap"),
             ("fig4", {"horizon": 0}, "horizon"),
             ("fig4", {"censor_cap": 1.0}, "censor_cap"),
+            # a design's refusal names its key, not the design interval
+            ("example1", {"noise_sigma": 0.0}, r"(?m)^  - noise_sigma must be positive"),
+            ("example1", {"epsilon": 0.0}, r"(?m)^  - epsilon must lie in \(0, 1\)"),
         ],
         ids=[
             "mean-shift-noise-0",
@@ -367,6 +372,8 @@ class TestMainRun:
             "grid-cap-0",
             "horizon-0",
             "censor-cap-1",
+            "design-noise-0-names-its-key",
+            "design-epsilon-0-names-its-key",
         ],
     )
     def test_config_the_run_refuses_is_a_config_error(self, tmp_path, capsys, preset, change, names):
@@ -481,6 +488,46 @@ class TestMainPresetAndSelftest:
 
     def test_selftest_exit_code_through_main(self, capsys):
         assert main(["selftest"]) == 0
+
+
+class TestCheckBuildsWhatTheRunBuilds:
+    """The config check builds a sweep cell for every (detector, true parameter, alpha) the run writes."""
+
+    @staticmethod
+    def lams(value) -> tuple[float, ...]:
+        return tuple(float(x) for x in (value if isinstance(value, tuple) else (value,)))
+
+    @pytest.mark.parametrize(
+        "preset, change",
+        [
+            ("fig4", {}),
+            ("fig5", {}),
+            ("example1", {}),
+            ("example1", {"eval_lambdas": (0.5, 2.0)}),
+        ],
+        ids=["fig4", "fig5", "example1", "design-two-eval-lambdas"],
+    )
+    def test_checked_cells_are_the_written_rows(self, tmp_path, capsys, preset, change):
+        text = config_to_text(dataclasses.replace(preset_config(preset), n_runs=50, **change))
+        with mock.patch.object(cli, "_sweep_cell", wraps=cli._sweep_cell) as build:
+            cfg = parse_config_text(text)
+        checked = {(c.args[0].label, self.lams(c.args[1]), c.args[2]) for c in build.call_args_list}
+        assert execute_config(cfg, tmp_path) == 0
+        with open(tmp_path / "results.csv", newline="") as f:
+            next(f)  # the manifest hash line
+            written = {
+                (row["detector"], tuple(float(v) for v in row["lambda_true"].split("|")), float(row["alpha"]))
+                for row in csv.DictReader(f)
+            }
+        assert checked == written
+
+    def test_a_design_reports_its_label_once(self, tmp_path, capsys):
+        # the one template fails at every eval parameter; the check says so once
+        cfg = dataclasses.replace(preset_config("example1", runs=50), rho=1e-6)
+        path = tmp_path / "design.cfg"
+        path.write_text(config_to_text(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("sr-designed:") == 1
 
 
 ROOT = Path(__file__).resolve().parents[1]

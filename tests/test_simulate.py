@@ -728,6 +728,11 @@ class TestSizingHelpers:
         with pytest.raises(ValueError):
             default_horizon(0.0, PRIOR, 0.5)
 
+    @pytest.mark.parametrize("n_runs", [0, -5])
+    def test_default_horizon_refuses_a_run_count_below_one(self, n_runs):
+        with pytest.raises(ValueError, match=f"n_runs must be at least 1, got {n_runs}"):
+            default_horizon(1e-3, PRIOR, 0.5, 1e-3, n_runs)
+
     def test_best_drift_frozen_bank_values(self):
         prior = GeometricPrior(0.01)
         fam = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.4, 2.8))
@@ -826,6 +831,23 @@ class TestSweep:
     def test_repeated_alpha_is_refused(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             add_vs_alpha_sweep([BankTemplate("sr", FAMILY, PRIOR, GRID)], 1.0, (0.1, 0.1), 100, 0)
+
+    @pytest.mark.parametrize(
+        "n_runs, horizon, censor_cap, problem",
+        [
+            (0, None, 1e-3, "n_runs must be at least 1, got 0"),
+            (-3, None, 1e-3, "n_runs must be at least 1, got -3"),
+            (0, 200, 1e-3, "n_runs must be at least 1, got 0"),
+            (100, None, -1.0, r"censor_cap must lie in \[0, 1\), got -1.0"),
+            (100, 200, 1.0, r"censor_cap must lie in \[0, 1\), got 1.0"),
+        ],
+        ids=["runs-0", "runs-negative", "runs-0-set-horizon", "censor-cap-negative", "censor-cap-1"],
+    )
+    def test_run_count_and_censoring_cap_are_refused(self, n_runs, horizon, censor_cap, problem):
+        # the sweep states these rules itself, before any cell is built or run
+        template = BankTemplate("sr", FAMILY, PRIOR, GRID)
+        with pytest.raises(ValueError, match=problem):
+            add_vs_alpha_sweep([template], 1.0, (0.1,), n_runs, 0, horizon=horizon, censor_cap=censor_cap)
 
     def test_undetectable_template_is_refused_at_a_fixed_horizon(self):
         # no chart grows, so no horizon is long enough; the sweep must not run it
