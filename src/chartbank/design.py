@@ -208,7 +208,11 @@ def efficiency(add_estimate: float, alpha: float, d_total: float) -> float:
 
 
 def default_lipschitz_constant(family: ObservationFamily, interval: Interval) -> float:
-    """Divergence Lipschitz constant for the mean-shift family on an interval."""
+    """Divergence Lipschitz constant for the mean-shift family on an interval.
+
+    The divergence (lam - mu0)^2 / (2 sigma^2) has slope (lam - mu0) / sigma^2,
+    largest in size at an end of the interval, on either side of mu0.
+    """
     if not isinstance(family, GaussianMeanShift):
         raise TypeError("only the mean-shift family has a built-in Lipschitz constant")
-    return (interval.high - family.pre_mean) / family.sigma**2
+    return max(abs(interval.high - family.pre_mean), abs(interval.low - family.pre_mean)) / family.sigma**2

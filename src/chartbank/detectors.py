@@ -7,15 +7,24 @@ overflow float64 within a few hundred post-change slots):
 
 * ``SR``: sums the prior-weighted likelihood ratios over all possible change
   slots.  log R_n = softplus(log R_{n-1}) + slot_cost + llr(x_n), with
-  log R_0 = -inf.
+  log R_0 = -inf and softplus(a) = max(a, 0) + log1p(exp(-|a|)).
 * ``MAX``: keeps only the best change slot, a CUSUM-like variant.
   log C_n = max(log C_{n-1}, 0) + slot_cost + llr(x_n), log C_0 = -inf.
 * ``SUM``: pins the change slot at 1 and accumulates.
   S_n = S_{n-1} + slot_cost + llr(x_n), S_0 = 0.
 
 For every path and every chart, SUM <= MAX <= SR holds exactly (the same
-floating-point additions are applied to ordered states), so alarm times at a
-shared threshold are ordered SR first, MAX second, SUM last.
+floating-point additions are applied to ordered states, and the softplus adds
+a term >= 0 to max(a, 0)), so alarm times at a shared threshold are ordered SR
+first, MAX second, SUM last.
+
+The softplus runs on numpy's SIMD exp and log1p, several times faster than
+``np.logaddexp``'s scalar libm calls.  It is the same formula, and its bits
+differ from ``np.logaddexp(a, 0)`` only in the last place, on a few percent
+of values.  A value's result does not depend on the length of its array, its
+position there or the stride of its view (the test suite checks this), so a
+chart advanced alone, in a batch or as a column slice of a wider state gets
+the same bits.
 """
 
 from __future__ import annotations
@@ -75,16 +84,36 @@ def initial_log_stats(variant: ChartVariant, n_charts: int) -> np.ndarray:
 
 
 def advance_log_stats(
-    variant: ChartVariant, log_stats: np.ndarray, slot_cost: float, llr: np.ndarray
+    variant: ChartVariant,
+    log_stats: np.ndarray,
+    slot_cost: float,
+    llr: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One recursion step, broadcasting over any leading batch dimensions."""
+    """One recursion step, broadcasting over any leading batch dimensions.
+
+    ``out`` receives the new statistics and may be ``log_stats`` itself; an
+    SR step takes ``work``, a buffer of ``log_stats``' shape, for its softplus
+    term.  Either is allocated when not given.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(log_stats), np.shape(llr)))
     if variant is ChartVariant.SR:
-        base = np.logaddexp(log_stats, 0.0)
+        tail = np.abs(log_stats, out=work)  # log1p(exp(-|a|)), taken before out overwrites a
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(log_stats, 0.0, out=out)
+        out += tail
+        out += slot_cost
     elif variant is ChartVariant.MAX:
-        base = np.maximum(log_stats, 0.0)
+        np.maximum(log_stats, 0.0, out=out)
+        out += slot_cost
     else:
-        base = log_stats
-    return base + slot_cost + llr
+        np.add(log_stats, slot_cost, out=out)
+    out += llr
+    return out
 
 
 def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -113,50 +142,104 @@ def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.nd
     return grid_arr, thr
 
 
-class BankBatch:
-    """The bank's per-slot step over a batch of runs, one row of charts each.
+_NONE = np.zeros(0, dtype=np.int64)  # no rows
+_NONE.flags.writeable = False
 
+
+class BankBatch:
+    """The per-slot step of one or more banks over a batch of runs, one row per run.
+
+    ``banks`` holds (grid, log_thresholds, variant) per template; the
+    templates share the family and prior and read the same observation per
+    row, as a sweep's bank templates do on a shared path block.  The state is
+    one [rows, templates, charts] array per variant present, SR first, then
+    MAX, then SUM, so each variant advances in one in-place call on a
+    contiguous array; a template with fewer charts than the widest of its
+    variant is padded with charts whose threshold is +inf.  The llr is
+    evaluated once per slot on the union of the grids and gathered into
+    chart order; it is elementwise, so each chart's value is bitwise the one
+    its own grid gives.  A template reports a row once, on the first slot one
+    of its charts crosses, and a row is done once every template has crossed.
     ``rows`` holds the block row of each state row.  ``ChartBank`` is a
-    batch of one.  Grid and thresholds must have passed ``check_charts``;
-    thresholds may be one value for every chart.
+    one-template batch of one.  Grids and thresholds must have passed
+    ``check_charts``; thresholds may be one value per template.
     """
 
-    def __init__(
-        self,
-        family: ObservationFamily,
-        prior: GeometricPrior,
-        grid,
-        log_thresholds,
-        variant: ChartVariant,
-        rows: np.ndarray,
-    ) -> None:
+    def __init__(self, family: ObservationFamily, prior: GeometricPrior, banks, rows: np.ndarray) -> None:
         self.family = family
-        self.variant = variant
         self.cost = prior.slot_cost
-        self.grid = np.asarray(grid, dtype=float)[None, :]
-        self.log_thresholds = np.asarray(log_thresholds, dtype=float)
         self.rows = rows
-        n_charts = self.grid.size
-        self.log_stats = np.broadcast_to(initial_log_stats(variant, n_charts), (rows.size, n_charts)).copy()
+        grids = [np.asarray(grid, dtype=float) for grid, _, _ in banks]
+        union = np.unique(np.concatenate(grids))
+        self.union = union[None, :]
+        self.order = []  # the template of each column of ``done``: the variants' templates, block by block
+        # per variant present: variant, its first column of done, llr gather and thresholds [templates, charts]
+        self.blocks = []
+        self.log_stats = []  # per variant present: [rows, templates, charts]
+        for variant in ChartVariant:
+            ts = [t for t, (_, _, v) in enumerate(banks) if v is variant]
+            if not ts:
+                continue
+            width = max(grids[t].size for t in ts)
+            gather = np.zeros((len(ts), width), dtype=np.int64)
+            thr = np.full((len(ts), width), np.inf)
+            for k, t in enumerate(ts):
+                gather[k, : grids[t].size] = np.searchsorted(union, grids[t])
+                thr[k, : grids[t].size] = banks[t][1]
+            if len(ts) == 1 and width == union.size:
+                gather = None  # the union in its own order: the llr needs no gather
+            self.blocks.append((variant, len(self.order), gather, thr))
+            self.order += ts
+            init = initial_log_stats(variant, width)
+            self.log_stats.append(np.broadcast_to(init, (rows.size, len(ts), width)).copy())
+        self.order = np.array(self.order)
+        self.done = np.zeros((rows.size, len(banks)), dtype=bool)
+        # per-slot buffers, sliced to the rows still running; SR's softplus buffer fits the first block
+        self._llr = [np.empty(stats.shape) for stats in self.log_stats]
+        self._hit = [np.empty(stats.shape, dtype=bool) for stats in self.log_stats]
+        self._work = np.empty(self.log_stats[0].shape)
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance each row by its observation x[row]; return the rows that crossed and each one's firing chart."""
-        llr = self.family._llr(self.grid, x[:, None])
-        self.log_stats = advance_log_stats(self.variant, self.log_stats, self.cost, llr)
-        hits = np.flatnonzero(self.log_stats >= self.log_thresholds)
-        if hits.size == 0:
-            return hits, hits
-        # row-major order: a row's first hit is its lowest crossing chart, which wins ties
-        rows, charts = np.divmod(hits, self.grid.size)
-        first = np.ones(hits.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        return rows[first], charts[first]
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance each row by its observation x[row].
+
+        Returns the (row, template) pairs that crossed for the first time,
+        each one's firing chart, and the rows now done with every template.
+        """
+        n = self.rows.size
+        n_templates = self.order.size
+        done = self.done.reshape(-1)  # (row, column) at row * templates + column
+        llr_union = self.family._llr(self.union, x[:, None])
+        found = []
+        for (variant, offset, gather, thr), stats, llr, hit in zip(self.blocks, self.log_stats, self._llr, self._hit):
+            if gather is None:
+                llr = llr_union[:, None, :]
+            else:
+                llr = np.take(llr_union, gather, axis=1, out=llr[:n], mode="clip")
+            advance_log_stats(variant, stats, self.cost, llr, out=stats, work=self._work[:n])
+            hits = np.flatnonzero(np.greater_equal(stats, thr, out=hit[:n]))
+            if hits.size:
+                # row-major order: a (row, template)'s first hit is its lowest crossing chart, which wins ties
+                keys, charts = np.divmod(hits, thr.shape[1])
+                first = np.ones(hits.size, dtype=bool)
+                np.not_equal(keys[1:], keys[:-1], out=first[1:])
+                rows, k = np.divmod(keys[first], thr.shape[0])
+                cells = rows * n_templates + offset + k
+                new = ~done[cells]
+                done[cells[new]] = True
+                found.append((cells[new], charts[first][new]))
+        if not found:
+            return _NONE, _NONE, _NONE, _NONE
+        cells, charts = (np.concatenate(part) for part in zip(*found))
+        rows, cols = np.divmod(cells, n_templates)
+        return rows, self.order[cols], charts, rows[self.done[rows].all(axis=1)]
 
     def retire(self, rows: np.ndarray) -> int:
         """Drop the given rows at once; return how many rows still run."""
         keep = np.ones(self.rows.size, dtype=bool)
         keep[rows] = False
-        self.rows, self.log_stats = self.rows[keep], self.log_stats[keep]
+        idx = np.flatnonzero(keep)  # take, not a boolean mask: several times faster on 2-d arrays
+        self.rows, self.done = self.rows[idx], self.done.take(idx, axis=0)
+        self.log_stats = [stats.take(idx, axis=0) for stats in self.log_stats]
         return self.rows.size
 
 
@@ -175,22 +258,23 @@ class ChartBank:
         self.family = family
         self.prior = prior
         self.variant = variant
-        self._batch = BankBatch(family, prior, grid_arr, thr, variant, rows=np.zeros(1, dtype=np.int64))
+        self._grid, self._thr = grid_arr, thr
+        self._batch = BankBatch(family, prior, [(grid_arr, thr, variant)], rows=np.zeros(1, dtype=np.int64))
         self._x = np.empty(1)  # the observation, reused by every step
         self._n = 0
         self._report: StopReport | None = None
 
     @property
     def grid(self) -> np.ndarray:
-        return self._batch.grid[0].copy()
+        return self._grid.copy()
 
     @property
     def log_thresholds(self) -> np.ndarray:
-        return self._batch.log_thresholds.copy()
+        return self._thr.copy()
 
     @property
     def log_stats(self) -> np.ndarray:
-        return self._batch.log_stats[0].copy()
+        return self._batch.log_stats[0][0, 0].copy()
 
     @property
     def time(self) -> int:
@@ -210,11 +294,11 @@ class ChartBank:
         if not math.isfinite(x):
             raise ValueError("x must be finite")
         self._x[0] = x
-        crossed, charts = self._batch.step(self._x)
+        crossed, _, charts, _ = self._batch.step(self._x)
         self._n += 1
         if crossed.size:
             chart = int(charts[0])
-            self._report = StopReport(self._n, chart, float(self._batch.log_stats[0, chart]))
+            self._report = StopReport(self._n, chart, float(self._batch.log_stats[0][0, 0, chart]))
             return self._report
         return None
 

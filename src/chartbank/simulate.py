@@ -13,10 +13,16 @@ whatever block the run is drawn in.
 
 One slot loop runs a detector's own per-slot step (``BankBatch`` or
 ``RingBatch``) over many runs at once: each slot it reads the running rows'
-observations, records the rows that crossed and retires them, and the
-detector's batch decides how (a bank drops them at once, a ring batch
-compacts once enough have stopped).  A sweep draws each block of paths once
-per alpha and runs every template with the same observation model on it.
+observations, records each (row, template) that crossed, and retires the
+rows the step reports done, by the batch's own policy (a bank drops them at
+once, a ring batch compacts once enough have stopped).  A bank batch may hold
+several templates that share family and prior; a row is done once every
+template has crossed.  A ring batch is one template.  A sweep draws each
+block of paths once per alpha; the bank templates sharing that block step
+together in one ``simulate_runs`` call to the longest of their horizons, and
+each is then censored at its own (a run's slots up to a horizon do not
+depend on how far it runs on), while each window template runs on the block
+alone.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -250,35 +256,51 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
     return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
 
 
-def _run_batch(spec: DetectorSpec, paths: PathBlock, rows: slice, horizon: int):
-    """Stop slot (0 if censored) and firing chart per block row in ``rows``.
+def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, rows: slice, horizon: int):
+    """Stop slot (0 if censored) and firing chart per spec and block row in ``rows``, each [specs, rows].
 
+    Several specs must be banks that share family and prior: they step
+    together in one bank batch, and a row runs until every spec has crossed.
     Running rows are drawn one chunk at a time, as they reach it.
     """
     live = np.arange(rows.start, rows.stop)
+    spec = specs[0]
     if isinstance(spec, BankSpec):
-        det = BankBatch(spec.family, spec.prior, spec.grid, spec.log_thresholds, spec.variant, live)
+        det = BankBatch(spec.family, spec.prior, [(s.grid, s.log_thresholds, s.variant) for s in specs], live)
     else:
         det = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, spec.log_threshold, live, bounded=True)
-    stop = np.zeros(live.size, dtype=np.int64)
-    firing = np.full(live.size, -1, dtype=np.int64)
+    stop = np.zeros((len(specs), live.size), dtype=np.int64)
+    firing = np.full(stop.shape, -1, dtype=np.int64)
     ready = 0  # every running row holds the slots of xs below this
     for s in range(horizon):
         if s == ready:
             drawn = paths.draw_to(det.rows, s + 1)
             xs, base = paths.chunk(s)
             ready = min(drawn, base + xs.shape[-1])
-        crossed, charts = det.step(xs[det.rows, ..., s - base])
+        crossed, templates, charts, finished = det.step(xs[det.rows, ..., s - base])
         if crossed.size:
-            done = det.rows[crossed] - rows.start
-            stop[done], firing[done] = s + 1, charts
-            if det.retire(crossed) == 0:
+            runs = det.rows[crossed] - rows.start
+            stop[templates, runs], firing[templates, runs] = s + 1, charts
+            if finished.size and det.retire(finished) == 0:
                 break
     return stop, firing
 
 
+def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray, horizon: int) -> RunArrays:
+    stopped = stop > 0
+    false_alarm = stopped & (stop < change_points)
+    delay = np.where(stopped, np.maximum(stop - change_points, 0), np.maximum(horizon - change_points, 0))
+    return RunArrays(
+        change_point=change_points,
+        stop_time=stop,
+        firing_chart=firing,
+        false_alarm=false_alarm,
+        delay=delay.astype(float),
+    )
+
+
 def simulate_runs(
-    spec: DetectorSpec,
+    spec: DetectorSpec | tuple[BankSpec, ...],
     lam_true,
     n_runs: int,
     horizon: int,
@@ -295,7 +317,18 @@ def simulate_runs(
     block from ``draw_paths`` of this detector's shape, holding exactly these
     runs at ``horizon`` slots or more, so that several detectors share one
     draw; nothing is drawn then.
+
+    ``spec`` may also be a tuple of bank specs that share family and prior,
+    as a sweep's bank templates do: they step through each path together,
+    in one batch, each run gives the same stop slot and firing chart as that
+    spec alone, and the per-run arrays of the result gain a leading axis,
+    one row per spec.
     """
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    if len(specs) > 1 and any(
+        not isinstance(s, BankSpec) or (s.family, s.prior) != (specs[0].family, specs[0].prior) for s in specs
+    ):
+        raise ValueError("several specs must be banks that share family and prior")
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     if horizon < 1:
@@ -303,33 +336,25 @@ def simulate_runs(
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if paths is not None:
-        want = (n_runs, horizon) if isinstance(spec, BankSpec) else (n_runs, len(spec.families), horizon)
+        want = (n_runs, horizon) if isinstance(specs[0], BankSpec) else (n_runs, len(specs[0].families), horizon)
         if paths.shape[:-1] != want[:-1] or paths.shape[-1] < horizon:
             raise ValueError(f"paths must be a block of shape {want} or more slots, got {paths.shape}")
-    lams = _lams(_sources(spec)[0], lam_true)
+    lams = _lams(_sources(specs[0])[0], lam_true)
     ts = np.empty(n_runs, dtype=np.int64)
-    stop = np.empty(n_runs, dtype=np.int64)
-    firing = np.empty(n_runs, dtype=np.int64)
+    stop = np.empty((len(specs), n_runs), dtype=np.int64)
+    firing = np.empty_like(stop)
     for lo in range(0, n_runs, batch_size):
         hi = min(lo + batch_size, n_runs)
         if paths is None:
-            block, rows = draw_paths(spec, lams, range(lo, hi), horizon, seed), slice(0, hi - lo)
+            block, rows = draw_paths(specs[0], lams, range(lo, hi), horizon, seed), slice(0, hi - lo)
         else:
             block, rows = paths, slice(lo, hi)
         ts[lo:hi] = block.change_points[rows]
-        stop[lo:hi], firing[lo:hi] = _run_batch(spec, block, rows, horizon)
+        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, rows, horizon)
         del block  # free this batch's paths before the next are drawn
-
-    stopped = stop > 0
-    false_alarm = stopped & (stop < ts)
-    delay = np.where(stopped, np.maximum(stop - ts, 0), np.maximum(horizon - ts, 0)).astype(float)
-    return RunArrays(
-        change_point=ts,
-        stop_time=stop,
-        firing_chart=firing,
-        false_alarm=false_alarm,
-        delay=delay,
-    )
+    if not isinstance(spec, tuple):
+        stop, firing = stop[0], firing[0]
+    return _run_arrays(ts, stop, firing, horizon)
 
 
 def estimate(
@@ -517,8 +542,10 @@ def default_horizon(
     When ``n_runs`` is given and the cap allows no censored run at all
     (``censor_cap * n_runs < 1``), the tail is sized so that a change past
     the horizon happens in about one sweep of n_runs runs in a thousand.
-    A horizon past MAX_AUTO_HORIZON is refused: such a sweep must set its own.
+    A horizon past MAX_AUTO_HORIZON is refused: such a sweep must set its own,
+    and so is a ``censor_cap`` outside [0, 1).
     """
+    _check_censor_cap(censor_cap)
     if drift <= 0:
         raise ValueError("drift must be positive")
     if not (0.0 < alpha < 1.0):
@@ -621,7 +648,8 @@ def add_vs_alpha_sweep(
     templates at each alpha (same per-run seeds), so pathwise dominance
     between chart variants carries over to the estimates exactly.  Templates
     that share an observation model draw each path once per alpha, in blocks
-    of BATCH_SIZE runs at the longest of their horizons.
+    of BATCH_SIZE runs at the longest of their horizons; bank templates then
+    step through each block together, in one batch.
 
     ``alphas`` must be strictly decreasing, so a repeated value is refused,
     ``n_runs`` at least 1 and ``censor_cap`` in [0, 1); a template none of
@@ -642,10 +670,19 @@ def add_vs_alpha_sweep(
         for group in groups.values():
             longest = max(cell.horizon for cell in group)
             for lo in range(0, n_runs, BATCH_SIZE):
-                runs = range(lo, min(lo + BATCH_SIZE, n_runs))
-                block = draw_paths(group[0].spec, group[0].lam_vec, runs, longest, [seed, a_idx])
-                for cell in group:
-                    cell.runs.append(simulate_runs(cell.spec, cell.lam_vec, len(runs), cell.horizon, [seed, a_idx], paths=block))
+                n, seeds = min(BATCH_SIZE, n_runs - lo), [seed, a_idx]
+                block = draw_paths(group[0].spec, group[0].lam_vec, range(lo, lo + n), longest, seeds)
+                if isinstance(group[0].spec, BankSpec):
+                    # the group's banks step together to the longest horizon; each is censored at its own
+                    banks = simulate_runs(tuple(c.spec for c in group), group[0].lam_vec, n, longest, seeds, paths=block)
+                    for cell, stop, firing in zip(group, banks.stop_time, banks.firing_chart):
+                        late = stop > cell.horizon
+                        stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
+                        cell.runs.append(_run_arrays(banks.change_point, stop, firing, cell.horizon))
+                else:
+                    # a window group shares one horizon, and a ring batch is one template
+                    for cell in group:
+                        cell.runs.append(simulate_runs(cell.spec, cell.lam_vec, n, cell.horizon, seeds, paths=block))
                 del block  # free this block before the next is drawn
 
         for cell in cells:

@@ -172,8 +172,12 @@ class RingBatch:
             bound[rows] = best
         return self.joint(exact)
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance each row by x[row]; return the running rows that crossed and each one's composite firing chart.
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance each row by x[row].
+
+        Returns the running rows that crossed, their template (0: a ring
+        batch is one template), each one's composite firing chart, and the
+        rows now done, which are the rows that crossed.
 
         An unbounded batch keeps every row's exact joint statistic [rows, starts] in ``total``.
         A bounded one takes exact maxima only of running rows whose bound
@@ -188,13 +192,13 @@ class RingBatch:
         else:
             rows = np.flatnonzero(self.running & (self.joint(self.bounds).max(axis=1) >= self.log_threshold))
             if rows.size == 0:
-                return rows, rows
+                return rows, rows, rows, rows
             total = self.tighten(rows)
             crossed = total.max(axis=1) >= self.log_threshold
             rows, total = rows[crossed], total[crossed]
         if rows.size == 0:
-            return rows, rows
-        return rows, self.decode(rows, total)[2]
+            return rows, rows, rows, rows
+        return rows, np.zeros_like(rows), self.decode(rows, total)[2], rows
 
     def decode(self, rows: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         """Per given row of a joint statistic [rows, starts]: the position in ``starts`` of its oldest
@@ -281,7 +285,7 @@ class WindowEngine:
             raise ValueError(f"expected {self.n_sources} observations, got shape {xs.shape}")
         if not np.isfinite(xs).all():  # before any source moves, so a bad vector changes nothing
             raise ValueError("x must be finite")
-        crossed, charts = self._rings.step(xs[None, :])
+        crossed, _, charts, _ = self._rings.step(xs[None, :])
         total = self._rings.total[0]
         self.work["cell_adds"] += self._cells
         self.work["max_scans"] += self.n_sources * self.width

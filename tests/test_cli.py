@@ -55,6 +55,13 @@ class TestConfigParsing:
         assert cfg.horizon is None  # defaulted to auto
         assert cfg.censor_cap == 1e-3
 
+    def test_uniform_design_below_the_pre_change_mean_is_accepted(self):
+        # the Lipschitz constant takes the interval's end farther from pre_param, on
+        # either side; this config was refused with "lipschitz_k must be positive"
+        cfg = dataclasses.replace(preset_config("example1", runs=50), pre_param=3.0, construction="uniform")
+        parsed = parse_config_text(config_to_text(cfg))
+        assert (parsed.pre_param, parsed.construction) == (3.0, "uniform")
+
     def test_round_trip_through_text(self):
         cfg = parse_config_text(VALID_SINGLE)
         again = parse_config_text(config_to_text(cfg))

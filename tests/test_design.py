@@ -96,6 +96,12 @@ class TestDesignGrid:
         piece = (2.63 - 0.37) / 379
         assert grid[0] == pytest.approx(0.37 + piece / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("pre_mean, expected", [(0.0, 2.63), (3.0, 3.0 - 0.37), (1.0, 1.63)])
+    def test_lipschitz_constant_is_the_steepest_slope_on_the_interval(self, pre_mean, expected):
+        # slope (lam - mu0) / sigma^2 of the divergence, largest in size at the end farther from mu0
+        family = GaussianMeanShift(pre_mean=pre_mean, sigma=2.0, post_params=Interval(0.05, 5.0))
+        assert default_lipschitz_constant(family, Interval(0.37, 2.63)) == pytest.approx(expected / 4.0, rel=1e-12)
+
     def test_uniform_grid_verifies(self):
         spec = spec_for(k=default_lipschitz_constant(FAMILY, Interval(0.37, 2.63)))
         grid = design_grid(spec, mesh_points=1000)

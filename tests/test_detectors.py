@@ -271,3 +271,50 @@ def test_recursion_vs_direct_property(data, rho):
             trace[i] = bank.log_stats
         direct = direct_stat_oracle(FAMILY, prior, variant, path, GRID)
         assert np.abs(trace - direct).max() < 1e-9
+
+
+class TestRecursionBitsDoNotDependOnLayout:
+    """A row's next statistic has the same bits alone, inside a batch, or as a strided column slice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from(list(ChartVariant)),
+        rows=st.integers(1, 40),
+        charts=st.integers(1, 9),
+        pad=st.integers(1, 4),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_bits_in_any_layout(self, variant, rows, charts, pad, scale, seed):
+        rng = np.random.default_rng(seed)
+        state = rng.normal(0.0, scale, (rows, charts))
+        state[rng.random((rows, charts)) < 0.1] = -np.inf
+        llr = rng.normal(0.0, scale, (rows, charts))
+        batch = advance_log_stats(variant, state, 0.02, llr)
+        for r in range(rows):
+            assert advance_log_stats(variant, state[r], 0.02, llr[r]).tobytes() == batch[r].tobytes()
+        # the columns of a wider row-major state, advanced in place with a work buffer
+        wide = np.full((rows, charts + 2 * pad), 7.0)
+        wide[:, pad : pad + charts] = state
+        view = wide[:, pad : pad + charts]
+        advance_log_stats(variant, view, 0.02, llr, out=view, work=np.empty((rows, charts)))
+        assert view.tobytes() == batch.tobytes()
+        # a column-major copy, and chunks of 1, 3 and 5 elements of the flattened state
+        transposed = np.empty((charts, rows))
+        advance_log_stats(variant, state.T, 0.02, llr.T, out=transposed)
+        assert transposed.T.copy().tobytes() == batch.tobytes()
+        flat, flat_llr = state.ravel(), llr.ravel()
+        for size in (1, 3, 5):
+            chunks = [
+                advance_log_stats(variant, flat[i : i + size], 0.02, flat_llr[i : i + size])
+                for i in range(0, flat.size, size)
+            ]
+            assert np.concatenate(chunks).tobytes() == batch.tobytes()
+
+    def test_softplus_term_keeps_the_variant_ordering(self):
+        # SR adds log1p(exp(-|a|)) >= 0 to max(a, 0), so SUM <= MAX <= SR holds exactly
+        state = np.array([-np.inf, -800.0, -40.0, -1e-9, 0.0, 1e-9, 3.0, 40.0, 800.0])
+        llr = np.linspace(-2.0, 2.0, state.size)
+        sr, mx, sm = (advance_log_stats(v, state, 0.01, llr) for v in ChartVariant)
+        assert np.all(sm <= mx) and np.all(mx <= sr)
+        assert np.allclose(sr, np.logaddexp(state, 0.0) + 0.01 + llr, rtol=1e-15, atol=1e-15)

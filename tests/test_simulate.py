@@ -728,6 +728,12 @@ class TestSizingHelpers:
         with pytest.raises(ValueError):
             default_horizon(0.0, PRIOR, 0.5)
 
+    @pytest.mark.parametrize("censor_cap", [-1.0, 1.0, 5.0, math.nan])
+    def test_default_horizon_refuses_a_censoring_cap_outside_the_unit_interval(self, censor_cap):
+        # the sweep's own rule: a cap of -1 or 5 used to size a horizon of 2861 or 180 slots
+        with pytest.raises(ValueError, match=r"censor_cap must lie in \[0, 1\)"):
+            default_horizon(1e-3, GeometricPrior(0.01), 0.5, censor_cap)
+
     @pytest.mark.parametrize("n_runs", [0, -5])
     def test_default_horizon_refuses_a_run_count_below_one(self, n_runs):
         with pytest.raises(ValueError, match=f"n_runs must be at least 1, got {n_runs}"):
@@ -1000,3 +1006,93 @@ class TestOracleCaps:
         block = np.zeros((1, 501))
         with pytest.raises(CapacityError):
             direct_window_stat_oracle([fam], PRIOR, [(1.5,)], 5, block)
+
+
+# bank families with candidate pools and a true parameter each; thresholds per chart
+GROUP_SOURCES = {
+    "mean": (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.05, 5.0)), (0.3, 0.6, 1.0, 1.5, 2.5), 1.0),
+    "variance": (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5)), (1.2, 1.5, 2.0, 2.5, 3.0), 2.0),
+}
+GROUP_THRESHOLDS = st.sampled_from([-math.inf, math.inf, 0.5, 2.0, 4.0])
+
+
+@st.composite
+def bank_groups(draw):
+    """One to four bank specs on one family and prior, each with its own variant, grid, thresholds and horizon."""
+    family, pool, lam = GROUP_SOURCES[draw(st.sampled_from(sorted(GROUP_SOURCES)))]
+    prior = GeometricPrior(draw(st.sampled_from([0.02, 0.2])))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        grid = tuple(sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))))
+        thresholds = tuple(draw(st.lists(GROUP_THRESHOLDS, min_size=len(grid), max_size=len(grid))))
+        specs.append(BankSpec(family, prior, grid, thresholds, draw(st.sampled_from(list(ChartVariant)))))
+    horizons = draw(st.lists(st.integers(1, 40), min_size=len(specs), max_size=len(specs)))
+    return specs, horizons, lam
+
+
+def censored_at(stop, firing, horizon):
+    """Outcomes of runs to a longer horizon, cut back to ``horizon`` as a sweep cuts each bank template's."""
+    late = stop > horizon
+    return np.where(late, 0, stop), np.where(late, -1, firing)
+
+
+class TestGroupedBankBatch:
+    """Banks stepped together in one batch stop where each stops alone, run by run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        group=bank_groups(),
+        n_runs=st.integers(1, 70),
+        batch_size=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_template_matches_simulate_runs_alone(self, group, n_runs, batch_size, seed):
+        specs, horizons, lam = group
+        block = draw_paths(specs[0], lam, range(n_runs), max(horizons), seed)
+        grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), seed, batch_size=batch_size, paths=block)
+        assert grouped.stop_time.shape == grouped.firing_chart.shape == (len(specs), n_runs)
+        for t, (spec, horizon) in enumerate(zip(specs, horizons)):
+            alone = simulate_runs(spec, lam, n_runs, horizon, seed, paths=block)
+            stop, firing = censored_at(grouped.stop_time[t], grouped.firing_chart[t], horizon)
+            assert np.array_equal(stop, alone.stop_time)
+            assert np.array_equal(firing, alone.firing_chart)
+
+    @pytest.mark.parametrize(
+        "grids",
+        [((0.3, 1.0, 2.5), (0.3, 0.6, 1.0, 1.5, 2.5)), ((0.3, 0.6), (1.5, 2.5))],
+        ids=["nested", "disjoint"],
+    )
+    def test_mixed_variants_censor_at_their_own_horizons(self, grids):
+        # SR, MAX and SUM on both grids, thresholds per chart with both infinities,
+        # and horizons short enough that templates censor runs
+        family, _, lam = GROUP_SOURCES["mean"]
+        prior = GeometricPrior(0.02)
+        kinds = (
+            lambda n: (9.0,) * n,  # every chart may fire
+            lambda n: (math.inf,) * (n - 1) + (7.0,),  # only the top chart may fire
+            lambda n: (12.0,) + (-math.inf,) * (n - 1),  # chart 1 fires on slot 1, by the tie rule
+        )
+        specs, horizons = [], []
+        for v_idx, variant in enumerate(ChartVariant):
+            for g_idx, grid in enumerate(grids):
+                thresholds = kinds[(2 * v_idx + g_idx) % len(kinds)](len(grid))
+                specs.append(BankSpec(family, prior, grid, thresholds, variant))
+                horizons.append(20 + 15 * v_idx + 7 * g_idx)
+        n_runs = 150
+        censored = 0
+        for batch_size in (1, 7, 60, n_runs):
+            grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), 11, batch_size=batch_size)
+            for t, (spec, horizon) in enumerate(zip(specs, horizons)):
+                alone = simulate_runs(spec, lam, n_runs, horizon, 11)
+                stop, firing = censored_at(grouped.stop_time[t], grouped.firing_chart[t], horizon)
+                assert np.array_equal(stop, alone.stop_time)
+                assert np.array_equal(firing, alone.firing_chart)
+                censored += int((stop == 0).sum())
+        assert censored > 0
+
+    def test_several_specs_must_be_banks_on_one_family_and_prior(self):
+        wide = GaussianMeanShift(pre_mean=0.0, sigma=1.5, post_params=Interval(0.05, 5.0))
+        others = (window_spec(), BankSpec(wide, PRIOR, GRID, (5.0,)), BankSpec(FAMILY, GeometricPrior(0.3), GRID, (5.0,)))
+        for other in others:
+            with pytest.raises(ValueError, match="several specs must be banks that share family and prior"):
+                simulate_runs((bank_spec(), other), 1.0, 5, 20, 0)
