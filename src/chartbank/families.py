@@ -439,6 +439,10 @@ def sample_path_multi(
         fam._check_lam(lam)
     block = out is not None and out.ndim == 3
     if block:
+        if not isinstance(seed, (list, tuple)) or len(seed) != len(out) or not all(
+            isinstance(b, np.random.BitGenerator) for b in seed
+        ):
+            raise ValueError(f"an out block of shape {out.shape} takes one bit generator per row as seed")
         bitgens = seed
     elif isinstance(seed, np.random.Generator):
         bitgens = [seed.bit_generator]

@@ -17,12 +17,14 @@ observations, records each (row, template) that crossed, and retires the
 rows the step reports done, by the batch's own policy (a bank drops them at
 once, a ring batch compacts once enough have stopped).  A bank batch may hold
 several templates that share family and prior; a row is done once every
-template has crossed.  A ring batch is one template.  A sweep draws each
-block of paths once per alpha; the bank templates sharing that block step
-together in one ``simulate_runs`` call to the longest of their horizons, and
-each is then censored at its own (a run's slots up to a horizon do not
-depend on how far it runs on), while each window template runs on the block
-alone.
+template has crossed.  A ring batch is one template.  ``simulate_runs`` is
+the one place that draws paths: it walks the runs in blocks of
+``batch_size``, draws each block and runs it through the loop.  A sweep
+makes one ``simulate_runs`` call per model group at each alpha: the bank
+templates on one family and prior step together to the longest of their
+horizons, and each is then censored at its own (a run's slots up to a
+horizon do not depend on how far it runs on); a window template is a group
+of its own.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -34,7 +36,7 @@ share exceeds the configured cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,8 +52,6 @@ __all__ = [
     "McSummary",
     "BankSpec",
     "WindowSpec",
-    "PathBlock",
-    "draw_paths",
     "simulate_runs",
     "estimate",
     "direct_stat_oracle",
@@ -135,7 +135,7 @@ def _sources(d) -> tuple[tuple, tuple]:
     return d.families, d.grids
 
 
-# Rows per slot-loop call, and per path block a sweep draws.
+# Runs per path block, and so per slot-loop call.
 BATCH_SIZE = 2048
 
 # A lazy block draws its rows this many slots at a time: a fig4 run stops
@@ -189,11 +189,6 @@ class PathBlock:
         if self.drawn.min(initial=self.horizon) < self.horizon:
             raise ValueError("block is drawn only in part; draw_to(rows, horizon) draws the rest")
         return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks, axis=-1)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """[runs, horizon] for a bank block, [runs, n_sources, horizon] for a window block."""
-        return (*self._chunks[0].shape[:-1], self.horizon)
 
     def chunk(self, s: int) -> tuple[np.ndarray, int]:
         """The chunk holding slot s (0-indexed) and its first slot; valid for rows drawn past s."""
@@ -256,14 +251,14 @@ def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) ->
     return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
 
 
-def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, rows: slice, horizon: int):
-    """Stop slot (0 if censored) and firing chart per spec and block row in ``rows``, each [specs, rows].
+def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int):
+    """Stop slot (0 if censored) and firing chart per spec and block row, each [specs, rows].
 
     Several specs must be banks that share family and prior: they step
     together in one bank batch, and a row runs until every spec has crossed.
     Running rows are drawn one chunk at a time, as they reach it.
     """
-    live = np.arange(rows.start, rows.stop)
+    live = np.arange(paths.change_points.size)
     spec = specs[0]
     if isinstance(spec, BankSpec):
         det = BankBatch(spec.family, spec.prior, [(s.grid, s.log_thresholds, s.variant) for s in specs], live)
@@ -279,7 +274,7 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, rows: slice, h
             ready = min(drawn, base + xs.shape[-1])
         crossed, templates, charts, finished = det.step(xs[det.rows, ..., s - base])
         if crossed.size:
-            runs = det.rows[crossed] - rows.start
+            runs = det.rows[crossed]
             stop[templates, runs], firing[templates, runs] = s + 1, charts
             if finished.size and det.retire(finished) == 0:
                 break
@@ -306,17 +301,14 @@ def simulate_runs(
     horizon: int,
     seed,
     batch_size: int = BATCH_SIZE,
-    paths: PathBlock | None = None,
 ) -> RunArrays:
     """Run n_runs independent paths through fresh detector state.
 
     ``lam_true`` holds one true parameter per source; a bank also takes a
     float.  Per-run seeds are (seed, run index) and runs never interact, so the
     result is bitwise the same under any batch size, and how the detector's
-    batch retires stopped rows does not change it either.  ``paths`` passes a
-    block from ``draw_paths`` of this detector's shape, holding exactly these
-    runs at ``horizon`` slots or more, so that several detectors share one
-    draw; nothing is drawn then.
+    batch retires stopped rows does not change it either.  Runs are drawn
+    and stepped ``batch_size`` at a time.
 
     ``spec`` may also be a tuple of bank specs that share family and prior,
     as a sweep's bank templates do: they step through each path together,
@@ -325,6 +317,8 @@ def simulate_runs(
     one row per spec.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
+    if not specs:
+        raise ValueError("spec must be a detector spec or a nonempty tuple of bank specs")
     if len(specs) > 1 and any(
         not isinstance(s, BankSpec) or (s.family, s.prior) != (specs[0].family, specs[0].prior) for s in specs
     ):
@@ -335,22 +329,15 @@ def simulate_runs(
         raise ValueError("horizon must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if paths is not None:
-        want = (n_runs, horizon) if isinstance(specs[0], BankSpec) else (n_runs, len(specs[0].families), horizon)
-        if paths.shape[:-1] != want[:-1] or paths.shape[-1] < horizon:
-            raise ValueError(f"paths must be a block of shape {want} or more slots, got {paths.shape}")
     lams = _lams(_sources(specs[0])[0], lam_true)
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty((len(specs), n_runs), dtype=np.int64)
     firing = np.empty_like(stop)
     for lo in range(0, n_runs, batch_size):
         hi = min(lo + batch_size, n_runs)
-        if paths is None:
-            block, rows = draw_paths(specs[0], lams, range(lo, hi), horizon, seed), slice(0, hi - lo)
-        else:
-            block, rows = paths, slice(lo, hi)
-        ts[lo:hi] = block.change_points[rows]
-        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, rows, horizon)
+        block = draw_paths(specs[0], lams, range(lo, hi), horizon, seed)
+        ts[lo:hi] = block.change_points
+        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, horizon)
         del block  # free this batch's paths before the next are drawn
     if not isinstance(spec, tuple):
         stop, firing = stop[0], firing[0]
@@ -372,6 +359,9 @@ def estimate(
 
 
 def summarize(runs: RunArrays, censor_cap: float = 1e-3) -> McSummary:
+    """Delay and false-alarm summary of one detector's runs, not of a grouped [specs, runs] result."""
+    if runs.stop_time.ndim != 1:
+        raise ValueError(f"runs must be one detector's, got stop times of shape {runs.stop_time.shape}")
     n = len(runs)
     censored = int((runs.stop_time == 0).sum())
     add_hat = float(runs.delay.mean())
@@ -563,29 +553,16 @@ def default_horizon(
     return horizon
 
 
-def _shared_paths_key(spec: DetectorSpec, horizon: int) -> tuple:
-    """Cells with equal keys at one alpha can run on one block from ``draw_paths``."""
-    if isinstance(spec, BankSpec):
-        # one standard-normal draw per run: a shorter horizon reads a prefix
-        return (BankSpec, spec.family, spec.prior)
-    # an [n_sources, horizon] draw is no prefix of a longer one, row 1 onwards
-    return (WindowSpec, spec.families, spec.prior, horizon)
-
-
 @dataclass
 class _Cell:
-    """One (alpha, template) cell of a sweep and its runs, one RunArrays per block."""
+    """One (alpha, template) cell of a sweep and, once run, its runs."""
 
     template: Template
     spec: DetectorSpec
     lam_vec: tuple[float, ...]
     d_total: float
     horizon: int
-    runs: list[RunArrays] = field(default_factory=list)
-
-
-def _concat_runs(parts: list[RunArrays]) -> RunArrays:
-    return RunArrays(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RunArrays)))
+    runs: RunArrays | None = None
 
 
 def _check_alphas(alphas) -> list[float]:
@@ -646,10 +623,10 @@ def add_vs_alpha_sweep(
 
     Thresholds follow the union-bound rule per alpha.  Runs are paired across
     templates at each alpha (same per-run seeds), so pathwise dominance
-    between chart variants carries over to the estimates exactly.  Templates
-    that share an observation model draw each path once per alpha, in blocks
-    of BATCH_SIZE runs at the longest of their horizons; bank templates then
-    step through each block together, in one batch.
+    between chart variants carries over to the estimates exactly.  Bank
+    templates on one family and prior run in one ``simulate_runs`` call per
+    alpha, to the longest of their horizons, so each path is drawn once and
+    they step through it together.
 
     ``alphas`` must be strictly decreasing, so a repeated value is refused,
     ``n_runs`` at least 1 and ``censor_cap`` in [0, 1); a template none of
@@ -664,29 +641,22 @@ def add_vs_alpha_sweep(
     for a_idx, alpha in enumerate(alphas):
         cells = [_sweep_cell(template, lam_true, alpha, n_runs, horizon, censor_cap) for template in templates]
 
-        groups: dict[tuple, list[_Cell]] = {}
-        for cell in cells:
-            groups.setdefault(_shared_paths_key(cell.spec, cell.horizon), []).append(cell)
+        groups: dict[object, list[_Cell]] = {}
+        for cell in cells:  # a window cell is a group of its own: a ring batch is one template
+            key = (cell.spec.family, cell.spec.prior) if isinstance(cell.spec, BankSpec) else id(cell)
+            groups.setdefault(key, []).append(cell)
         for group in groups.values():
-            longest = max(cell.horizon for cell in group)
-            for lo in range(0, n_runs, BATCH_SIZE):
-                n, seeds = min(BATCH_SIZE, n_runs - lo), [seed, a_idx]
-                block = draw_paths(group[0].spec, group[0].lam_vec, range(lo, lo + n), longest, seeds)
-                if isinstance(group[0].spec, BankSpec):
-                    # the group's banks step together to the longest horizon; each is censored at its own
-                    banks = simulate_runs(tuple(c.spec for c in group), group[0].lam_vec, n, longest, seeds, paths=block)
-                    for cell, stop, firing in zip(group, banks.stop_time, banks.firing_chart):
-                        late = stop > cell.horizon
-                        stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
-                        cell.runs.append(_run_arrays(banks.change_point, stop, firing, cell.horizon))
-                else:
-                    # a window group shares one horizon, and a ring batch is one template
-                    for cell in group:
-                        cell.runs.append(simulate_runs(cell.spec, cell.lam_vec, n, cell.horizon, seeds, paths=block))
-                del block  # free this block before the next is drawn
+            specs, longest = tuple(c.spec for c in group), max(c.horizon for c in group)
+            spec = specs if isinstance(specs[0], BankSpec) else specs[0]
+            runs = simulate_runs(spec, group[0].lam_vec, n_runs, longest, [seed, a_idx], batch_size=BATCH_SIZE)
+            stops, firings = runs.stop_time.reshape(len(group), -1), runs.firing_chart.reshape(len(group), -1)
+            for cell, stop, firing in zip(group, stops, firings):  # each censored at its own horizon
+                late = stop > cell.horizon
+                stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
+                cell.runs = _run_arrays(runs.change_point, stop, firing, cell.horizon)
 
         for cell in cells:
-            summary = summarize(_concat_runs(cell.runs), censor_cap=censor_cap)
+            summary = summarize(cell.runs, censor_cap=censor_cap)
             rows.append(
                 SweepRow(
                     alpha=alpha,

@@ -379,6 +379,15 @@ def test_per_run_draws_refuse_non_integer_seed_elements(seed):
         sample_path_multi([family, family], prior, (1.0, 2.0), 10, seed)
 
 
+@pytest.mark.parametrize("seed", [3, [3, 4], "one-row"], ids=["int", "int-list", "too-few-bit-generators"])
+def test_block_draw_takes_one_bit_generator_per_row(seed):
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    if seed == "one-row":
+        seed = _bit_generators(0, range(1))
+    with pytest.raises(ValueError, match="one bit generator per row"):
+        sample_path_multi((family,), GeometricPrior(0.05), (1.0,), 10, seed, out=np.empty((2, 1, 10)))
+
+
 def test_per_run_draws_take_multi_word_seeds():
     family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
     prior = GeometricPrior(0.05)

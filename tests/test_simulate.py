@@ -173,26 +173,14 @@ def scattered_cases():
     return cases
 
 
+def count_draws():
+    """Patch that counts the path blocks drawn, each still drawn by ``draw_paths``."""
+    return mock.patch.object(simulate, "draw_paths", wraps=simulate.draw_paths)
+
+
 def assert_same_runs(a, b):
     for field in ("change_point", "stop_time", "firing_chart", "false_alarm", "delay"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-
-
-def one_family_window(n_sources):
-    return WindowSpec(families=(FAMILY,) * n_sources, prior=PRIOR, grids=(GRID,) * n_sources, window_len=15, log_threshold=6.0)
-
-
-# (spec a block is drawn for, its true parameters), (spec given the block, its true parameters), message
-MISMATCHED_BLOCKS = {
-    "bank-block-window-spec": ((bank_spec(), 1.0), (window_spec(), (1.8, 2.2)), r"shape \(5, 2, 50\) .* got \(5, 50\)"),
-    "window-block-bank-spec": ((window_spec(), (1.8, 2.2)), (bank_spec(), 1.0), r"shape \(5, 50\) .* got \(5, 2, 50\)"),
-    "one-source-block-bank-spec": ((one_family_window(1), (1.0,)), (bank_spec(), 1.0), r"shape \(5, 50\) .* got \(5, 1, 50\)"),
-    "three-source-block-two-source-spec": (
-        (one_family_window(3), (1.0,) * 3),
-        (one_family_window(2), (1.0,) * 2),
-        r"shape \(5, 2, 50\) .* got \(5, 3, 50\)",
-    ),
-}
 
 
 class TestCompactionInvariance:
@@ -237,23 +225,12 @@ class TestCompactionInvariance:
 
     def test_path_block_validation(self):
         block = draw_paths(bank_spec(), 1.0, range(5), 50, 0)
-        with pytest.raises(ValueError):
-            simulate_runs(bank_spec(), 1.0, 4, 50, 0, paths=block)
-        with pytest.raises(ValueError):
-            simulate_runs(bank_spec(), 1.0, 5, 51, 0, paths=block)
         bad = block.observations.copy()
         bad[2, 7] = np.nan
         with pytest.raises(ValueError):
             PathBlock(block.change_points, bad)
         with pytest.raises(ValueError):
             PathBlock(block.change_points[:4], block.observations)
-
-    @pytest.mark.parametrize("case", list(MISMATCHED_BLOCKS))
-    def test_refuses_a_block_drawn_for_another_detector(self, case):
-        (drawn_for, drawn_lam), (spec, lam), message = MISMATCHED_BLOCKS[case]
-        block = draw_paths(drawn_for, drawn_lam, range(5), 50, 0)
-        with pytest.raises(ValueError, match=message):
-            simulate_runs(spec, lam, 5, 50, 0, paths=block)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
@@ -268,9 +245,10 @@ class TestCompactionInvariance:
             BankTemplate("sr-wide", wide, PRIOR, GRID, ChartVariant.SR),
         ]
         alphas = (0.2, 0.05)
-        with mock.patch.object(simulate, "BATCH_SIZE", block_runs):
+        with mock.patch.object(simulate, "BATCH_SIZE", block_runs), count_draws() as draws:
             rows = add_vs_alpha_sweep(templates, 1.0, alphas, n_runs=80, seed=seed, censor_cap=0.05)
         assert len({r.horizon for r in rows[:3]}) == 2
+        assert draws.call_count == len(alphas) * 2 * -(-80 // block_runs)  # one group per family
         for a_idx, alpha in enumerate(alphas):
             for t_idx, template in enumerate(templates):
                 row = rows[a_idx * len(templates) + t_idx]
@@ -284,6 +262,34 @@ class TestCompactionInvariance:
                 )
                 alone = estimate(spec, 1.0, 80, horizon, [seed, a_idx], censor_cap=0.05)
                 assert row.horizon == horizon
+                assert (row.add_hat, row.add_se, row.pfa_hat, row.pfa_se, row.censored, row.valid) == (
+                    alone.add_hat,
+                    alone.add_se,
+                    alone.pfa_hat,
+                    alone.pfa_se,
+                    alone.censored,
+                    alone.valid,
+                )
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
+    def test_window_templates_on_one_model_match_per_template_estimates(self, seed, block_runs):
+        # two window lengths on one model and horizon, each its own group
+        fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5))
+        grids = ((1.4, 1.8), (1.5, 2.2))
+        templates = [WindowTemplate(f"w-{w}", (fam, fam), PRIOR, grids, w) for w in (5, 15)]
+        lam, alphas, n_runs = (1.8, 2.2), (0.2, 0.05), 40
+        with mock.patch.object(simulate, "BATCH_SIZE", block_runs), count_draws() as draws:
+            rows = add_vs_alpha_sweep(templates, lam, alphas, n_runs=n_runs, seed=seed, censor_cap=0.05)
+        assert draws.call_count == len(alphas) * len(templates) * -(-n_runs // block_runs)
+        for a_idx, alpha in enumerate(alphas):
+            for t_idx, template in enumerate(templates):
+                row = rows[a_idx * len(templates) + t_idx]
+                threshold = threshold_for(alpha, PRIOR.rho, 4)
+                spec = WindowSpec(template.families, PRIOR, grids, template.window_len, threshold)
+                alone = estimate(spec, lam, n_runs, row.horizon, [seed, a_idx], censor_cap=0.05)
+                assert row.horizon == default_horizon(alpha, PRIOR, best_drift(template, lam), 0.05)
+                assert row.horizon == rows[a_idx * len(templates)].horizon  # one model, one horizon
                 assert (row.add_hat, row.add_se, row.pfa_hat, row.pfa_se, row.censored, row.valid) == (
                     alone.add_hat,
                     alone.add_se,
@@ -339,8 +345,10 @@ class TestChunkInvariance:
         with mock.patch.object(simulate, "CHUNK_SLOTS", 10_000):
             whole = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
         with mock.patch.object(simulate, "CHUNK_SLOTS", chunk), mock.patch.object(simulate, "BATCH_SIZE", block_runs):
-            split = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
+            with count_draws() as draws:
+                split = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
         assert split == whole
+        assert draws.call_count == 2 * -(-80 // block_runs)  # one group per alpha
 
     def test_undrawn_slots_are_never_read(self):
         # after every draw, each allocated chunk's undrawn rows turn NaN; a NaN
@@ -364,12 +372,12 @@ class TestChunkInvariance:
             with pytest.raises(ValueError):
                 block.observations
             with mock.patch.object(PathBlock, "draw_to", draw_then_poison):
-                runs = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, paths=block)
-        assert (runs.stop_time > 16).sum() > CHUNK_RUNS // 2
+                stop, firing = simulate._run_batch((spec,), block, horizon)
+        assert (stop > 16).sum() > CHUNK_RUNS // 2
         assert np.isnan(block.chunk(16)[0]).any()  # the poison was laid
         with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
             whole = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
-        assert_same_runs(whole, runs)
+        assert np.array_equal(whole.stop_time, stop[0]) and np.array_equal(whole.firing_chart, firing[0])
 
 
 # Sources a pruned-window case draws from: family, candidates, true parameter.
@@ -598,9 +606,10 @@ class TestInfiniteThresholds:
         low = simulate_runs(bank_spec(variant, -math.inf), 1.0, self.N_RUNS, horizon, seed)
         assert (low.stop_time == 1).all() and (low.firing_chart == 0).all()
         high_spec = bank_spec(variant, math.inf)
-        block = draw_paths(high_spec, 1.0, range(self.N_RUNS), horizon, seed)
-        high = simulate_runs(high_spec, 1.0, self.N_RUNS, horizon, seed, paths=block)
+        high = simulate_runs(high_spec, 1.0, self.N_RUNS, horizon, seed)
         assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
+        block = draw_paths(high_spec, 1.0, range(self.N_RUNS), horizon, seed)
+        assert (simulate._run_batch((high_spec,), block, horizon)[0] == 0).all()
         for rid in range(self.N_RUNS):
             t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [seed, rid])
             # censored runs read every slot, so the lazy block is the eager path
@@ -637,8 +646,8 @@ class TestTieRulesThroughTheLoop:
         prior = GeometricPrior(0.05)
         spec = BankSpec(family, prior, (-1.0, 1.0), (prior.slot_cost - 0.5,), ChartVariant.SUM)
         block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.zeros((self.N_RUNS, 4)))
-        runs = simulate_runs(spec, 1.0, self.N_RUNS, 4, 0, batch_size=4, paths=block)
-        assert (runs.stop_time == 1).all() and (runs.firing_chart == 0).all()
+        stop, firing = simulate._run_batch((spec,), block, 4)
+        assert (stop == 1).all() and (firing == 0).all()
 
     def test_window_ties_fire_the_oldest_start(self):
         # candidates 1 and 2 read llrs (0.5, 1.5) and (0, 2) on x = (1, 2), and
@@ -653,8 +662,8 @@ class TestTieRulesThroughTheLoop:
         report = WindowEngine(families, prior, grids, 5, 4.0).run_to_stop(x)
         assert (report.stopped_at, report.window_start, report.source_rows, report.firing_chart) == (2, 1, (0, 0), 0)
         block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.broadcast_to(x, (self.N_RUNS, 2, 3)).copy())
-        runs = simulate_runs(spec, (1.0, 1.0), self.N_RUNS, 3, 0, batch_size=4, paths=block)
-        assert (runs.stop_time == 2).all() and (runs.firing_chart == 0).all()
+        stop, firing = simulate._run_batch((spec,), block, 3)
+        assert (stop == 2).all() and (firing == 0).all()
 
 
 class TestSummaries:
@@ -682,6 +691,14 @@ class TestSummaries:
         via = estimate(spec, 1.0, 200, 250, seed=3, censor_cap=0.01)
         assert direct == via
 
+    def test_a_grouped_result_is_not_summarised_as_one(self):
+        # a [specs, runs] result read as one detector mixes the specs' runs in one count and mean
+        grouped = simulate_runs((bank_spec(), bank_spec()), 1.0, 5, 20, 0)
+        with pytest.raises(ValueError, match="one detector's"):
+            summarize(grouped)
+        with pytest.raises(ValueError, match="one detector's"):
+            estimate((bank_spec(), bank_spec()), 1.0, 5, 20, 0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             simulate_runs(bank_spec(), 1.0, 0, 100, seed=0)
@@ -696,6 +713,8 @@ class TestSummaries:
             BankSpec(family=FAMILY, prior=PRIOR, grid=GRID, log_thresholds=(1.0, 2.0))
         with pytest.raises(ValueError):
             WindowSpec(families=(), prior=PRIOR, grids=(), window_len=5, log_threshold=1.0)
+        with pytest.raises(ValueError, match="nonempty tuple"):
+            simulate_runs((), 1.0, 5, 20, 0)
 
 
 class TestSizingHelpers:
@@ -1048,11 +1067,10 @@ class TestGroupedBankBatch:
     )
     def test_each_template_matches_simulate_runs_alone(self, group, n_runs, batch_size, seed):
         specs, horizons, lam = group
-        block = draw_paths(specs[0], lam, range(n_runs), max(horizons), seed)
-        grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), seed, batch_size=batch_size, paths=block)
+        grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), seed, batch_size=batch_size)
         assert grouped.stop_time.shape == grouped.firing_chart.shape == (len(specs), n_runs)
         for t, (spec, horizon) in enumerate(zip(specs, horizons)):
-            alone = simulate_runs(spec, lam, n_runs, horizon, seed, paths=block)
+            alone = simulate_runs(spec, lam, n_runs, horizon, seed)
             stop, firing = censored_at(grouped.stop_time[t], grouped.firing_chart[t], horizon)
             assert np.array_equal(stop, alone.stop_time)
             assert np.array_equal(firing, alone.firing_chart)
