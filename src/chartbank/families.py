@@ -259,6 +259,14 @@ class GaussianVarianceShift(ObservationFamily):
         return self.center + float(lam) * np.asarray(z, dtype=float)
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer of at least 1; a bool or a float such as 3.0 is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _lams(families, lam_true) -> tuple[float, ...]:
     """One true parameter per source; a bank takes a float or a one-element sequence."""
     lams = np.atleast_1d(np.asarray(lam_true, dtype=float))

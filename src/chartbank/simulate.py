@@ -44,7 +44,15 @@ import numpy as np
 from .design import add_lower_bound, efficiency, threshold_for
 from .detectors import BankBatch, ChartVariant, check_charts
 from .errors import CapacityError
-from .families import GeometricPrior, ObservationFamily, _bit_generators, _lams, _map_std, sample_path_multi
+from .families import (
+    GeometricPrior,
+    ObservationFamily,
+    _bit_generators,
+    _check_count,
+    _lams,
+    _map_std,
+    sample_path_multi,
+)
 from .windowed import RingBatch, check_window, composite_kl
 
 __all__ = [
@@ -323,12 +331,9 @@ def simulate_runs(
         not isinstance(s, BankSpec) or (s.family, s.prior) != (specs[0].family, specs[0].prior) for s in specs
     ):
         raise ValueError("several specs must be banks that share family and prior")
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    _check_count("n_runs", n_runs)
+    _check_count("horizon", horizon)
+    _check_count("batch_size", batch_size)
     lams = _lams(_sources(specs[0])[0], lam_true)
     ts = np.empty(n_runs, dtype=np.int64)
     stop = np.empty((len(specs), n_runs), dtype=np.int64)
@@ -629,12 +634,11 @@ def add_vs_alpha_sweep(
     they step through it together.
 
     ``alphas`` must be strictly decreasing, so a repeated value is refused,
-    ``n_runs`` at least 1 and ``censor_cap`` in [0, 1); a template none of
-    whose charts grows under ``lam_true`` is refused at any horizon.  A cell
-    whose runs all have zero delay has efficiency inf.
+    ``n_runs`` an integer of at least 1 and ``censor_cap`` in [0, 1); a
+    template none of whose charts grows under ``lam_true`` is refused at any
+    horizon.  A cell whose runs all have zero delay has efficiency inf.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    _check_count("n_runs", n_runs)
     _check_censor_cap(censor_cap)
     alphas = _check_alphas(alphas)
     rows: list[SweepRow] = []

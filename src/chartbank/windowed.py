@@ -16,24 +16,29 @@ and the per-step work drops to sum_l I_l * (m_alpha + 1) table updates.
 Per-source tables are rings indexed by start slot modulo (m_alpha + 1): the
 slot freed by the expired oldest start is exactly the slot the newest start
 needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
-per-column maxima; no column moves.  ``RingBatch`` holds the tables of many
-runs at once, one row each, and is the only implementation of the step and
-its stop rule.  Its ``retire`` compacts the tables in place once fewer than
-COMPACT_BELOW of the rows still run; ``WindowEngine`` is a batch of one
-that evaluates the exact joint statistic on every step.
+per-column maxima; no column moves.  ``RingBatch`` runs many runs at once,
+one row each, and is the only implementation of the step and its stop rule.
+Its ``retire`` compacts its rings in place once fewer than COMPACT_BELOW of
+the rows still run; ``WindowEngine`` is an unbounded batch of one that
+keeps the tables and evaluates the exact joint statistic on every step, so
+its work counters count the work it does.
 
-A batch may also keep a bound ring [rows, width] per source, which absorbs
-the largest llr of the slot where the table absorbs each candidate's llr.
-Rounded addition is monotone, so the bound never falls below the table's
+A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables.
+It keeps each slot's llrs in a history ring [rows, width, sum_l I_l], the
+same bytes as the tables, and per source a bound ring: a one-candidate ring
+table [rows, 1, width] that ``ring_advance`` feeds the slot's largest llr.
+Rounded addition is monotone, so a bound never falls below the table's
 per-column maximum, and the bound's joint statistic, built with the very
-additions of the exact one, never falls below the exact statistic.  A
-bounded batch takes exact maxima only for rows whose bound reaches the
-threshold and resets their bound to them; every other row provably does not
-cross, so stop slots and firing charts stay bitwise those of the exact step.
-A batch with bound rings also advances only columns 0..n while slot n is
-below the ring width: a column whose start has not come yet is zeroed when
-it starts.  ``WindowEngine`` keeps no bound rings and advances every column,
-so its work counters count the work it does.
+additions of the exact one, never falls below the exact statistic.  Rows
+whose bound joint stays under the threshold cannot cross.  For the others,
+``tighten`` replays from the history the sums of every start from the
+oldest one whose bound joint reaches the threshold; each sum starts at 0.0
+and adds the llrs in slot order, the additions ``ring_advance`` makes, so it
+is bitwise the table's, signed zeros included.  Older starts read -inf: their
+exact joint is below the threshold, so they can neither cross nor win the
+oldest-first argmax.  Stop slots and firing charts therefore stay bitwise
+those of the exact step, at a table update cost of sum_l (m_alpha + 1) per
+row and slot instead of sum_l I_l * (m_alpha + 1).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from .errors import AlreadyStoppedError
 from .detectors import StopReport, check_charts
-from .families import GeometricPrior, ObservationFamily, _lams
+from .families import GeometricPrior, ObservationFamily, _check_count, _lams
 
 __all__ = [
     "RingBatch",
@@ -101,20 +106,24 @@ def check_window(
         raise ValueError("need at least one source")
     if len(families) != len(grids):
         raise ValueError(f"{len(families)} families but {len(grids)} grids")
-    if window_len < 1:
-        raise ValueError(f"window_len must be at least 1, got {window_len}")
+    _check_count("window_len", window_len)
     return [check_charts(fam, grid, log_threshold)[0] for fam, grid in zip(families, grids)]
 
 
 class RingBatch:
     """The window engine's per-slot step over a batch of runs.
 
-    Source l keeps a ring table [rows, I_l, width] of llr sums per run,
-    candidate and start slot, and with ``bounded`` a bound ring [rows, width]
-    that is never below the table's per-column maximum; a bounded batch
-    leaves columns past slot n alone until they start.  ``rows`` holds the
-    block row of each state row.  ``WindowEngine`` is a batch of one; grids
-    come from ``check_window``.
+    Unbounded, source l keeps a ring table [rows, I_l, width] of llr sums
+    per run, candidate and start slot, and ``total`` holds every row's exact
+    joint statistic.  Bounded, the batch keeps no tables: one llr history
+    ring [rows, width, sum_l I_l] holds the last ``width`` slots' llrs of
+    every candidate, source after source, and source l's bound ring is a
+    one-candidate ring table [rows, 1, width] that is never below the
+    per-column maximum of the table it replaces.  ``tighten`` replays exact
+    sums from the history for the rows and starts the bounds cannot rule
+    out.  ``rows``
+    holds the block row of each state row.  ``WindowEngine`` is an unbounded
+    batch of one; grids come from ``check_window``.
     """
 
     def __init__(
@@ -133,32 +142,36 @@ class RingBatch:
         self.width = window_len + 1
         self.rows = rows
         self.running = np.ones(rows.size, dtype=bool)
-        self.tables = [np.zeros((rows.size, grid.size, self.width)) for grid in self.grids]
-        self.bounds = [np.zeros((rows.size, self.width)) for _ in self.grids] if bounded else None
+        if bounded:
+            # source l's candidates are columns edges[l]:edges[l + 1] of the history
+            self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
+            self.history = np.zeros((rows.size, self.width, self.edges[-1]))
+            self.bounds = [np.zeros((rows.size, 1, self.width)) for _ in self.grids]
+        else:
+            self.tables = [np.zeros((rows.size, grid.size, self.width)) for grid in self.grids]
+            self.bounds = None
+            self.total = np.full((rows.size, 1), -np.inf)
         # weight for start k at slot n depends only on the span n - k + 1
         self.weights = np.arange(1, self.width + 1) * prior.slot_cost
         self.n = 0
         self.starts = self.slots = np.zeros(0, dtype=np.int64)  # in-window starts and their ring slots
-        self.total = np.full((rows.size, 1), -np.inf)
 
     def advance(self, x: np.ndarray) -> None:
-        """Advance each row's tables, and bound rings if kept, by x[row]."""
+        """Advance each row's tables, or its history and bound rings, by x[row]."""
         self.n += 1
         slot_new = self.n % self.width
-        # with bound rings, columns past n have not started: each is zeroed when it starts
-        cols = self.width if self.bounds is None or self.n >= self.width else self.n + 1
-        for l, (fam, grid, table) in enumerate(zip(self.families, self.grids, self.tables)):
+        for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
             llr = fam._llr(grid, x[:, l, None])
-            ring_advance(table[..., :cols], llr, slot_new)
-            if self.bounds is not None:
-                bound = self.bounds[l][:, :cols]
-                bound[:, slot_new] = 0.0
-                bound += llr.max(axis=1)[:, None]
+            if self.bounds is None:
+                ring_advance(self.tables[l], llr, slot_new)
+            else:
+                self.history[:, slot_new, self.edges[l] : self.edges[l + 1]] = llr
+                ring_advance(self.bounds[l], llr.max(axis=1, keepdims=True), slot_new)
         self.starts, self.slots = window_offsets(self.n, self.width)
 
-    def maxima(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
-        """Each source's exact per-column maxima [rows, width] of the given rows (all by default)."""
-        return [ring_maxima(table if rows is None else table[rows]) for table in self.tables]
+    def maxima(self) -> list[np.ndarray]:
+        """Each source's exact per-column maxima [rows, width] of an unbounded batch."""
+        return [ring_maxima(table) for table in self.tables]
 
     def joint(self, bests: Sequence[np.ndarray]) -> np.ndarray:
         """Joint statistic [rows, starts] from per-source per-column values, exact maxima or bounds."""
@@ -166,11 +179,32 @@ class RingBatch:
         return self.weights[self.n - self.starts][None, :] + sum(bests)[:, self.slots]
 
     def tighten(self, rows: np.ndarray) -> np.ndarray:
-        """Exact joint statistic [rows, starts] of the given rows, whose bound rings are reset to the exact maxima."""
-        exact = self.maxima(rows)
+        """Exact joint statistic [rows, starts] of the given rows of a bounded batch; -inf at starts that cannot cross.
+
+        k0 is the oldest start at which any given row's bound joint reaches
+        the threshold.  The sums of starts k0..n are replayed from the
+        history and the bounds of those columns are reset to the exact
+        maxima; older starts read -inf, since their exact joint is below
+        the threshold.  Each replayed sum starts at 0.0 and adds l_k, ...,
+        l_n in slot order, the additions of ``ring_advance``, so it is
+        bitwise the eager table's.
+        """
+        total = self.joint([bound[rows, 0] for bound in self.bounds])
+        reach = np.flatnonzero((total >= self.log_threshold).any(axis=0))
+        first = reach[0] if reach.size else self.starts.size
+        total[:, :first] = -np.inf
+        slots = self.slots[first:]
+        # start-major, so each slot's add is one contiguous block
+        llrs = self.history[rows[None, :], slots[:, None]]  # [starts, rows, candidates]
+        sums = np.zeros(llrs.shape)
+        for j in range(slots.size):
+            sums[: j + 1] += llrs[j]
+        exact = [sums[..., lo:hi].max(axis=2) for lo, hi in zip(self.edges, self.edges[1:])]
         for bound, best in zip(self.bounds, exact):
-            bound[rows] = best
-        return self.joint(exact)
+            bound[rows[None, :], 0, slots[:, None]] = best
+        total[:, first:] = (self.weights[self.n - self.starts[first:]][:, None] + sum(exact)).T
+        self.replayed = rows, first, sums
+        return total
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance each row by x[row].
@@ -180,9 +214,9 @@ class RingBatch:
         rows now done, which are the rows that crossed.
 
         An unbounded batch keeps every row's exact joint statistic [rows, starts] in ``total``.
-        A bounded one takes exact maxima only of running rows whose bound
-        statistic reaches the threshold (suspects): the bound is never below
-        the exact statistic, so no other row can cross.
+        A bounded one tightens only running rows whose bound statistic
+        reaches the threshold (suspects): the bound is never below the
+        exact statistic, so no other row can cross.
         """
         self.advance(x)
         if self.bounds is None:
@@ -190,7 +224,8 @@ class RingBatch:
             rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.log_threshold))
             total = self.total[rows]
         else:
-            rows = np.flatnonzero(self.running & (self.joint(self.bounds).max(axis=1) >= self.log_threshold))
+            bounds = [bound[:, 0] for bound in self.bounds]
+            rows = np.flatnonzero(self.running & (self.joint(bounds).max(axis=1) >= self.log_threshold))
             if rows.size == 0:
                 return rows, rows, rows, rows
             total = self.tighten(rows)
@@ -202,10 +237,18 @@ class RingBatch:
 
     def decode(self, rows: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         """Per given row of a joint statistic [rows, starts]: the position in ``starts`` of its oldest
-        best start, each source's lowest best candidate there, and their composite chart."""
+        best start, each source's lowest best candidate there, and their composite chart.
+
+        A bounded batch reads the candidates' sums from its last ``tighten``, whose rows must hold the given ones.
+        """
         best = np.argmax(total, axis=1)  # first max: the oldest start wins ties
-        slots = self.slots[best]
-        picks = [np.argmax(table[rows, :, slots], axis=1) for table in self.tables]
+        if self.bounds is None:
+            columns = [table[rows, :, self.slots[best]] for table in self.tables]
+        else:
+            replayed, first, sums = self.replayed
+            at = sums[best - first, np.searchsorted(replayed, rows)]  # both row lists ascend
+            columns = [at[:, lo:hi] for lo, hi in zip(self.edges, self.edges[1:])]
+        picks = [np.argmax(column, axis=1) for column in columns]
         # mixed radix, first source slowest
         return best, picks, np.ravel_multi_index(picks, [grid.size for grid in self.grids])
 
@@ -218,14 +261,19 @@ class RingBatch:
         return n_running
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only the rows ``keep`` (ascending), moved down in place: no table is copied whole."""
+        """Keep only the rows ``keep`` (ascending), moved down in place: no ring is copied whole."""
         moves = [(dst, src) for dst, src in enumerate(keep.tolist()) if dst != src]
-        for ring in self.tables + (self.bounds or []):
+
+        def kept(ring: np.ndarray) -> np.ndarray:
             for dst, src in moves:
                 ring[dst] = ring[src]
-        self.tables = [table[: keep.size] for table in self.tables]
-        if self.bounds is not None:
-            self.bounds = [bound[: keep.size] for bound in self.bounds]
+            return ring[: keep.size]
+
+        if self.bounds is None:
+            self.tables = [kept(table) for table in self.tables]
+        else:
+            self.history = kept(self.history)
+            self.bounds = [kept(bound) for bound in self.bounds]
         self.rows, self.running = self.rows[keep], self.running[keep]
 
 

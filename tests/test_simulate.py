@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -404,6 +405,12 @@ def window_sources(draw):
     return tuple(families), tuple(grids), tuple(lams)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def exact_statistics(spec, lam, n_runs, horizon, seed):
     """Every run's exact joint statistic at every slot, from a ring batch that never stops a row."""
     xs = draw_paths(spec, lam, range(n_runs), horizon, seed).observations
@@ -475,28 +482,86 @@ class TestPrunedWindowKernel:
         seed=st.integers(0, 2**16),
     )
     def test_bound_never_below_exact_maxima(self, sources, window_len, rows, seed):
+        # an unbounded twin stepped on the same inputs holds the exact tables; at a
+        # threshold of -inf every in-window start of a tightened row is replayed
         families, grids, _ = sources
         rng = np.random.default_rng(seed)
-        rings = RingBatch(families, GeometricPrior(0.05), grids, window_len, math.inf, np.arange(rows), bounded=True)
+        args = (families, GeometricPrior(0.05), grids, window_len, -math.inf)
+        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        twin = RingBatch(*args, np.arange(rows))
 
         def assert_bounded():
-            for bound, best in zip(rings.bounds, rings.maxima()):
-                assert bound.shape == best.shape
-                assert (bound >= best).all()
+            for bound, best in zip(rings.bounds, twin.maxima()):
+                assert bound.shape == (best.shape[0], 1, best.shape[1])
+                assert (bound[:, 0] >= best).all()
 
         for _ in range(3 * window_len + 5):
-            n_rows = rings.tables[0].shape[0]
-            rings.advance(rng.standard_normal((n_rows, len(families))) * rng.uniform(0.5, 3.0))
+            n_rows = rings.rows.size
+            x = rng.standard_normal((n_rows, len(families))) * rng.uniform(0.5, 3.0)
+            rings.advance(x)
+            twin.advance(x)
             assert_bounded()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.3)
             exact = rings.tighten(suspect)
-            assert np.array_equal(exact, rings.joint(rings.maxima(suspect)))
-            for bound, best in zip(rings.bounds, rings.maxima(suspect)):
-                assert np.array_equal(bound[suspect], best)
+            assert np.array_equal(exact, twin.joint(twin.maxima())[suspect])
+            for bound, best in zip(rings.bounds, twin.maxima()):
+                assert np.array_equal(bound[suspect, 0][:, rings.slots], best[suspect][:, rings.slots])
             assert_bounded()
             if n_rows > 1 and rng.random() < 0.3:
-                rings.compact(np.flatnonzero(rng.random(n_rows) < 0.7))
+                keep = np.flatnonzero(rng.random(n_rows) < 0.7)
+                rings.compact(keep)
+                twin.compact(keep)
                 assert_bounded()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window_len=st.integers(1, 40),
+        data=st.data(),
+        rows=st.integers(1, 6),
+        threshold=st.sampled_from([-math.inf, 0.0, 1.0, 3.0, math.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_replayed_sums_are_the_eager_tables_bitwise(self, window_len, data, rows, threshold, seed):
+        # horizons on both sides of the ring width; the mean source is sometimes fed
+        # the midpoint of one of its candidates, whose llr is then 0.0 or -0.0
+        horizon = data.draw(st.integers(1, 2 * (window_len + 1)), label="horizon")
+        mean = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
+        families = (mean, WINDOW_SOURCES["variance"][0])
+        grids = ((-1.0, 0.5, 2.0), (1.4, 2.0))
+        rng = np.random.default_rng(seed)
+        args = (families, GeometricPrior(0.05), grids, window_len, threshold)
+        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        twin = RingBatch(*args, np.arange(rows))
+        edges = [0, 3, 5]
+        for _ in range(horizon):
+            n_rows = rings.rows.size
+            x = rng.standard_normal((n_rows, 2)) * 2.0
+            mid = rng.random(n_rows) < 0.4
+            x[mid, 0] = rng.choice(grids[0], int(mid.sum())) / 2.0
+            rings.advance(x)
+            twin.advance(x)
+            exact = twin.joint(twin.maxima())
+            suspect = np.flatnonzero(rng.random(n_rows) < 0.5)
+            total = rings.tighten(suspect)
+            replayed, first, sums = rings.replayed
+            assert np.array_equal(replayed, suspect)
+            finite = np.isfinite(total)
+            assert (finite[:, first:]).all() and not finite[:, :first].any()
+            assert same_bits(total[:, first:], exact[suspect][:, first:])
+            assert (exact[suspect][:, :first] < threshold).all()
+            for l, table in enumerate(twin.tables):
+                eager = table[suspect][:, :, rings.slots[first:]].transpose(2, 0, 1)
+                assert same_bits(sums[..., edges[l] : edges[l + 1]], eager)
+            crossed = total.max(axis=1) >= threshold
+            if crossed.any():
+                got = rings.decode(suspect[crossed], total[crossed])
+                want = twin.decode(suspect[crossed], exact[suspect[crossed]])
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+            if n_rows > 1 and rng.random() < 0.2:
+                keep = np.flatnonzero(rng.random(n_rows) < 0.7)
+                if keep.size:
+                    rings.compact(keep)
+                    twin.compact(keep)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -715,6 +780,17 @@ class TestSummaries:
             WindowSpec(families=(), prior=PRIOR, grids=(), window_len=5, log_threshold=1.0)
         with pytest.raises(ValueError, match="nonempty tuple"):
             simulate_runs((), 1.0, 5, 20, 0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_runs", 3.0), ("n_runs", True), ("horizon", 50.0), ("horizon", True), ("batch_size", 2.5), ("batch_size", True)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # n_runs=3.0 used to fail inside the seeding, and True ran as 1
+        counts = {"n_runs": 10, "horizon": 50, "batch_size": 4, name: value}
+        for spec, lam in ((bank_spec(), 1.0), (window_spec(), (1.8, 2.2))):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+                simulate_runs(spec, lam, counts["n_runs"], counts["horizon"], 0, batch_size=counts["batch_size"])
 
 
 class TestSizingHelpers:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chartbank import (
     GeometricPrior,
     Interval,
     WindowEngine,
+    WindowSpec,
     composite_kl,
     direct_window_stat_oracle,
     window_length_for,
@@ -226,6 +228,16 @@ class TestSizing:
             window_length_for(1e-3, 0.01, 0.0)
         with pytest.raises(ValueError):
             window_length_for(1e-3, 0.01, 0.5, slack=1.0)
+
+    @pytest.mark.parametrize("window_len", [2.5, 3.0, np.float64(4.0), True, np.bool_(True)])
+    def test_window_len_must_be_an_integer(self, window_len):
+        # 2.5 and 3.0 used to fail inside the ring tables with numpy's TypeError, True ran as 1
+        family = variance_family()
+        problem = re.escape(f"window_len must be an integer, got {window_len!r}")
+        with pytest.raises(ValueError, match=problem):
+            WindowEngine([family], PRIOR, [(1.5, 2.0)], window_len, 3.0)
+        with pytest.raises(ValueError, match=problem):
+            WindowSpec(families=(family,), prior=PRIOR, grids=((1.5, 2.0),), window_len=window_len, log_threshold=3.0)
 
     def test_window_length_warns_when_threshold_analysis_degrades(self):
         with pytest.warns(UserWarning):
