@@ -439,8 +439,7 @@ def sample_path_multi(
     per row as ``seed``, it draws every row as that row's own call would,
     and returns the change times as an int64 array with ``out``.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _check_count("horizon", horizon)
     # a tuple with one entry per source skips the array round trip; each family checks its entry
     lams = lams_true if type(lams_true) is tuple and len(lams_true) == len(families) else _lams(families, lams_true)
     for fam, lam in zip(families, lams):

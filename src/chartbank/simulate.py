@@ -545,8 +545,8 @@ def default_horizon(
         raise ValueError("drift must be positive")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n_runs is not None and n_runs < 1:
-        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    if n_runs is not None:
+        _check_count("n_runs", n_runs)
     tail = censor_cap / 10.0
     if n_runs is not None and censor_cap * n_runs < 1:
         tail = min(tail, 1e-3 / n_runs)  # never a shorter horizon than the cap alone asks for

@@ -25,20 +25,47 @@ its work counters count the work it does.
 
 A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables.
 It keeps each slot's llrs in a history ring [rows, width, sum_l I_l], the
-same bytes as the tables, and per source a bound ring: a one-candidate ring
-table [rows, 1, width] that ``ring_advance`` feeds the slot's largest llr.
-Rounded addition is monotone, so a bound never falls below the table's
-per-column maximum, and the bound's joint statistic, built with the very
-additions of the exact one, never falls below the exact statistic.  Rows
-whose bound joint stays under the threshold cannot cross.  For the others,
+same bytes as the tables, and bounds every row's statistic by one prefix
+sum.  With m_t = slot_cost + sum_l max_i llr_{l,i}(t), the largest per-source
+sum is at most the sum of the per-slot largest llrs, so start k's joint is at
+most P_n - P_{k-1} with P_n = m_1 + ... + m_n, and the row's joint at most
+P_n - min_{j in [n-w, n-1]} P_j, w = m_alpha + 1.  The minimum slides in
+lockstep over all rows (van Herk / Gil-Werman): prefixes are kept in a ring
+of w, P_j at column j mod w, so a block of w prefixes fills the ring in
+order; when one completes, its suffix minima are taken once, and the
+window's minimum is min(the previous block's suffix minimum from column
+n mod w, the running minimum of the current block).  A row's bound costs
+O(1) per slot, whatever the window.  ``ring_advance`` feeds source l's
+largest llr to a one-column running sum, and P_n is those L sums plus the
+weight of the slots since the block began.
+
+The bound and the exact statistic associate their additions differently,
+so the bound carries an allowance for rounding.  With u the unit roundoff
+and gamma_k = k u / (1 - k u) the bound on k rounded operations, let G be a
+row's llr mass over the current and the previous block: the sum over their
+slots of |slot_cost| + sum_l max_i |llr_{l,i}(t)|.  An exact sum runs at
+most w recursive additions, and the weight and the sum over sources L + 1
+more, so the exact statistic is within gamma_{w+L+1} G of its real value.
+A prefix is at most w additions per source, the weight and L additions
+after its block began, so it too is within gamma_{w+L+1} G of its real
+value.  When a block completes, its running sums restart at 0.0 and every
+stored prefix is rebased on the block's last one, one subtraction, so no
+prefix carries more than two blocks of mass: the allowance scales with the
+window, not the slot count.  A bound P_n - P_{k-1} + allowance thus adds
+three prefix errors (P_n, P_{k-1} and its base) to the exact statistic's,
+and three roundings (the rebase, the subtraction and the allowance's
+addition), all under gamma_{3(w+L+2)} G; the allowance is twice that, the
+factor 2 covering the rounding of G and of the allowance itself.  Rows
+whose bound stays under the threshold cannot cross.  For the others,
 ``tighten`` replays from the history the sums of every start from the
-oldest one whose bound joint reaches the threshold; each sum starts at 0.0
-and adds the llrs in slot order, the additions ``ring_advance`` makes, so it
-is bitwise the table's, signed zeros included.  Older starts read -inf: their
-exact joint is below the threshold, so they can neither cross nor win the
-oldest-first argmax.  Stop slots and firing charts therefore stay bitwise
-those of the exact step, at a table update cost of sum_l (m_alpha + 1) per
-row and slot instead of sum_l I_l * (m_alpha + 1).
+oldest one whose bound P_n - P_{k-1} + allowance reaches the threshold;
+each sum starts at 0.0 and adds the llrs in slot order, the additions
+``ring_advance`` makes, so it is bitwise the table's, signed zeros
+included.  Older starts read -inf: their exact joint is below the
+threshold, so they can neither cross nor win the oldest-first argmax.  Stop
+slots and firing charts therefore stay bitwise those of the exact step.
+The bound costs O(L) per row and slot, plus O(w) per row once per w slots
+for a block's suffix minima.
 """
 
 from __future__ import annotations
@@ -71,14 +98,16 @@ __all__ = [
 COMPACT_BELOW = 0.75
 
 
-def ring_advance(table: np.ndarray, llr, slot_new: int) -> None:
+def ring_advance(table: np.ndarray, llr, slot_new: int | None) -> None:
     """Advance a ring table one slot in place.
 
     ``table`` has shape [..., I, W]; ``llr`` broadcasts against [..., I].
     The column at ``slot_new`` is recycled for the newest start, then every
-    column absorbs the new observation's llr.
+    column absorbs the new observation's llr.  With ``slot_new=None`` no
+    column is recycled: each column is a running sum of every llr fed so far.
     """
-    table[..., slot_new] = 0.0
+    if slot_new is not None:
+        table[..., slot_new] = 0.0
     table += np.asarray(llr, dtype=float)[..., None]
 
 
@@ -96,6 +125,12 @@ def window_offsets(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     w = min(n, width)
     starts = np.arange(n - w + 1, n + 1)
     return starts, starts % width
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error bound of k rounded operations."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
 
 
 def check_window(
@@ -117,13 +152,20 @@ class RingBatch:
     per run, candidate and start slot, and ``total`` holds every row's exact
     joint statistic.  Bounded, the batch keeps no tables: one llr history
     ring [rows, width, sum_l I_l] holds the last ``width`` slots' llrs of
-    every candidate, source after source, and source l's bound ring is a
-    one-candidate ring table [rows, 1, width] that is never below the
-    per-column maximum of the table it replaces.  ``tighten`` replays exact
-    sums from the history for the rows and starts the bounds cannot rule
-    out.  ``rows``
-    holds the block row of each state row.  ``WindowEngine`` is an unbounded
-    batch of one; grids come from ``check_window``.
+    every candidate, source after source.  Its bound is a prefix sum P of
+    the per-slot bound m_t (see the module docstring), kept rows last:
+    ``peaks`` [L, rows, 1, 1] holds each source's running sum of its largest
+    llrs since the current block of ``width`` slots began, one one-column
+    ring table per source; ``prefix`` [rows] is P_n, ``prefixes`` [width,
+    rows] the ring of the last ``width`` prefixes, ``suffix`` [width, rows]
+    the previous block's suffix minima, ``low`` [rows] the current block's
+    running minimum and ``mass`` [2, rows] the previous and current block's
+    llr mass, which scales the rounding allowance.  ``bound`` and
+    ``start_bounds`` are never below the exact statistic; ``tighten``
+    replays exact sums from the history for the rows and starts they cannot
+    rule out.  ``rows`` holds the block row of each state row.
+    ``WindowEngine`` is an unbounded batch of one; grids come from
+    ``check_window``.
     """
 
     def __init__(
@@ -142,54 +184,107 @@ class RingBatch:
         self.width = window_len + 1
         self.rows = rows
         self.running = np.ones(rows.size, dtype=bool)
+        self.bounded = bounded
+        # weight for start k at slot n depends only on the span n - k + 1
+        self.weights = np.arange(1, self.width + 1) * prior.slot_cost
         if bounded:
+            n_sources = len(self.grids)
             # source l's candidates are columns edges[l]:edges[l + 1] of the history
             self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
             self.history = np.zeros((rows.size, self.width, self.edges[-1]))
-            self.bounds = [np.zeros((rows.size, 1, self.width)) for _ in self.grids]
+            # candidates first: an llr [I_l, rows] reduces over its candidates one contiguous row at a time
+            self.grid_columns = [grid.T for grid in self.grids]
+            # the bound's state keeps rows last, so each per-slot operation runs over contiguous rows
+            self.peaks = np.zeros((n_sources, rows.size, 1, 1))
+            self.steps = 0  # slots since the current block began, the same for every row
+            self.prefix = np.zeros(rows.size)  # P_0
+            self.prefixes = np.zeros((self.width, rows.size))
+            self.suffix = np.full((self.width, rows.size), np.inf)  # no previous block yet
+            self.low = np.full(rows.size, np.inf)
+            self.mass = np.zeros((2, rows.size))
+            self.slot_mass = abs(prior.slot_cost)
+            self.slack = 2 * _gamma(3 * (self.width + n_sources + 2))
         else:
             self.tables = [np.zeros((rows.size, grid.size, self.width)) for grid in self.grids]
-            self.bounds = None
             self.total = np.full((rows.size, 1), -np.inf)
-        # weight for start k at slot n depends only on the span n - k + 1
-        self.weights = np.arange(1, self.width + 1) * prior.slot_cost
         self.n = 0
         self.starts = self.slots = np.zeros(0, dtype=np.int64)  # in-window starts and their ring slots
 
     def advance(self, x: np.ndarray) -> None:
-        """Advance each row's tables, or its history and bound rings, by x[row]."""
+        """Advance each row's tables, or its history and prefix sum, by x[row]."""
         self.n += 1
         slot_new = self.n % self.width
+        if self.bounded:
+            self.store_prefix()
         for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
-            llr = fam._llr(grid, x[:, l, None])
-            if self.bounds is None:
-                ring_advance(self.tables[l], llr, slot_new)
-            else:
-                self.history[:, slot_new, self.edges[l] : self.edges[l + 1]] = llr
-                ring_advance(self.bounds[l], llr.max(axis=1, keepdims=True), slot_new)
+            if not self.bounded:
+                ring_advance(self.tables[l], fam._llr(grid, x[:, l, None]), slot_new)
+                continue
+            llr = fam._llr(self.grid_columns[l], x[None, :, l])  # [I_l, rows], the tables' values transposed
+            self.history[:, slot_new, self.edges[l] : self.edges[l + 1]] = llr.T
+            ring_advance(self.peaks[l], llr.max(axis=0)[:, None], None)
+            self.mass[1] += np.abs(llr, out=llr).max(axis=0)
+        if self.bounded:
+            self.steps += 1
+            self.prefix = self.weights[self.steps - 1] + self.peaks.sum(axis=0).ravel()
+            self.mass[1] += self.slot_mass
         self.starts, self.slots = window_offsets(self.n, self.width)
+
+    def store_prefix(self) -> None:
+        """Move P_{n-1} into the prefix ring; once that completes a block, take its suffix minima and rebase.
+
+        The rebase subtracts the block's last prefix from every stored one and
+        restarts the running sums at 0.0, so later prefixes are relative to it.
+        """
+        column = (self.n - 1) % self.width
+        self.prefixes[column] = self.prefix
+        np.minimum(self.low, self.prefix, out=self.low)
+        if column == self.width - 1:
+            self.prefixes -= self.prefix
+            self.suffix = np.minimum.accumulate(self.prefixes[::-1], axis=0)[::-1]
+            self.low[:] = np.inf
+            self.peaks[:] = 0.0
+            self.steps = 0
+            self.mass[0] = self.mass[1]
+            self.mass[1] = 0.0
+
+    def allowance(self) -> np.ndarray:
+        """Each row's rounding allowance [rows]: twice gamma_{3(w+L+2)} times its llr mass over two blocks."""
+        return self.slack * (self.mass[0] + self.mass[1])
+
+    def bound(self) -> np.ndarray:
+        """Each row's bound [rows] on its joint statistic: P_n minus the least in-window prefix, plus the allowance."""
+        low = np.minimum(self.suffix[self.n % self.width], self.low)
+        return (self.prefix - low) + self.allowance()
+
+    def start_bounds(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows' bounds [rows, starts] at every in-window start k: P_n - P_{k-1} plus the allowance.
+
+        A row's ``bound`` is the largest of these, bitwise: rounded subtraction is monotone.
+        """
+        before = self.prefixes[((self.slots - 1) % self.width)[:, None], rows].T
+        return (self.prefix[rows, None] - before) + self.allowance()[rows, None]
 
     def maxima(self) -> list[np.ndarray]:
         """Each source's exact per-column maxima [rows, width] of an unbounded batch."""
         return [ring_maxima(table) for table in self.tables]
 
     def joint(self, bests: Sequence[np.ndarray]) -> np.ndarray:
-        """Joint statistic [rows, starts] from per-source per-column values, exact maxima or bounds."""
+        """Joint statistic [rows, starts] from per-source per-column maxima [rows, width]."""
         # sum over the whole ring, then one gather of the in-window columns, not one per source
         return self.weights[self.n - self.starts][None, :] + sum(bests)[:, self.slots]
 
     def tighten(self, rows: np.ndarray) -> np.ndarray:
         """Exact joint statistic [rows, starts] of the given rows of a bounded batch; -inf at starts that cannot cross.
 
-        k0 is the oldest start at which any given row's bound joint reaches
-        the threshold.  The sums of starts k0..n are replayed from the
-        history and the bounds of those columns are reset to the exact
-        maxima; older starts read -inf, since their exact joint is below
+        k0 is the oldest start at which any given row's ``start_bounds``
+        reach the threshold.  The sums of starts k0..n are replayed from the
+        history; older starts read -inf, since their exact joint is below
         the threshold.  Each replayed sum starts at 0.0 and adds l_k, ...,
         l_n in slot order, the additions of ``ring_advance``, so it is
         bitwise the eager table's.
         """
-        total = self.joint([bound[rows, 0] for bound in self.bounds])
+        total = self.start_bounds(rows)
         reach = np.flatnonzero((total >= self.log_threshold).any(axis=0))
         first = reach[0] if reach.size else self.starts.size
         total[:, :first] = -np.inf
@@ -200,8 +295,6 @@ class RingBatch:
         for j in range(slots.size):
             sums[: j + 1] += llrs[j]
         exact = [sums[..., lo:hi].max(axis=2) for lo, hi in zip(self.edges, self.edges[1:])]
-        for bound, best in zip(self.bounds, exact):
-            bound[rows[None, :], 0, slots[:, None]] = best
         total[:, first:] = (self.weights[self.n - self.starts[first:]][:, None] + sum(exact)).T
         self.replayed = rows, first, sums
         return total
@@ -219,13 +312,12 @@ class RingBatch:
         exact statistic, so no other row can cross.
         """
         self.advance(x)
-        if self.bounds is None:
+        if not self.bounded:
             self.total = self.joint(self.maxima())
             rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.log_threshold))
             total = self.total[rows]
         else:
-            bounds = [bound[:, 0] for bound in self.bounds]
-            rows = np.flatnonzero(self.running & (self.joint(bounds).max(axis=1) >= self.log_threshold))
+            rows = np.flatnonzero(self.running & (self.bound() >= self.log_threshold))
             if rows.size == 0:
                 return rows, rows, rows, rows
             total = self.tighten(rows)
@@ -242,7 +334,7 @@ class RingBatch:
         A bounded batch reads the candidates' sums from its last ``tighten``, whose rows must hold the given ones.
         """
         best = np.argmax(total, axis=1)  # first max: the oldest start wins ties
-        if self.bounds is None:
+        if not self.bounded:
             columns = [table[rows, :, self.slots[best]] for table in self.tables]
         else:
             replayed, first, sums = self.replayed
@@ -261,7 +353,7 @@ class RingBatch:
         return n_running
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only the rows ``keep`` (ascending), moved down in place: no ring is copied whole."""
+        """Keep only the rows ``keep`` (ascending): the tables or the history move down in place, not copied whole."""
         moves = [(dst, src) for dst, src in enumerate(keep.tolist()) if dst != src]
 
         def kept(ring: np.ndarray) -> np.ndarray:
@@ -269,11 +361,14 @@ class RingBatch:
                 ring[dst] = ring[src]
             return ring[: keep.size]
 
-        if self.bounds is None:
+        if not self.bounded:
             self.tables = [kept(table) for table in self.tables]
         else:
             self.history = kept(self.history)
-            self.bounds = [kept(bound) for bound in self.bounds]
+            self.peaks = self.peaks[:, keep]
+            self.prefix, self.prefixes, self.suffix, self.low, self.mass = (
+                state[..., keep] for state in (self.prefix, self.prefixes, self.suffix, self.low, self.mass)
+            )
         self.rows, self.running = self.rows[keep], self.running[keep]
 
 

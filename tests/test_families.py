@@ -299,6 +299,14 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path_multi(fams, self.prior, (1.0,), 50, seed=0)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True], ids=repr)
+    def test_rejects_a_horizon_that_is_not_an_integer(self, horizon):
+        # numpy used to raise a TypeError that named no argument
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            sample_path(self.family, self.prior, 1.0, horizon, seed=0)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            sample_path_multi([self.family, self.family], self.prior, (1.0, 2.0), horizon, seed=0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

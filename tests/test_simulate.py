@@ -479,11 +479,14 @@ class TestPrunedWindowKernel:
         sources=window_sources(),
         window_len=st.integers(1, 12),
         rows=st.integers(1, 9),
+        magnitude=st.sampled_from([1.0, 1e3, 1e6]),
         seed=st.integers(0, 2**16),
     )
-    def test_bound_never_below_exact_maxima(self, sources, window_len, rows, seed):
+    def test_bound_never_below_exact_maxima(self, sources, window_len, rows, magnitude, seed):
         # an unbounded twin stepped on the same inputs holds the exact tables; at a
-        # threshold of -inf every in-window start of a tightened row is replayed
+        # threshold of -inf every in-window start of a tightened row is replayed.
+        # Observation scales up to 1e6 and at least five blocks of width slots
+        # make the rounding allowance and the per-block rebase matter.
         families, grids, _ = sources
         rng = np.random.default_rng(seed)
         args = (families, GeometricPrior(0.05), grids, window_len, -math.inf)
@@ -491,22 +494,24 @@ class TestPrunedWindowKernel:
         twin = RingBatch(*args, np.arange(rows))
 
         def assert_bounded():
-            for bound, best in zip(rings.bounds, twin.maxima()):
-                assert bound.shape == (best.shape[0], 1, best.shape[1])
-                assert (bound[:, 0] >= best).all()
+            exact = twin.joint(twin.maxima())
+            every = np.arange(rings.rows.size)
+            starts = rings.start_bounds(every)
+            assert starts.shape == exact.shape
+            assert (starts >= exact).all()
+            assert same_bits(rings.bound(), starts.max(axis=1))
+            assert (rings.bound() >= exact.max(axis=1)).all()
 
-        for _ in range(3 * window_len + 5):
+        for _ in range(5 * (window_len + 1) + 5):
             n_rows = rings.rows.size
-            x = rng.standard_normal((n_rows, len(families))) * rng.uniform(0.5, 3.0)
+            scale = rng.uniform(0.5, 3.0) * magnitude ** rng.random()
+            x = rng.standard_normal((n_rows, len(families))) * scale
             rings.advance(x)
             twin.advance(x)
             assert_bounded()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.3)
             exact = rings.tighten(suspect)
-            assert np.array_equal(exact, twin.joint(twin.maxima())[suspect])
-            for bound, best in zip(rings.bounds, twin.maxima()):
-                assert np.array_equal(bound[suspect, 0][:, rings.slots], best[suspect][:, rings.slots])
-            assert_bounded()
+            assert same_bits(exact, twin.joint(twin.maxima())[suspect])
             if n_rows > 1 and rng.random() < 0.3:
                 keep = np.flatnonzero(rng.random(n_rows) < 0.7)
                 rings.compact(keep)
@@ -833,6 +838,12 @@ class TestSizingHelpers:
     def test_default_horizon_refuses_a_run_count_below_one(self, n_runs):
         with pytest.raises(ValueError, match=f"n_runs must be at least 1, got {n_runs}"):
             default_horizon(1e-3, PRIOR, 0.5, 1e-3, n_runs)
+
+    @pytest.mark.parametrize("n_runs", [2.5, True], ids=repr)
+    def test_default_horizon_refuses_a_run_count_that_is_not_an_integer(self, n_runs):
+        # 2.5 used to size the horizon of 1028 slots that simulate_runs then refused
+        with pytest.raises(ValueError, match="n_runs must be an integer"):
+            default_horizon(1e-3, GeometricPrior(0.01), 0.5, 1e-3, n_runs)
 
     def test_best_drift_frozen_bank_values(self):
         prior = GeometricPrior(0.01)
