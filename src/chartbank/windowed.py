@@ -39,6 +39,14 @@ O(1) per slot, whatever the window.  ``ring_advance`` feeds source l's
 largest llr to a one-column running sum, and P_n is those L sums plus the
 weight of the slots since the block began.
 
+Consecutive sources whose families compare equal and whose grids have one
+size form a run of like sources, and a bounded batch steps each run at
+once: one broadcast llr call gives [g, I, rows] for the run's g sources,
+then one history write, one ``ring_advance`` of the run's g running sums
+and one reduction each for the largest llr and the largest |llr| of every
+source.  The values are those of one call per source, bitwise; a lone
+source is a run of one.
+
 The bound and the exact statistic associate their additions differently,
 so the bound carries an allowance for rounding.  With u the unit roundoff
 and gamma_k = k u / (1 - k u) the bound on k rounded operations, let G be a
@@ -55,15 +63,27 @@ window, not the slot count.  A bound P_n - P_{k-1} + allowance thus adds
 three prefix errors (P_n, P_{k-1} and its base) to the exact statistic's,
 and three roundings (the rebase, the subtraction and the allowance's
 addition), all under gamma_{3(w+L+2)} G; the allowance is twice that, the
-factor 2 covering the rounding of G and of the allowance itself.  Rows
-whose bound stays under the threshold cannot cross.  For the others,
+factor 2 covering the rounding of G and of the allowance itself.  G is a
+sum of non-negative terms, each run's terms summed before they join the
+row's running mass, and in any order a sum of N such terms is at least
+(1 - gamma_N) G.  N is at most 2w(L+1), far below 1 / (5u), so gamma_N is
+under 1/4: the computed G is at least three quarters of the real one, and
+twice that covers it with room for the allowance's own roundings.
+
+Rows whose bound stays under the threshold cannot cross.  For the others,
 ``tighten`` replays from the history the sums of every start from the
 oldest one whose bound P_n - P_{k-1} + allowance reaches the threshold;
 each sum starts at 0.0 and adds the llrs in slot order, the additions
 ``ring_advance`` makes, so it is bitwise the table's, signed zeros
-included.  Older starts read -inf: their exact joint is below the
-threshold, so they can neither cross nor win the oldest-first argmax.  Stop
-slots and firing charts therefore stay bitwise those of the exact step.
+included.  The replay runs along diagonals, S passes for S starts: the
+gathered llrs are followed by S rows of +0.0, and pass d adds row k + d to
+every start k at once, so a start adds its own llrs in slot order and then
++0.0 once per later start.  A sum that starts at +0.0 never becomes -0.0
+(round to nearest gives -0.0 only for two -0.0 operands), and x + 0.0 is x
+bitwise for every other x, so the trailing adds change no bit.  Older
+starts read -inf: their exact joint is below the threshold, so they can
+neither cross nor win the oldest-first argmax.  Stop slots and firing
+charts therefore stay bitwise those of the exact step.
 The bound costs O(L) per row and slot, plus O(w) per row once per w slots
 for a block's suffix minima.
 """
@@ -156,14 +176,16 @@ class RingBatch:
     the per-slot bound m_t (see the module docstring), kept rows last:
     ``peaks`` [L, rows, 1, 1] holds each source's running sum of its largest
     llrs since the current block of ``width`` slots began, one one-column
-    ring table per source; ``prefix`` [rows] is P_n, ``prefixes`` [width,
-    rows] the ring of the last ``width`` prefixes, ``suffix`` [width, rows]
-    the previous block's suffix minima, ``low`` [rows] the current block's
-    running minimum and ``mass`` [2, rows] the previous and current block's
-    llr mass, which scales the rounding allowance.  ``bound`` and
-    ``start_bounds`` are never below the exact statistic; ``tighten``
-    replays exact sums from the history for the rows and starts they cannot
-    rule out.  ``rows`` holds the block row of each state row.
+    ring table per source, advanced a run of like sources at a time
+    (``source_runs``, see the module docstring); ``prefix`` [rows] is P_n,
+    ``prefixes`` [width, rows] the ring of the last ``width`` prefixes,
+    ``suffix`` [width, rows] the previous block's suffix minima, ``low``
+    [rows] the current block's running minimum and ``mass`` [2, rows] the
+    previous and current block's llr mass, which scales the rounding
+    allowance.  ``bound`` and ``start_bounds`` are never below the exact
+    statistic; ``tighten`` replays exact sums from the history for the rows
+    and starts they cannot rule out, one diagonal pass per replayed start
+    over all of them.  ``rows`` holds the block row of each state row.
     ``WindowEngine`` is an unbounded batch of one; grids come from
     ``check_window``.
     """
@@ -192,8 +214,17 @@ class RingBatch:
             # source l's candidates are columns edges[l]:edges[l + 1] of the history
             self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
             self.history = np.zeros((rows.size, self.width, self.edges[-1]))
-            # candidates first: an llr [I_l, rows] reduces over its candidates one contiguous row at a time
-            self.grid_columns = [grid.T for grid in self.grids]
+            # runs of like sources: consecutive sources whose families compare equal and whose grids have
+            # one size share each per-slot call, as (family, first source, end, grids [g, I, 1]); candidates
+            # come before rows, so an llr [g, I, rows] reduces over its candidates one contiguous row at a time
+            self.source_runs = []
+            lo = 0
+            for hi in range(1, n_sources + 1):
+                like = hi < n_sources and self.grids[hi].size == self.grids[lo].size
+                if like and self.families[hi] == self.families[lo]:
+                    continue
+                self.source_runs.append((self.families[lo], lo, hi, np.stack(self.grids[lo:hi]).transpose(0, 2, 1)))
+                lo = hi
             # the bound's state keeps rows last, so each per-slot operation runs over contiguous rows
             self.peaks = np.zeros((n_sources, rows.size, 1, 1))
             self.steps = 0  # slots since the current block began, the same for every row
@@ -214,17 +245,18 @@ class RingBatch:
         """Advance each row's tables, or its history and prefix sum, by x[row]."""
         self.n += 1
         slot_new = self.n % self.width
-        if self.bounded:
-            self.store_prefix()
-        for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
-            if not self.bounded:
+        if not self.bounded:
+            for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
                 ring_advance(self.tables[l], fam._llr(grid, x[:, l, None]), slot_new)
-                continue
-            llr = fam._llr(self.grid_columns[l], x[None, :, l])  # [I_l, rows], the tables' values transposed
-            self.history[:, slot_new, self.edges[l] : self.edges[l + 1]] = llr.T
-            ring_advance(self.peaks[l], llr.max(axis=0)[:, None], None)
-            self.mass[1] += np.abs(llr, out=llr).max(axis=0)
-        if self.bounded:
+        else:
+            self.store_prefix()
+            xs = x.T[:, None, :]  # [L, 1, rows]
+            for fam, lo, hi, lams in self.source_runs:
+                llr = fam._llr(lams, xs[lo:hi])  # [g, I, rows], the tables' values transposed
+                c0, c1 = self.edges[lo], self.edges[hi]
+                self.history[:, slot_new, c0:c1] = llr.reshape(c1 - c0, x.shape[0]).T
+                ring_advance(self.peaks[lo:hi], llr.max(axis=1)[..., None], None)
+                self.mass[1] += np.abs(llr, out=llr).max(axis=1).sum(axis=0)
             self.steps += 1
             self.prefix = self.weights[self.steps - 1] + self.peaks.sum(axis=0).ravel()
             self.mass[1] += self.slot_mass
@@ -248,9 +280,9 @@ class RingBatch:
             self.mass[0] = self.mass[1]
             self.mass[1] = 0.0
 
-    def allowance(self) -> np.ndarray:
-        """Each row's rounding allowance [rows]: twice gamma_{3(w+L+2)} times its llr mass over two blocks."""
-        return self.slack * (self.mass[0] + self.mass[1])
+    def allowance(self, rows=slice(None)) -> np.ndarray:
+        """The rows' rounding allowances [rows]: twice gamma_{3(w+L+2)} times each one's llr mass over two blocks."""
+        return self.slack * (self.mass[0, rows] + self.mass[1, rows])
 
     def bound(self) -> np.ndarray:
         """Each row's bound [rows] on its joint statistic: P_n minus the least in-window prefix, plus the allowance."""
@@ -263,7 +295,7 @@ class RingBatch:
         A row's ``bound`` is the largest of these, bitwise: rounded subtraction is monotone.
         """
         before = self.prefixes[((self.slots - 1) % self.width)[:, None], rows].T
-        return (self.prefix[rows, None] - before) + self.allowance()[rows, None]
+        return (self.prefix[rows, None] - before) + self.allowance(rows)[:, None]
 
     def maxima(self) -> list[np.ndarray]:
         """Each source's exact per-column maxima [rows, width] of an unbounded batch."""
@@ -282,19 +314,32 @@ class RingBatch:
         history; older starts read -inf, since their exact joint is below
         the threshold.  Each replayed sum starts at 0.0 and adds l_k, ...,
         l_n in slot order, the additions of ``ring_advance``, so it is
-        bitwise the eager table's.
+        bitwise the eager table's: pass d of the diagonal replay adds l_{k+d}
+        to every start k at once, or +0.0 past l_n, which changes no bit of
+        a sum that started at +0.0 (see the module docstring).
         """
         total = self.start_bounds(rows)
         reach = np.flatnonzero((total >= self.log_threshold).any(axis=0))
         first = reach[0] if reach.size else self.starts.size
         total[:, :first] = -np.inf
         slots = self.slots[first:]
-        # start-major, so each slot's add is one contiguous block
-        llrs = self.history[rows[None, :], slots[:, None]]  # [starts, rows, candidates]
-        sums = np.zeros(llrs.shape)
-        for j in range(slots.size):
-            sums[: j + 1] += llrs[j]
-        exact = [sums[..., lo:hi].max(axis=2) for lo, hi in zip(self.edges, self.edges[1:])]
+        span = slots.size
+        # start-major, so each pass is one contiguous add over every start
+        padded = np.zeros((2 * span, rows.size, self.edges[-1]))  # [slots, rows, candidates]
+        padded[:span] = self.history[rows[None, :], slots[:, None]]
+        sums = np.zeros((span, rows.size, self.edges[-1]))
+        for d in range(span):
+            sums += padded[d : d + span]
+        # a run's maxima take one elementwise pass per candidate over all its sources (numpy's reduction over a
+        # short innermost axis costs about three times as much), then the joint adds them in source order, as
+        # ``joint`` does
+        exact = []
+        for _, lo, hi, lams in self.source_runs:
+            run = sums[..., self.edges[lo] : self.edges[hi]].reshape(span, rows.size, *lams.shape[:2])
+            best = run[..., 0].copy()
+            for i in range(1, run.shape[3]):
+                np.maximum(best, run[..., i], out=best)
+            exact.extend(best[..., l] for l in range(hi - lo))
         total[:, first:] = (self.weights[self.n - self.starts[first:]][:, None] + sum(exact)).T
         self.replayed = rows, first, sums
         return total
@@ -471,11 +516,14 @@ def window_length_for(alpha: float, rho: float, d_min: float, slack: float = 1.5
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     GeometricPrior(rho)  # validates rho
-    if d_min <= 0:
-        raise ValueError(f"d_min must be positive, got {d_min}")
-    if slack <= 1.0:
-        raise ValueError(f"slack must exceed 1, got {slack}")
-    m = int(math.ceil(slack * abs(math.log(alpha)) / d_min))
+    if not (0.0 < d_min < math.inf):
+        raise ValueError(f"d_min must be positive and finite, got {d_min}")
+    if not (1.0 < slack < math.inf):
+        raise ValueError(f"slack must be finite and exceed 1, got {slack}")
+    span = slack * abs(math.log(alpha)) / d_min
+    if not span < 2.0**62:
+        raise ValueError(f"window length {span} is past the int64 range (slack={slack}, d_min={d_min})")
+    m = max(1, math.ceil(span))
     if math.log(m) > 0.5 * abs(math.log(alpha)):
         warnings.warn(
             f"window length {m} has log({m}) = {math.log(m):.2f}, not small against "

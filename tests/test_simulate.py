@@ -528,7 +528,9 @@ class TestPrunedWindowKernel:
     )
     def test_replayed_sums_are_the_eager_tables_bitwise(self, window_len, data, rows, threshold, seed):
         # horizons on both sides of the ring width; the mean source is sometimes fed
-        # the midpoint of one of its candidates, whose llr is then 0.0 or -0.0
+        # the midpoint of one of its candidates, whose llr is then 0.0 or -0.0, and
+        # block row 0 always the midpoint of -1.0: that candidate's replayed spans are
+        # -0.0 throughout, trailing padded passes included, and must sum to +0.0
         horizon = data.draw(st.integers(1, 2 * (window_len + 1)), label="horizon")
         mean = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
         families = (mean, WINDOW_SOURCES["variance"][0])
@@ -543,6 +545,7 @@ class TestPrunedWindowKernel:
             x = rng.standard_normal((n_rows, 2)) * 2.0
             mid = rng.random(n_rows) < 0.4
             x[mid, 0] = rng.choice(grids[0], int(mid.sum())) / 2.0
+            x[rings.rows == 0, 0] = -0.5
             rings.advance(x)
             twin.advance(x)
             exact = twin.joint(twin.maxima())
@@ -567,6 +570,56 @@ class TestPrunedWindowKernel:
                 if keep.size:
                     rings.compact(keep)
                     twin.compact(keep)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        window_len=st.integers(1, 12),
+        rows=st.integers(1, 9),
+        threshold=st.sampled_from([-math.inf, 15.0, 25.0, 40.0, math.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_runs_of_like_sources_match_the_unbounded_twin(self, window_len, rows, threshold, seed):
+        # two equal variance sources, a mean source, a variance source with a larger grid, then
+        # two variance sources with one grid size that differ only in pre_sigma: the bounded
+        # batch makes one llr call per run of like sources, five runs here
+        variance = WINDOW_SOURCES["variance"][0]
+        wider = GaussianVarianceShift(pre_sigma=1.3, post_params=variance.post_params)
+        families = (variance, variance, WINDOW_SOURCES["mean"][0], variance, variance, wider)
+        grids = ((1.4, 2.0), (1.2, 2.4), (0.3, 1.0, 2.5), (1.2, 1.7, 2.4), (1.4, 2.0), (1.4, 2.0))
+        rng = np.random.default_rng(seed)
+        args = (families, GeometricPrior(0.05), grids, window_len, threshold)
+        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        twin = RingBatch(*args, np.arange(rows))
+        assert [(lo, hi) for _, lo, hi, _ in rings.source_runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        edges = np.cumsum([0] + [len(grid) for grid in grids])
+        scale, shift = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 2.4]), np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        for _ in range(3 * (window_len + 1) + 5):
+            n_rows = rings.rows.size
+            x = rng.standard_normal((n_rows, len(families))) * scale + shift
+            got, want = rings.step(x), twin.step(x)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))  # stop slots and firing charts
+            exact = twin.total
+            suspect = np.flatnonzero(rng.random(n_rows) < 0.5)
+            total = rings.tighten(suspect)
+            _, first, sums = rings.replayed
+            assert same_bits(total[:, first:], exact[suspect][:, first:])
+            assert (exact[suspect][:, :first] < threshold).all()
+            for l, table in enumerate(twin.tables):
+                eager = table[suspect][:, :, rings.slots[first:]].transpose(2, 0, 1)
+                assert same_bits(sums[..., edges[l] : edges[l + 1]], eager)
+            crossed = suspect[total.max(axis=1) >= threshold]
+            if crossed.size:
+                ours = rings.decode(crossed, total[total.max(axis=1) >= threshold])
+                theirs = twin.decode(crossed, exact[crossed])
+                assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+            rings.retire(got[3])
+            twin.retire(want[3])
+            if rings.rows.size > 1 and rng.random() < 0.3:
+                keep = np.flatnonzero(rng.random(rings.rows.size) < 0.7)
+                if keep.size:
+                    rings.compact(keep)
+                    twin.compact(keep)
+            assert np.array_equal(rings.rows, twin.rows) and np.array_equal(rings.running, twin.running)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -229,6 +229,28 @@ class TestSizing:
         with pytest.raises(ValueError):
             window_length_for(1e-3, 0.01, 0.5, slack=1.0)
 
+    @pytest.mark.parametrize(
+        "d_min, slack, name",
+        [
+            (math.inf, 1.5, "d_min"),
+            (-math.inf, 1.5, "d_min"),
+            (math.nan, 1.5, "d_min"),
+            (0.5, math.nan, "slack"),
+            (0.5, math.inf, "slack"),
+        ],
+    )
+    def test_window_length_refuses_non_finite_inputs(self, d_min, slack, name):
+        # an infinite d_min used to fail with "math domain error", a NaN with
+        # "cannot convert float NaN to integer", an infinite slack with OverflowError
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            window_length_for(1e-3, 0.01, d_min, slack=slack)
+
+    def test_window_length_at_the_float_range_ends(self):
+        with pytest.raises(ValueError, match="past the int64 range"):
+            window_length_for(1e-300, 0.01, 0.5, slack=1e308)
+        # slack * |log alpha| / d_min underflows to 0.0; the shortest window is one slot
+        assert window_length_for(1 - 1e-16, 0.01, 1e308) == 1
+
     @pytest.mark.parametrize("window_len", [2.5, 3.0, np.float64(4.0), True, np.bool_(True)])
     def test_window_len_must_be_an_integer(self, window_len):
         # 2.5 and 3.0 used to fail inside the ring tables with numpy's TypeError, True ran as 1
