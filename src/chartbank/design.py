@@ -31,6 +31,7 @@ from .families import (
     GeometricPrior,
     Interval,
     ObservationFamily,
+    _check_alpha,
 )
 
 __all__ = [
@@ -174,8 +175,7 @@ def threshold_for(alpha: float, rho: float, n_charts: int) -> float:
     posterior identity deliver the guarantee with no overshoot correction, so
     realized false-alarm rates run below alpha.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     GeometricPrior(rho)  # validates rho
     if n_charts < 1:
         raise ValueError(f"n_charts must be at least 1, got {n_charts}")
@@ -189,8 +189,7 @@ def add_lower_bound(alpha: float, d_total: float) -> float:
     density plus slot cost) at the true parameter.  Vanishing-order terms are
     dropped, so at moderate alpha the floor is noticeably optimistic.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if d_total <= 0:
         raise ValueError(f"d_total must be positive, got {d_total}")
     return abs(math.log(alpha)) / d_total

@@ -46,8 +46,6 @@ class Interval:
             raise ValueError(f"need low < high, got [{self.low}, {self.high}]")
 
     def contains(self, lam: float | np.ndarray) -> bool:
-        if isinstance(lam, float):
-            return bool(self.low <= lam <= self.high)
         arr = np.asarray(lam, dtype=float)
         return bool(((arr >= self.low) & (arr <= self.high)).all())
 
@@ -68,8 +66,6 @@ class FiniteSet:
             raise ValueError("parameter values must be strictly increasing")
 
     def contains(self, lam: float | np.ndarray) -> bool:
-        if isinstance(lam, float):
-            return lam in self.values
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         return bool(np.all(np.isin(arr, np.asarray(self.values))))
 
@@ -105,13 +101,12 @@ class GeometricPrior:
         out = np.where(k_arr < 1, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # Inverse-CDF on a single uniform per draw keeps the draw count
-        # independent of the outcome, which downstream seed pairing relies on.
-        return self._from_uniform(rng.random(size))
-
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Change times of uniforms u in [0, 1), by inverse CDF."""
+        """Change times of uniforms u in [0, 1), by inverse CDF.
+
+        One uniform per draw keeps the draw count independent of the
+        outcome, which downstream seed pairing relies on.
+        """
         t = np.floor(np.log1p(-u) / math.log1p(-self.rho))
         if t.max(initial=0.0) >= 2.0**62:
             raise ValueError(f"rho = {self.rho!r} draws a change time past the int64 range")
@@ -131,12 +126,6 @@ class ObservationFamily(ABC):
     post_params: ParamSet
 
     def _check_lam(self, lam: float | np.ndarray) -> np.ndarray:
-        if isinstance(lam, float):  # one parameter, checked without building arrays
-            if not math.isfinite(lam):
-                raise ValueError("lam must be finite")
-            if not self.post_params.contains(lam):
-                raise ValueError(f"parameter {lam!r} outside the admissible set")
-            return np.asarray(lam)
         arr = _as_float_array(lam, "lam")
         if not self.post_params.contains(arr):
             raise ValueError(f"parameter {lam!r} outside the admissible set")
@@ -265,6 +254,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """Refuse a false-alarm target outside (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _lams(families, lam_true) -> tuple[float, ...]:
@@ -403,15 +398,13 @@ def sample_path(
     lam_true: float,
     horizon: int,
     seed,
-    out: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray]:
     """Draw a change time and a horizon-long path: ``sample_path_multi`` with one source.
 
     Returns (t, x) where slots 1..t-1 of x are pre-change and slots t..horizon
-    are post-change (x is 0-indexed, slot n lives at x[n-1]).  ``out``
-    (contiguous float64, length horizon) receives the path.
+    are post-change (x is 0-indexed, slot n lives at x[n-1]).
     """
-    t, x = sample_path_multi((family,), prior, (lam_true,), horizon, seed, None if out is None else out[None])
+    t, x = sample_path_multi((family,), prior, (lam_true,), horizon, seed)
     return t, x[0]
 
 
@@ -440,8 +433,7 @@ def sample_path_multi(
     and returns the change times as an int64 array with ``out``.
     """
     _check_count("horizon", horizon)
-    # a tuple with one entry per source skips the array round trip; each family checks its entry
-    lams = lams_true if type(lams_true) is tuple and len(lams_true) == len(families) else _lams(families, lams_true)
+    lams = _lams(families, lams_true)
     for fam, lam in zip(families, lams):
         fam._check_lam(lam)
     block = out is not None and out.ndim == 3

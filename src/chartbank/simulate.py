@@ -47,7 +47,9 @@ from .errors import CapacityError
 from .families import (
     GeometricPrior,
     ObservationFamily,
+    _as_float_array,
     _bit_generators,
+    _check_alpha,
     _check_count,
     _lams,
     _map_std,
@@ -183,8 +185,7 @@ class PathBlock:
     ) -> None:
         if observations.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
-        if not np.isfinite(observations).all():
-            raise ValueError("x must be finite")
+        _as_float_array(observations, "x")
         self.change_points = change_points
         self._width = observations.shape[-1]
         self.horizon = self._width if horizon is None else horizon
@@ -229,8 +230,7 @@ class PathBlock:
         # one pre/post mapping for all rows: row by row measured 1.5x slower (1000 rows x 3 chunks)
         z = x[rows][:, None]
         _map_std((family,), (lam,), self.change_points[rows], z, lo)
-        if not np.isfinite(z).all():
-            raise ValueError("x must be finite")
+        _as_float_array(z, "x")
         x[rows] = z[:, 0]
         self.drawn[rows] = hi
 
@@ -391,7 +391,6 @@ def direct_stat_oracle(
     variant: ChartVariant,
     path,
     grid,
-    cap: int = ORACLE_CAP,
 ) -> np.ndarray:
     """Statistic trace from the non-recursive definitions, for differential tests.
 
@@ -404,8 +403,8 @@ def direct_stat_oracle(
     if path_arr.ndim != 1 or path_arr.size == 0:
         raise ValueError("path must be a nonempty 1-d array")
     n = path_arr.size
-    if n > cap:
-        raise CapacityError(f"direct evaluation is O(n^2); path length {n} exceeds cap {cap}")
+    if n > ORACLE_CAP:
+        raise CapacityError(f"direct evaluation is O(n^2); path length {n} exceeds cap {ORACLE_CAP}")
     grid_arr = np.atleast_1d(np.asarray(grid, dtype=float))
     cost = prior.slot_cost
     llr = np.asarray(family.llr(grid_arr[None, :], path_arr[:, None]), dtype=float)  # [n, I]
@@ -431,7 +430,6 @@ def direct_window_stat_oracle(
     grids: Sequence,
     window_len: int,
     paths,
-    cap: int = ORACLE_CAP,
 ) -> np.ndarray:
     """Joint windowed statistic by brute force over the composite product set.
 
@@ -445,8 +443,8 @@ def direct_window_stat_oracle(
     n = block.shape[1]
     if n == 0:
         raise ValueError("paths must contain at least one slot")
-    if n > cap:
-        raise CapacityError(f"exhaustive evaluation capped at path length {cap}, got {n}")
+    if n > ORACLE_CAP:
+        raise CapacityError(f"exhaustive evaluation capped at path length {ORACLE_CAP}, got {n}")
     grid_arrs = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
     cost = prior.slot_cost
     cums = []
@@ -543,8 +541,7 @@ def default_horizon(
     _check_censor_cap(censor_cap)
     if drift <= 0:
         raise ValueError("drift must be positive")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if n_runs is not None:
         _check_count("n_runs", n_runs)
     tail = censor_cap / 10.0
@@ -573,8 +570,8 @@ class _Cell:
 def _check_alphas(alphas) -> list[float]:
     """The sweep's alpha grid as floats: nonempty, inside (0, 1) and strictly decreasing."""
     alphas = [float(a) for a in alphas]
-    if any(not (0.0 < a < 1.0) for a in alphas):
-        raise ValueError("every alpha must lie in (0, 1)")
+    for alpha in alphas:
+        _check_alpha(alpha)
     if not alphas or sorted(set(alphas), reverse=True) != alphas:
         raise ValueError("alphas must be nonempty and strictly decreasing")
     return alphas

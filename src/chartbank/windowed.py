@@ -98,7 +98,7 @@ import numpy as np
 
 from .errors import AlreadyStoppedError
 from .detectors import StopReport, check_charts
-from .families import GeometricPrior, ObservationFamily, _check_count, _lams
+from .families import GeometricPrior, ObservationFamily, _as_float_array, _check_alpha, _check_count, _lams
 
 __all__ = [
     "RingBatch",
@@ -468,11 +468,9 @@ class WindowEngine:
             raise AlreadyStoppedError(
                 f"engine already stopped at slot {self._report.stopped_at}; build a fresh engine"
             )
-        xs = np.asarray(x_vec, dtype=float)
+        xs = _as_float_array(x_vec, "x")  # before any source moves, so a bad vector changes nothing
         if xs.shape != (self.n_sources,):
             raise ValueError(f"expected {self.n_sources} observations, got shape {xs.shape}")
-        if not np.isfinite(xs).all():  # before any source moves, so a bad vector changes nothing
-            raise ValueError("x must be finite")
         crossed, _, charts, _ = self._rings.step(xs[None, :])
         total = self._rings.total[0]
         self.work["cell_adds"] += self._cells
@@ -513,8 +511,7 @@ def window_length_for(alpha: float, rho: float, d_min: float, slack: float = 1.5
     Warns when log(window) is not small against |log alpha|, since the
     false-alarm threshold analysis treats that ratio as negligible.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     GeometricPrior(rho)  # validates rho
     if not (0.0 < d_min < math.inf):
         raise ValueError(f"d_min must be positive and finite, got {d_min}")

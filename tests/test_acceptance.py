@@ -328,9 +328,9 @@ def test_criterion_7_window_work_scaling():
     blocks = {n_sources: rng.standard_normal((steps, n_sources)) for n_sources in sizes}
     best = dict.fromkeys(sizes, math.inf)
     work = {}
-    # best of 3, the repetitions taken round-robin over the source counts, so
+    # best of 7, the repetitions taken round-robin over the source counts, so
     # a change of host speed during the measurement hits every count alike
-    for _ in range(3):
+    for _ in range(7):
         for n_sources in sizes:
             per_step, work[n_sources] = timed_engine(n_sources, blocks[n_sources])
             best[n_sources] = min(best[n_sources], per_step)

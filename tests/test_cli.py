@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -570,6 +571,28 @@ class TestPinnedResults:
         assert digest == "39a9919a7cab3d0fed9a77178be86367166414c6e7dde8aca95740662af4a102"
 
 
+def test_pins_hold_at_every_simd_dispatch_level():
+    # SR's step runs numpy's SIMD exp/log1p, whose last bits depend on the
+    # dispatch level; a child at each lower x86 level the host can run reruns
+    # the pinned results and the layout property, with the dispatch targets
+    # above that level switched off in its own environment
+    cpu = pytest.importorskip("numpy._core._multiarray_umath")
+    children = []
+    for level in ("X86_V3", "X86_V2"):  # X86_V2 is the baseline: every dispatch target off
+        above = [t for t in cpu.__cpu_dispatch__ if t != level]
+        if not cpu.__cpu_features__.get(level) or not any(cpu.__cpu_features__.get(t) for t in above):
+            continue  # the host lacks the level, or runs it natively
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(above)}
+        args = ["tests/test_cli.py::TestPinnedResults", "tests/test_detectors.py::TestRecursionBitsDoNotDependOnLayout"]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+        children.append((level, subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)))
+    if not children:
+        pytest.skip("the host runs no x86 dispatch level below its own")
+    outputs = [(level, child.communicate(timeout=300)[0], child.returncode) for level, child in children]
+    for level, out, code in outputs:
+        assert code == 0, f"pinned outputs move at {level}:\n{out}"
+
+
 def test_benchmark_selftest_passes():
     # the harness calls the template constructors, best_drift, simulate_runs and
     # simulate's sampler bindings; a break there fails here, not only in the benchmark
@@ -581,6 +604,7 @@ def test_benchmark_selftest_passes():
 
 README = ROOT / "README.md"
 README_INI_BLOCKS = re.findall(r"^```ini\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+README_PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
 
 
 class TestReadmeConfigs:
@@ -593,3 +617,13 @@ class TestReadmeConfigs:
         code = execute_config(dataclasses.replace(cfg, n_runs=200), tmp_path)
         assert code != EXIT_CONFIG
         assert (tmp_path / "results.csv").is_file()
+
+
+class TestReadmePython:
+    def test_readme_has_python_examples(self):
+        assert README_PYTHON_BLOCKS
+
+    @pytest.mark.parametrize("block", range(len(README_PYTHON_BLOCKS)))
+    def test_readme_python_runs(self, block, capsys):
+        exec(compile(README_PYTHON_BLOCKS[block], f"README.md python block {block}", "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out

@@ -18,7 +18,7 @@ from chartbank import (
     direct_window_stat_oracle,
     window_length_for,
 )
-from chartbank.windowed import ring_advance, ring_maxima, window_offsets
+from chartbank.windowed import RingBatch, ring_advance, ring_maxima, window_offsets
 
 PRIOR = GeometricPrior(0.01)
 
@@ -52,6 +52,29 @@ class TestRingPrimitives:
             s, _ = window_offsets(n, 7)
             assert np.all(np.diff(s) > 0)
             assert s[-1] == n and len(s) == min(n, 7)
+
+
+class TestBoundedBatchSpace:
+    """The abstract's claim that space grows linearly in the source count, on the batch the sweeps run."""
+
+    ROW_STATE = ("history", "peaks", "prefix", "prefixes", "suffix", "low", "mass", "running", "rows")
+
+    @pytest.mark.parametrize("n_sources, per_row", [(1, 3721), (2, 6585), (4, 12313), (8, 23769), (16, 46681)])
+    def test_row_state_bytes(self, n_sources, per_row):
+        # per row: the llr history of every candidate, the prefix and suffix
+        # rings, one running sum per source, four floats, a bool and a block row
+        grid, window = (1.5, 1.6, 1.7, 2.0, 2.1, 2.2, 2.3), 50
+        width = window + 1
+        assert per_row == 8 * (width * (n_sources * len(grid) + 2) + n_sources + 4) + 9
+        shared = set()
+        for rows in (3, 5):
+            batch = RingBatch(
+                (variance_family(),) * n_sources, PRIOR, (grid,) * n_sources, window, 10.0, np.arange(rows), bounded=True
+            )
+            nbytes = {name: v.nbytes for name, v in vars(batch).items() if isinstance(v, np.ndarray)}
+            assert sum(nbytes[name] for name in self.ROW_STATE) == rows * per_row
+            shared.add(sum(nbytes.values()) - rows * per_row)
+        assert len(shared) == 1  # no other array grows with the rows
 
 
 class TestEngineVsOracle:
