@@ -407,7 +407,7 @@ def _sweep_plan(cfg: AnyConfig) -> tuple[list[tuple[list[Template], object]], di
             window = cfg.window
             if window is None:
                 slowest = prior.slot_cost + sum(
-                    min(float(f.kl_post_vs_pre(g)) for g in grid) for f, grid in zip(families, cfg.source_grids)
+                    min(f.kl_post_vs_pre(g) for g in grid) for f, grid in zip(families, cfg.source_grids)
                 )
                 window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
         template = WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)
@@ -451,7 +451,7 @@ def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         **_manifest_head(cfg),
-        "derived": _jsonable(derived),
+        "derived": derived,
         "cells": [
             {
                 "detector": r.detector,
@@ -483,17 +483,7 @@ def write_outputs(out_dir: Path, cfg: AnyConfig, rows: list[SweepRow], derived: 
 
 def _manifest_head(cfg: AnyConfig) -> dict:
     """The manifest entries naming the tool and the resolved config."""
-    return {"tool": "chartbank", "version": __version__, "experiment": cfg.experiment, "config": _jsonable(asdict(cfg))}
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+    return {"tool": "chartbank", "version": __version__, "experiment": cfg.experiment, "config": asdict(cfg)}
 
 
 def execute_config(cfg: AnyConfig, out_dir: Path) -> int:

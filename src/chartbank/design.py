@@ -27,7 +27,6 @@ import numpy as np
 from .errors import CapacityError
 from .families import (
     GaussianMeanShift,
-    GaussianVarianceShift,
     GeometricPrior,
     Interval,
     ObservationFamily,
@@ -68,25 +67,15 @@ class DesignSpec:
             raise ValueError(f"lipschitz_k must be positive, got {self.lipschitz_k}")
 
 
-def _indistinguishable_point(family: ObservationFamily) -> float | None:
-    """Parameter at which the post-change density collapses onto the pre-change one."""
-    if isinstance(family, GaussianMeanShift):
-        return family.pre_mean
-    if isinstance(family, GaussianVarianceShift):
-        return family.pre_sigma
-    return None
-
-
 def _mesh_and_denominator(spec: DesignSpec, mesh_points: int) -> tuple[np.ndarray, np.ndarray]:
     if mesh_points < 2:
         raise ValueError("mesh needs at least 2 points")
-    zero = _indistinguishable_point(spec.family)
-    if zero is not None and spec.interval.contains(zero):
+    if spec.interval.contains(spec.family.pre_param):
         raise ValueError(
             "design interval contains a parameter indistinguishable from the pre-change density"
         )
     mesh = np.linspace(spec.interval.low, spec.interval.high, mesh_points)
-    kl_pre = np.atleast_1d(np.asarray(spec.family.kl_post_vs_pre(mesh), dtype=float))
+    kl_pre = spec.family.kl_post_vs_pre(mesh)
     if np.any(kl_pre <= 0):
         raise ValueError(
             "design interval contains a parameter indistinguishable from the pre-change density"
@@ -121,7 +110,7 @@ def design_grid(spec: DesignSpec, mesh_points: int = 1000, max_candidates: int =
         frontier = 0
         while frontier < mesh.size:
             lam_f = mesh[frontier]
-            div_f = np.atleast_1d(np.asarray(spec.family.kl_post_vs_post(lam_f, mesh), dtype=float))
+            div_f = spec.family.kl_post_vs_post(lam_f, mesh)
             ok = (mesh >= lam_f) & (div_f <= budget[frontier])
             idx = np.nonzero(ok)[0]
             cands.append(float(mesh[idx[-1]]))  # farthest admissible candidate still covering the frontier
@@ -129,15 +118,7 @@ def design_grid(spec: DesignSpec, mesh_points: int = 1000, max_candidates: int =
                 raise CapacityError(
                     f"greedy construction exceeded the candidate cap {max_candidates}"
                 )
-            nearest = np.min(
-                np.atleast_2d(
-                    np.asarray(
-                        spec.family.kl_post_vs_post(mesh[:, None], np.asarray(cands)[None, :]),
-                        dtype=float,
-                    )
-                ),
-                axis=1,
-            )
+            nearest = spec.family.kl_post_vs_post(mesh[:, None], np.asarray(cands)[None, :]).min(axis=1)
             uncovered = np.nonzero(nearest > budget)[0]
             frontier = int(uncovered[0]) if uncovered.size else mesh.size
         grid = np.asarray(cands)
@@ -161,9 +142,7 @@ def verify_grid(spec: DesignSpec, grid, mesh_points: int = 1000) -> float:
     if grid_arr.size == 0:
         raise ValueError("grid must be nonempty")
     mesh, denom = _mesh_and_denominator(spec, mesh_points)
-    div = np.atleast_2d(
-        np.asarray(spec.family.kl_post_vs_post(mesh[:, None], grid_arr[None, :]), dtype=float)
-    )
+    div = spec.family.kl_post_vs_post(mesh[:, None], grid_arr[None, :])
     return float((div.min(axis=1) / denom).max())
 
 

@@ -128,7 +128,7 @@ def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.nd
         raise ValueError("grid candidates must be strictly increasing")
     if not family.post_params.contains(grid_arr):
         raise ValueError("grid candidates must lie in the family's admissible set")
-    kl = np.atleast_1d(np.asarray(family.kl_post_vs_pre(grid_arr), dtype=float))
+    kl = family.kl_post_vs_pre(grid_arr)
     if np.any(kl <= 0):
         bad = grid_arr[kl <= 0]
         raise ValueError(f"candidates {bad.tolist()} are indistinguishable from the pre-change density")
@@ -321,11 +321,7 @@ def posterior_from_stat(log_r: float, rho: float) -> float:
     the linear-domain statistic.
     """
     GeometricPrior(rho)  # validates rho
-    z = math.log(rho) + log_r
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    return _logistic(math.log(rho) + log_r)
 
 
 def posterior_complement_from_stat(log_r: float, rho: float) -> float:
@@ -336,7 +332,11 @@ def posterior_complement_from_stat(log_r: float, rho: float) -> float:
     posterior rounds to 1.
     """
     GeometricPrior(rho)  # validates rho
-    z = -(math.log(rho) + log_r)
+    return _logistic(-(math.log(rho) + log_r))
+
+
+def _logistic(z: float) -> float:
+    """1 / (1 + exp(-z)), with exp taken only of a non-positive number so it cannot overflow."""
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)

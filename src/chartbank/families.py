@@ -121,9 +121,22 @@ def _as_float_array(x: float | np.ndarray, name: str) -> np.ndarray:
 
 
 class ObservationFamily(ABC):
-    """Pre-change density plus a parametrized post-change alternative."""
+    """Pre-change density plus a parametrized post-change alternative.
+
+    The post-change densities f_lam are one parametric family, and its member
+    at ``pre_param`` is the pre-change density g.  A subclass states that
+    model once: ``post_params``, ``pre_param``, ``_llr``, ``_kl`` and
+    ``_from_std``.  The checked divergences, llr and sampling maps below,
+    and design's refusal of an interval holding ``pre_param``, follow from
+    these.
+    """
 
     post_params: ParamSet
+
+    @property
+    @abstractmethod
+    def pre_param(self) -> float:
+        """The parameter at which the post-change density is the pre-change one."""
 
     def _check_lam(self, lam: float | np.ndarray) -> np.ndarray:
         arr = _as_float_array(lam, "lam")
@@ -136,6 +149,31 @@ class ObservationFamily(ABC):
         out = self._llr(self._check_lam(lam), _as_float_array(x, "x"))
         return float(out) if np.ndim(out) == 0 else out
 
+    def kl_post_vs_pre(self, lam: float | np.ndarray) -> float | np.ndarray:
+        """KL divergence of the post-change density at lam from the pre-change one."""
+        out = self._kl(self._check_lam(lam), self.pre_param)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def kl_post_vs_post(
+        self, lam: float | np.ndarray, lam_other: float | np.ndarray
+    ) -> float | np.ndarray:
+        """KL divergence of the post-change density at lam from the one at lam_other."""
+        out = self._kl(self._check_lam(lam), self._check_lam(lam_other))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def pre_from_std(self, z: np.ndarray) -> np.ndarray:
+        """Pre-change observations from standard normals z, elementwise."""
+        return self._from_std(self.pre_param, np.asarray(z, dtype=float))
+
+    def post_from_std(self, lam: float, z: np.ndarray) -> np.ndarray:
+        """Post-change observations at lam from standard normals z, elementwise.
+
+        Paths map one standard-normal stream through these two, so the
+        pre-change portion of a path is bitwise independent of the true
+        post-change parameter, and a shorter path is a prefix of a longer one.
+        """
+        return self._from_std(float(self._check_lam(lam)), np.asarray(z, dtype=float))
+
     @abstractmethod
     def _llr(self, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
         """``llr`` on float arrays the caller has already validated.
@@ -145,27 +183,12 @@ class ObservationFamily(ABC):
         """
 
     @abstractmethod
-    def kl_post_vs_pre(self, lam: float | np.ndarray) -> float | np.ndarray:
-        """KL divergence of the post-change density at lam from the pre-change one."""
+    def _kl(self, lam_arr: np.ndarray, other: float | np.ndarray) -> np.ndarray:
+        """KL(f_lam, f_other) on validated parameters, broadcasting over both."""
 
     @abstractmethod
-    def kl_post_vs_post(
-        self, lam: float | np.ndarray, lam_other: float | np.ndarray
-    ) -> float | np.ndarray:
-        """KL divergence between two post-change densities."""
-
-    @abstractmethod
-    def pre_from_std(self, z: np.ndarray) -> np.ndarray:
-        """Pre-change observations from standard normals z, elementwise."""
-
-    @abstractmethod
-    def post_from_std(self, lam: float, z: np.ndarray) -> np.ndarray:
-        """Post-change observations at lam from standard normals z, elementwise.
-
-        Paths map one standard-normal stream through these two, so the
-        pre-change portion of a path is bitwise independent of the true
-        post-change parameter, and a shorter path is a prefix of a longer one.
-        """
+    def _from_std(self, param: float, z: np.ndarray) -> np.ndarray:
+        """Observations of the density at ``param`` from float standard normals z."""
 
 
 @dataclass(frozen=True)
@@ -182,25 +205,18 @@ class GaussianMeanShift(ObservationFamily):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
+    @property
+    def pre_param(self) -> float:
+        return self.pre_mean
+
     def _llr(self, lam_arr, x_arr):
         return (lam_arr - self.pre_mean) / self.sigma**2 * (x_arr - (self.pre_mean + lam_arr) / 2.0)
 
-    def kl_post_vs_pre(self, lam):
-        lam_arr = self._check_lam(lam)
-        out = (lam_arr - self.pre_mean) ** 2 / (2.0 * self.sigma**2)
-        return float(out) if np.ndim(out) == 0 else out
+    def _kl(self, lam_arr, other):
+        return (lam_arr - other) ** 2 / (2.0 * self.sigma**2)
 
-    def kl_post_vs_post(self, lam, lam_other):
-        lam_arr = self._check_lam(lam)
-        other_arr = self._check_lam(lam_other)
-        out = (lam_arr - other_arr) ** 2 / (2.0 * self.sigma**2)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def pre_from_std(self, z):
-        return self.pre_mean + self.sigma * np.asarray(z, dtype=float)
-
-    def post_from_std(self, lam, z):
-        return float(lam) + self.sigma * np.asarray(z, dtype=float)
+    def _from_std(self, param, z):
+        return param + self.sigma * z
 
 
 @dataclass(frozen=True)
@@ -224,28 +240,20 @@ class GaussianVarianceShift(ObservationFamily):
         if lows <= 0:
             raise ValueError("scale parameters must be positive")
 
+    @property
+    def pre_param(self) -> float:
+        return self.pre_sigma
+
     def _llr(self, lam_arr, x_arr):
         quad = (x_arr - self.center) ** 2 / 2.0
         return np.log(self.pre_sigma / lam_arr) + quad * (1.0 / self.pre_sigma**2 - 1.0 / lam_arr**2)
 
-    def kl_post_vs_pre(self, lam):
-        lam_arr = self._check_lam(lam)
-        r = (lam_arr / self.pre_sigma) ** 2
-        out = 0.5 * (r - 1.0 - np.log(r))
-        return float(out) if np.ndim(out) == 0 else out
+    def _kl(self, lam_arr, other):
+        r = (lam_arr / other) ** 2
+        return 0.5 * (r - 1.0 - np.log(r))
 
-    def kl_post_vs_post(self, lam, lam_other):
-        lam_arr = self._check_lam(lam)
-        other_arr = self._check_lam(lam_other)
-        r = (lam_arr / other_arr) ** 2
-        out = 0.5 * (r - 1.0 - np.log(r))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def pre_from_std(self, z):
-        return self.center + self.pre_sigma * np.asarray(z, dtype=float)
-
-    def post_from_std(self, lam, z):
-        return self.center + float(lam) * np.asarray(z, dtype=float)
+    def _from_std(self, param, z):
+        return self.center + param * z
 
 
 def _check_count(name: str, value) -> None:
@@ -379,8 +387,9 @@ def _map_std(families, lams, change_points: np.ndarray, z: np.ndarray, lo: int) 
     """Map standard normals z [rows, n_sources, w], slots lo..lo+w-1 (0-indexed), to observations in place.
 
     Slots before each row's change time map pre-change, the rest
-    post-change at that source's true parameter.  Rows go a few at a time,
-    so no temporary holds more than _MAP_CELLS cells.
+    post-change at that source's true parameter, which the caller has
+    checked.  Rows go a few at a time, so no temporary holds more than
+    _MAP_CELLS cells.
     """
     rows, _, w = z.shape
     slots = np.arange(lo, lo + w)
@@ -389,7 +398,7 @@ def _map_std(families, lams, change_points: np.ndarray, z: np.ndarray, lo: int) 
         pre = slots[None, :] < change_points[a : a + step, None] - 1
         for i, (fam, lam) in enumerate(zip(families, lams)):
             zi = z[a : a + step, i]
-            zi[...] = np.where(pre, fam.pre_from_std(zi), fam.post_from_std(lam, zi))
+            zi[...] = np.where(pre, fam._from_std(fam.pre_param, zi), fam._from_std(lam, zi))
 
 
 def sample_path(

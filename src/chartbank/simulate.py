@@ -514,9 +514,7 @@ def best_drift(template: Template, lam_true) -> float:
     families, grids = _sources(template)
     rate = template.prior.slot_cost
     for fam, grid, lam in zip(families, grids, _lams(families, lam_true)):
-        d_pre = float(fam.kl_post_vs_pre(lam))
-        d_cands = np.atleast_1d(np.asarray(fam.kl_post_vs_post(lam, np.asarray(grid)), dtype=float))
-        rate += d_pre - float(d_cands.min())
+        rate += fam.kl_post_vs_pre(lam) - float(np.min(fam.kl_post_vs_post(lam, grid)))
     if rate <= 0:
         raise ValueError(
             f"no chart grows under lam_true={lam_true!r}; the change is undetectable for this grid"

@@ -536,5 +536,5 @@ def composite_kl(
     """Joint post-change drift: summed per-source divergences plus slot cost."""
     if len(families) == 0:
         raise ValueError("need at least one source")
-    total = sum(float(f.kl_post_vs_pre(lam)) for f, lam in zip(families, _lams(families, lams)))
+    total = sum(f.kl_post_vs_pre(lam) for f, lam in zip(families, _lams(families, lams)))
     return total + prior.slot_cost

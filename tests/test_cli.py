@@ -123,11 +123,12 @@ mystery = 3
         assert "missing required key" in str(err.value)
 
     def test_auto_values(self):
-        cfg = parse_config_text(
-            "experiment = multisource-sweep\npre_params = 1.0,1.0\n"
-            "lambda_true = 1.7,2.0\nsource_grids = 1.5,2.0 | 1.5,2.0\n"
-            "window = auto\nrho = 0.01\nalphas = 0.1\nhorizon = auto\n"
-        )
+        with pytest.warns(UserWarning, match="window length"):
+            cfg = parse_config_text(
+                "experiment = multisource-sweep\npre_params = 1.0,1.0\n"
+                "lambda_true = 1.7,2.0\nsource_grids = 1.5,2.0 | 1.5,2.0\n"
+                "window = auto\nrho = 0.01\nalphas = 0.1\nhorizon = auto\n"
+            )
         assert isinstance(cfg, MultiSweepConfig)
         assert cfg.window is None and cfg.horizon is None
 

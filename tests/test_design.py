@@ -179,6 +179,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             design_grid(spec, mesh_points=100)
 
+    def test_scale_interval_holding_pre_sigma_rejected(self):
+        # a 100-point mesh on [0.8, 1.3] misses 1.0, and every mesh point has
+        # a positive divergence, so only the pre-parameter check can refuse
+        fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(0.5, 2.0))
+        spec = DesignSpec(family=fam, interval=Interval(0.8, 1.3), epsilon=0.2, prior=PRIOR)
+        mesh = np.linspace(0.8, 1.3, 100)
+        assert 1.0 not in mesh and fam.kl_post_vs_pre(mesh).min() > 0
+        with pytest.raises(ValueError, match="indistinguishable"):
+            design_grid(spec, mesh_points=100)
+
     def test_default_lipschitz_rejects_other_families(self):
         fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.1, 3.0))
         with pytest.raises(TypeError):

@@ -231,6 +231,74 @@ class TestGaussianVarianceShift:
         assert np.allclose(post, pre * 2.5)
 
 
+# Divergences and sampling maps of both families, as float.hex, at a non-zero
+# pre-change mean and centre: scalar arguments, an outer product of three
+# parameters, and five standard normals.
+PIN_Z = np.array([-2.3, -0.4, 0.0, 0.9, 3.1])
+PIN_FAMILIES = {
+    "mean": (
+        GaussianMeanShift(pre_mean=0.25, sigma=1.5, post_params=Interval(-3.0, 4.0)),
+        1.3,
+        np.array([-2.0, 0.5, 3.7]),
+    ),
+    "variance": (
+        GaussianVarianceShift(pre_sigma=1.2, post_params=Interval(0.3, 5.0), center=-0.7),
+        2.2,
+        np.array([0.4, 1.9, 4.6]),
+    ),
+}
+PINS = {
+    ("mean", "kl_pre_scalar"): ["0x1.f5c28f5c28f5cp-3"],
+    ("mean", "kl_pre_array"): ["0x1.2000000000000p+0", "0x1.c71c71c71c71cp-7", "0x1.528f5c28f5c2ap+1"],
+    ("mean", "kl_post_scalar"): ["0x1.35c28f5c28f5cp+1"],
+    ("mean", "kl_post_outer"): [
+        "0x0.0p+0", "0x1.638e38e38e38ep+0", "0x1.ce147ae147ae2p+2",
+        "0x1.638e38e38e38ep+0", "0x0.0p+0", "0x1.23456789abce0p+1",
+        "0x1.ce147ae147ae2p+2", "0x1.23456789abce0p+1", "0x0.0p+0",
+    ],
+    ("mean", "pre_from_std"): [
+        "-0x1.9999999999999p+1", "-0x1.6666666666668p-2", "0x1.0000000000000p-2",
+        "0x1.999999999999ap+0", "0x1.399999999999ap+2",
+    ],
+    ("mean", "post_from_std"): [
+        "-0x1.1333333333332p+1", "0x1.6666666666666p-1", "0x1.4cccccccccccdp+0",
+        "0x1.5333333333334p+1", "0x1.7cccccccccccdp+2",
+    ],
+    ("variance", "kl_pre_scalar"): ["0x1.261a5881e7f49p-1"],
+    ("variance", "kl_pre_array"): ["0x1.4eef167212286p-1", "0x1.2cfe944b03e11p-2", "0x1.6039238853c40p+2"],
+    ("variance", "kl_post_scalar"): ["0x1.9d72b420fd5ccp+3"],
+    ("variance", "kl_post_outer"): [
+        "0x0.0p+0", "0x1.148ee3139b8d2p+0", "0x1.f2356db000fdep+0",
+        "0x1.2723ade5e1a71p+3", "0x0.0p+0", "0x1.e0c5e2ca229a7p-2",
+        "0x1.f97612c1ecda7p+5", "0x1.8bea67fe3eab9p+0", "0x0.0p+0",
+    ],
+    ("variance", "pre_from_std"): [
+        "-0x1.bae147ae147aep+1", "-0x1.2e147ae147ae1p+0", "-0x1.6666666666666p-1",
+        "0x1.851eb851eb854p-2", "0x1.828f5c28f5c28p+1",
+    ],
+    ("variance", "post_from_std"): [
+        "-0x1.70a3d70a3d70ap+2", "-0x1.947ae147ae148p+0", "-0x1.6666666666666p-1",
+        "0x1.47ae147ae147cp+0", "0x1.87ae147ae147cp+2",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, output", sorted(PINS))
+def test_family_outputs_hold_their_bits(kind, output):
+    fam, lam, lams = PIN_FAMILIES[kind]
+    got = {
+        "kl_pre_scalar": lambda: fam.kl_post_vs_pre(lam),
+        "kl_pre_array": lambda: fam.kl_post_vs_pre(lams),
+        "kl_post_scalar": lambda: fam.kl_post_vs_post(lam, lams[0]),
+        "kl_post_outer": lambda: fam.kl_post_vs_post(lams[:, None], lams[None, :]),
+        "pre_from_std": lambda: fam.pre_from_std(PIN_Z),
+        "post_from_std": lambda: fam.post_from_std(lam, PIN_Z),
+    }[output]()
+    if output.endswith("scalar"):
+        assert type(got) is float
+    assert [float(v).hex() for v in np.ravel(got)] == PINS[kind, output]
+
+
 class TestSamplePath:
     def setup_method(self):
         self.family = GaussianMeanShift(
