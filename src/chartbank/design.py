@@ -31,6 +31,8 @@ from .families import (
     Interval,
     ObservationFamily,
     _check_alpha,
+    _check_count,
+    _check_positive,
 )
 
 __all__ = [
@@ -63,11 +65,12 @@ class DesignSpec:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.family.post_params.contains(np.array([self.interval.low, self.interval.high])):
             raise ValueError("design interval must lie inside the family's admissible set")
-        if self.lipschitz_k is not None and self.lipschitz_k <= 0:
-            raise ValueError(f"lipschitz_k must be positive, got {self.lipschitz_k}")
+        if self.lipschitz_k is not None:
+            _check_positive("lipschitz_k", self.lipschitz_k)
 
 
 def _mesh_and_denominator(spec: DesignSpec, mesh_points: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_count("mesh_points", mesh_points)
     if mesh_points < 2:
         raise ValueError("mesh needs at least 2 points")
     if spec.interval.contains(spec.family.pre_param):
@@ -90,8 +93,7 @@ def design_grid(spec: DesignSpec, mesh_points: int = 1000, max_candidates: int =
     (an epsilon too small for the cap).  The returned grid is strictly
     increasing and always re-checked against the criterion on the mesh.
     """
-    if max_candidates < 1:
-        raise ValueError("max_candidates must be at least 1")
+    _check_count("max_candidates", max_candidates)
     mesh, denom = _mesh_and_denominator(spec, mesh_points)
     budget = spec.epsilon * denom
 
@@ -156,8 +158,7 @@ def threshold_for(alpha: float, rho: float, n_charts: int) -> float:
     """
     _check_alpha(alpha)
     GeometricPrior(rho)  # validates rho
-    if n_charts < 1:
-        raise ValueError(f"n_charts must be at least 1, got {n_charts}")
+    _check_count("n_charts", n_charts)
     return math.log(n_charts) - math.log(rho) - math.log(alpha)
 
 
@@ -169,8 +170,7 @@ def add_lower_bound(alpha: float, d_total: float) -> float:
     dropped, so at moderate alpha the floor is noticeably optimistic.
     """
     _check_alpha(alpha)
-    if d_total <= 0:
-        raise ValueError(f"d_total must be positive, got {d_total}")
+    _check_positive("d_total", d_total)
     return abs(math.log(alpha)) / d_total
 
 
@@ -180,8 +180,7 @@ def efficiency(add_estimate: float, alpha: float, d_total: float) -> float:
     Approaches 1 from below as alpha shrinks when the grid contains the true
     parameter; Monte Carlo noise can push it slightly above 1.
     """
-    if add_estimate <= 0:
-        raise ValueError(f"add_estimate must be positive, got {add_estimate}")
+    _check_positive("add_estimate", add_estimate)
     return add_lower_bound(alpha, d_total) / add_estimate
 
 

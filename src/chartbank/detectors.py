@@ -36,14 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlreadyStoppedError
-from .families import GeometricPrior, ObservationFamily
+from .families import GeometricPrior, ObservationFamily, _check_count
 
 __all__ = [
     "ChartVariant",
     "StopReport",
     "ChartBank",
-    "BankBatch",
-    "check_charts",
     "advance_log_stats",
     "initial_log_stats",
     "posterior_from_stat",
@@ -77,8 +75,7 @@ class StopReport:
 
 
 def initial_log_stats(variant: ChartVariant, n_charts: int) -> np.ndarray:
-    if n_charts < 1:
-        raise ValueError("need at least one chart")
+    _check_count("n_charts", n_charts)
     fill = 0.0 if variant is ChartVariant.SUM else -np.inf
     return np.full(n_charts, fill, dtype=float)
 

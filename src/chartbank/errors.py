@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CapacityError", "AlreadyStoppedError"]
+
 
 class CapacityError(RuntimeError):
     """A requested computation exceeds a caller-set size cap."""

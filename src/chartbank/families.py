@@ -200,10 +200,9 @@ class GaussianMeanShift(ObservationFamily):
     post_params: ParamSet
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.pre_mean) and math.isfinite(self.sigma)):
-            raise ValueError("pre_mean and sigma must be finite")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.pre_mean):
+            raise ValueError("pre_mean must be finite")
+        _check_positive("sigma", self.sigma)
 
     @property
     def pre_param(self) -> float:
@@ -232,8 +231,7 @@ class GaussianVarianceShift(ObservationFamily):
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pre_sigma <= 0 or not math.isfinite(self.pre_sigma):
-            raise ValueError(f"pre_sigma must be positive, got {self.pre_sigma}")
+        _check_positive("pre_sigma", self.pre_sigma)
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
         lows = self.post_params.low if isinstance(self.post_params, Interval) else min(self.post_params.values)
@@ -262,6 +260,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not a finite number above 0, such as 0, nan or inf."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_alpha(alpha: float) -> None:

@@ -51,6 +51,7 @@ from .families import (
     _bit_generators,
     _check_alpha,
     _check_count,
+    _check_positive,
     _lams,
     _map_std,
     sample_path_multi,
@@ -72,6 +73,7 @@ __all__ = [
     "add_vs_alpha_sweep",
     "default_horizon",
     "best_drift",
+    "summarize",
 ]
 
 ORACLE_CAP = 500
@@ -359,6 +361,7 @@ def estimate(
     batch_size: int = BATCH_SIZE,
 ) -> McSummary:
     """Monte Carlo delay and false-alarm summary for one detector config."""
+    _check_censor_cap(censor_cap)  # before the runs, not after them
     runs = simulate_runs(spec, lam_true, n_runs, horizon, seed, batch_size=batch_size)
     return summarize(runs, censor_cap=censor_cap)
 
@@ -367,6 +370,7 @@ def summarize(runs: RunArrays, censor_cap: float = 1e-3) -> McSummary:
     """Delay and false-alarm summary of one detector's runs, not of a grouped [specs, runs] result."""
     if runs.stop_time.ndim != 1:
         raise ValueError(f"runs must be one detector's, got stop times of shape {runs.stop_time.shape}")
+    _check_censor_cap(censor_cap)
     n = len(runs)
     censored = int((runs.stop_time == 0).sum())
     add_hat = float(runs.delay.mean())
@@ -537,8 +541,7 @@ def default_horizon(
     and so is a ``censor_cap`` outside [0, 1).
     """
     _check_censor_cap(censor_cap)
-    if drift <= 0:
-        raise ValueError("drift must be positive")
+    _check_positive("drift", drift)
     _check_alpha(alpha)
     if n_runs is not None:
         _check_count("n_runs", n_runs)

@@ -98,18 +98,17 @@ import numpy as np
 
 from .errors import AlreadyStoppedError
 from .detectors import StopReport, check_charts
-from .families import GeometricPrior, ObservationFamily, _as_float_array, _check_alpha, _check_count, _lams
+from .families import (
+    GeometricPrior,
+    ObservationFamily,
+    _as_float_array,
+    _check_alpha,
+    _check_count,
+    _check_positive,
+    _lams,
+)
 
-__all__ = [
-    "RingBatch",
-    "WindowEngine",
-    "check_window",
-    "window_length_for",
-    "composite_kl",
-    "ring_advance",
-    "ring_maxima",
-    "window_offsets",
-]
+__all__ = ["WindowEngine", "window_length_for", "composite_kl"]
 
 
 # A bounded batch moves its ring tables' running rows down once fewer than
@@ -513,8 +512,7 @@ def window_length_for(alpha: float, rho: float, d_min: float, slack: float = 1.5
     """
     _check_alpha(alpha)
     GeometricPrior(rho)  # validates rho
-    if not (0.0 < d_min < math.inf):
-        raise ValueError(f"d_min must be positive and finite, got {d_min}")
+    _check_positive("d_min", d_min)
     if not (1.0 < slack < math.inf):
         raise ValueError(f"slack must be finite and exceed 1, got {slack}")
     span = slack * abs(math.log(alpha)) / d_min

@@ -99,6 +99,28 @@ mystery = 3
         assert "lambda_low < lambda_high" in text
         assert "strictly increasing" in text
 
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("rho", "inf", "must be finite"),
+            ("alphas", ",", "list must be nonempty"),
+            ("family", "poisson", "must be gaussian-mean-shift or gaussian-variance-shift"),
+            ("grids", "0.4,1.6 || 2.8", "expected pipe-separated comma lists"),
+            ("variants", "sr, cusum", "variants must be drawn from ['max', 'sr', 'sum']"),
+            ("n_runs", "many", "invalid literal for int() with base 10: 'many'"),
+        ],
+    )
+    def test_a_value_that_does_not_parse_is_reported_under_its_key(self, key, value, problem):
+        bad = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", VALID_SINGLE)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad)
+        assert err.value.problems == [f"key {key!r}: {problem}"]
+
+    def test_differential_test_counts(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("experiment = differential-test\nn_paths = 0\npath_length = 1\n")
+        assert err.value.problems == ["n_paths must be at least 1", "path_length must be at least 2"]
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("rho = 0.01\n")
@@ -363,6 +385,9 @@ class TestMainRun:
             # a design's refusal names its key, not the design interval
             ("example1", {"noise_sigma": 0.0}, r"(?m)^  - noise_sigma must be positive"),
             ("example1", {"epsilon": 0.0}, r"(?m)^  - epsilon must lie in \(0, 1\)"),
+            ("example1", {"lambda_low": 3.0}, "need lambda_low < lambda_high"),
+            ("fig4", {"lambda_true": 3.0}, r"lambda_true must lie in \[lambda_low, lambda_high\]"),
+            ("example1", {"eval_lambdas": (3.0,)}, "eval_lambdas must lie inside the design interval"),
         ],
         ids=[
             "mean-shift-noise-0",
@@ -383,6 +408,9 @@ class TestMainRun:
             "censor-cap-1",
             "design-noise-0-names-its-key",
             "design-epsilon-0-names-its-key",
+            "design-interval-reversed",
+            "lambda-true-outside-interval",
+            "eval-lambdas-outside-interval",
         ],
     )
     def test_config_the_run_refuses_is_a_config_error(self, tmp_path, capsys, preset, change, names):

@@ -48,6 +48,9 @@ class TestThresholds:
             threshold_for(1e-2, 1.0, 3)
         with pytest.raises(ValueError):
             threshold_for(1e-2, 0.01, 0)
+        for n_charts in (2.5, True):
+            with pytest.raises(ValueError, match="n_charts must be an integer"):
+                threshold_for(1e-2, 0.01, n_charts)
 
     def test_lower_bound_frozen(self):
         d = 0.5 + PRIOR.slot_cost
@@ -58,6 +61,9 @@ class TestThresholds:
             add_lower_bound(2.0, 0.5)
         with pytest.raises(ValueError):
             add_lower_bound(1e-3, 0.0)
+        for d_total in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="d_total must be positive"):
+                add_lower_bound(1e-3, d_total)
 
     def test_efficiency_is_bound_over_estimate(self):
         d = 0.5 + PRIOR.slot_cost
@@ -65,6 +71,8 @@ class TestThresholds:
         assert efficiency(2 * lb, 1e-3, d) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             efficiency(0.0, 1e-3, d)
+        with pytest.raises(ValueError, match="add_estimate must be positive"):
+            efficiency(math.nan, 1e-3, d)
 
 
 class TestDesignGrid:
@@ -125,6 +133,12 @@ class TestDesignGrid:
                 spec_for(eps=0.01, k=2.63), mesh_points=500, max_candidates=10
             )
 
+    @pytest.mark.parametrize("name, value", [("mesh_points", 2.5), ("mesh_points", True), ("max_candidates", 2.5)])
+    def test_counts_must_be_integers(self, name, value):
+        # mesh_points=2.5 used to fail in numpy's linspace, and max_candidates=2.5 ran
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            design_grid(spec_for(), **{name: value})
+
     def test_tighter_budget_needs_more_candidates(self):
         loose = design_grid(spec_for(eps=0.3), mesh_points=800)
         tight = design_grid(spec_for(eps=0.05), mesh_points=800)
@@ -170,6 +184,9 @@ class TestSpecValidation:
     def test_lipschitz_positive(self):
         with pytest.raises(ValueError):
             spec_for(k=-1.0)
+        for k in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lipschitz_k must be positive"):
+                spec_for(k=k)
 
     def test_indistinguishable_interval_rejected(self):
         # an interval containing the pre-change mean has a zero-divergence

@@ -36,6 +36,9 @@ class TestRecursionPrimitives:
         assert np.all(initial_log_stats(ChartVariant.SUM, 4) == 0.0)
         with pytest.raises(ValueError):
             initial_log_stats(ChartVariant.SR, 0)
+        for n_charts in (2.5, True):
+            with pytest.raises(ValueError, match="n_charts must be an integer"):
+                initial_log_stats(ChartVariant.SR, n_charts)
 
     def test_first_step_is_common(self):
         # from their initial states all three recursions produce the same
@@ -155,7 +158,9 @@ class TestBankBehaviour:
 
     def test_step_after_stop_raises(self):
         bank = fresh_bank(threshold=-10.0)
-        bank.step(0.0)
+        assert bank.stopped is None
+        report = bank.step(0.0)
+        assert report is not None and bank.stopped is report
         with pytest.raises(AlreadyStoppedError):
             bank.step(0.0)
 
@@ -174,8 +179,10 @@ class TestBankBehaviour:
         bank = fresh_bank()
         bank.log_stats[:] = 123.0
         bank.grid[:] = 0.0
+        bank.log_thresholds[:] = 0.0
         assert not np.any(bank.log_stats == 123.0)
         assert np.array_equal(bank.grid, np.asarray(GRID))
+        assert np.all(bank.log_thresholds == np.inf)
 
     def test_validation(self):
         with pytest.raises(ValueError):

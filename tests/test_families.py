@@ -172,6 +172,11 @@ class TestGaussianMeanShift:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             GaussianMeanShift(pre_mean=0.0, sigma=0.0, post_params=Interval(1, 2))
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                GaussianMeanShift(pre_mean=0.0, sigma=sigma, post_params=Interval(1, 2))
+        with pytest.raises(ValueError, match="pre_mean must be finite"):
+            GaussianMeanShift(pre_mean=math.nan, sigma=1.0, post_params=Interval(1, 2))
 
 
 class TestGaussianVarianceShift:
@@ -223,6 +228,9 @@ class TestGaussianVarianceShift:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             GaussianVarianceShift(pre_sigma=-1.0, post_params=Interval(1.1, 3.0))
+        for pre_sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="pre_sigma must be positive"):
+                GaussianVarianceShift(pre_sigma=pre_sigma, post_params=Interval(1.1, 3.0))
 
     def test_paired_sampling_scales_noise(self):
         z = np.array([-0.7, 0.0, 1.9])

@@ -814,6 +814,15 @@ class TestSummaries:
         via = estimate(spec, 1.0, 200, 250, seed=3, censor_cap=0.01)
         assert direct == via
 
+    @pytest.mark.parametrize("censor_cap", [-1.0, 1.0, 2.0, math.nan])
+    def test_censoring_cap_outside_the_unit_interval_is_refused(self, censor_cap):
+        # a cap of 2.0 used to report valid=True with 3 of 5 runs censored, nan valid=False
+        runs = simulate_runs(bank_spec(), 1.0, 5, 50, 0)
+        with pytest.raises(ValueError, match=r"censor_cap must lie in \[0, 1\)"):
+            summarize(runs, censor_cap=censor_cap)
+        with pytest.raises(ValueError, match=r"censor_cap must lie in \[0, 1\)"):
+            estimate(bank_spec(), 1.0, 5, 50, 0, censor_cap=censor_cap)
+
     def test_a_grouped_result_is_not_summarised_as_one(self):
         # a [specs, runs] result read as one detector mixes the specs' runs in one count and mean
         grouped = simulate_runs((bank_spec(), bank_spec()), 1.0, 5, 20, 0)
@@ -880,6 +889,10 @@ class TestSizingHelpers:
             default_horizon(1e-3, PRIOR, 0.0)
         with pytest.raises(ValueError):
             default_horizon(0.0, PRIOR, 0.5)
+        for drift in (math.nan, math.inf):
+            # nan used to fail with "cannot convert float NaN to integer"
+            with pytest.raises(ValueError, match="drift must be positive"):
+                default_horizon(1e-3, PRIOR, drift)
 
     @pytest.mark.parametrize("censor_cap", [-1.0, 1.0, 5.0, math.nan])
     def test_default_horizon_refuses_a_censoring_cap_outside_the_unit_interval(self, censor_cap):

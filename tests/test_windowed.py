@@ -147,7 +147,9 @@ class TestEngineBehaviour:
 
     def test_step_after_stop_raises(self):
         engine = WindowEngine([variance_family()], PRIOR, [(2.0,)], 5, -100.0)
-        assert engine.step(np.array([0.1])) is not None
+        assert engine.stopped is None
+        report = engine.step(np.array([0.1]))
+        assert report is not None and engine.stopped is report
         with pytest.raises(AlreadyStoppedError):
             engine.step(np.array([0.1]))
 
