@@ -152,14 +152,17 @@ class BankBatch:
     one [rows, templates, charts] array per variant present, SR first, then
     MAX, then SUM, so each variant advances in one in-place call on a
     contiguous array; a template with fewer charts than the widest of its
-    variant is padded with charts whose threshold is +inf.  The llr is
+    variant is padded with charts whose threshold is +inf.  Each state row
+    has its own thresholds, ``thresholds`` [rows, templates, charts] per
+    variant, so one batch may hold runs of several alpha cells; a template's
+    ``log_thresholds`` broadcast against [rows, charts].  The llr is
     evaluated once per slot on the union of the grids and gathered into
     chart order; it is elementwise, so each chart's value is bitwise the one
     its own grid gives.  A template reports a row once, on the first slot one
     of its charts crosses, and a row is done once every template has crossed.
     ``rows`` holds the block row of each state row.  ``ChartBank`` is a
     one-template batch of one.  Grids and thresholds must have passed
-    ``check_charts``; thresholds may be one value per template.
+    ``check_charts``.
     """
 
     def __init__(self, family: ObservationFamily, prior: GeometricPrior, banks, rows: np.ndarray) -> None:
@@ -170,22 +173,23 @@ class BankBatch:
         union = np.unique(np.concatenate(grids))
         self.union = union[None, :]
         self.order = []  # the template of each column of ``done``: the variants' templates, block by block
-        # per variant present: variant, its first column of done, llr gather and thresholds [templates, charts]
-        self.blocks = []
+        self.blocks = []  # per variant present: variant, its first column of done, llr gather
         self.log_stats = []  # per variant present: [rows, templates, charts]
+        self.thresholds = []  # per variant present: [rows, templates, charts]
         for variant in ChartVariant:
             ts = [t for t, (_, _, v) in enumerate(banks) if v is variant]
             if not ts:
                 continue
             width = max(grids[t].size for t in ts)
             gather = np.zeros((len(ts), width), dtype=np.int64)
-            thr = np.full((len(ts), width), np.inf)
+            thr = np.full((rows.size, len(ts), width), np.inf)
             for k, t in enumerate(ts):
                 gather[k, : grids[t].size] = np.searchsorted(union, grids[t])
-                thr[k, : grids[t].size] = banks[t][1]
+                thr[:, k, : grids[t].size] = banks[t][1]
             if len(ts) == 1 and width == union.size:
                 gather = None  # the union in its own order: the llr needs no gather
-            self.blocks.append((variant, len(self.order), gather, thr))
+            self.blocks.append((variant, len(self.order), gather))
+            self.thresholds.append(thr)
             self.order += ts
             init = initial_log_stats(variant, width)
             self.log_stats.append(np.broadcast_to(init, (rows.size, len(ts), width)).copy())
@@ -207,7 +211,9 @@ class BankBatch:
         done = self.done.reshape(-1)  # (row, column) at row * templates + column
         llr_union = self.family._llr(self.union, x[:, None])
         found = []
-        for (variant, offset, gather, thr), stats, llr, hit in zip(self.blocks, self.log_stats, self._llr, self._hit):
+        for (variant, offset, gather), stats, thr, llr, hit in zip(
+            self.blocks, self.log_stats, self.thresholds, self._llr, self._hit
+        ):
             if gather is None:
                 llr = llr_union[:, None, :]
             else:
@@ -216,10 +222,10 @@ class BankBatch:
             hits = np.flatnonzero(np.greater_equal(stats, thr, out=hit[:n]))
             if hits.size:
                 # row-major order: a (row, template)'s first hit is its lowest crossing chart, which wins ties
-                keys, charts = np.divmod(hits, thr.shape[1])
+                keys, charts = np.divmod(hits, thr.shape[2])
                 first = np.ones(hits.size, dtype=bool)
                 np.not_equal(keys[1:], keys[:-1], out=first[1:])
-                rows, k = np.divmod(keys[first], thr.shape[0])
+                rows, k = np.divmod(keys[first], thr.shape[1])
                 cells = rows * n_templates + offset + k
                 new = ~done[cells]
                 done[cells[new]] = True
@@ -237,6 +243,7 @@ class BankBatch:
         idx = np.flatnonzero(keep)  # take, not a boolean mask: several times faster on 2-d arrays
         self.rows, self.done = self.rows[idx], self.done.take(idx, axis=0)
         self.log_stats = [stats.take(idx, axis=0) for stats in self.log_stats]
+        self.thresholds = [thr.take(idx, axis=0) for thr in self.thresholds]
         return self.rows.size
 
 
@@ -315,10 +322,11 @@ def posterior_from_stat(log_r: float, rho: float) -> float:
     """Posterior probability that the change has occurred, from an SR log statistic.
 
     Uses the identity log odds = log rho + log R_n, evaluated without forming
-    the linear-domain statistic.
+    the linear-domain statistic.  ``log_r`` may be -inf or +inf (posterior 0
+    or 1), not NaN.
     """
     GeometricPrior(rho)  # validates rho
-    return _logistic(math.log(rho) + log_r)
+    return _logistic(math.log(rho) + _check_log_r(log_r))
 
 
 def posterior_complement_from_stat(log_r: float, rho: float) -> float:
@@ -326,10 +334,18 @@ def posterior_complement_from_stat(log_r: float, rho: float) -> float:
 
     The complement is the quantity bounded by false-alarm constraints; deriving
     it as ``1 - posterior_from_stat(...)`` loses all precision once the
-    posterior rounds to 1.
+    posterior rounds to 1.  ``log_r`` may be -inf or +inf, not NaN.
     """
     GeometricPrior(rho)  # validates rho
-    return _logistic(-(math.log(rho) + log_r))
+    return _logistic(-(math.log(rho) + _check_log_r(log_r)))
+
+
+def _check_log_r(log_r: float) -> float:
+    """An SR log statistic as a float: any value but NaN, which no statistic takes."""
+    log_r = float(log_r)
+    if math.isnan(log_r):
+        raise ValueError("log_r must not be NaN")
+    return log_r
 
 
 def _logistic(z: float) -> float:

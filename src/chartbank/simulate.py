@@ -17,14 +17,16 @@ observations, records each (row, template) that crossed, and retires the
 rows the step reports done, by the batch's own policy (a bank drops them at
 once, a ring batch compacts once enough have stopped).  A bank batch may hold
 several templates that share family and prior; a row is done once every
-template has crossed.  A ring batch is one template.  ``simulate_runs`` is
-the one place that draws paths: it walks the runs in blocks of
-``batch_size``, draws each block and runs it through the loop.  A sweep
-makes one ``simulate_runs`` call per model group at each alpha: the bank
-templates on one family and prior step together to the longest of their
-horizons, and each is then censored at its own (a run's slots up to a
-horizon do not depend on how far it runs on); a window template is a group
-of its own.
+template has crossed.  A ring batch is one template.  Both take one
+threshold per row, so a batch may hold runs of several alpha cells of one
+model.  ``simulate_runs`` is the one place that draws paths: it walks the
+runs of its cells in blocks of ``batch_size``, draws each block and runs it
+through the loop.  A sweep makes one ``simulate_runs`` call per model group,
+with one cell per alpha: the bank templates on one family and prior step
+together to the longest of their horizons, and each is then censored at
+its own (a run's slots up to a horizon do not depend on how far it runs
+on); a window template is a group of its own, and its rows stop, censored,
+at their cell's horizon.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -167,7 +169,9 @@ class PathBlock:
     for the window engine.  Every drawn observation is checked for
     finiteness once, so the batch steps can call the families' unchecked llr.
     ``draw_paths`` seeds every run of a block in one pass; row r's bit
-    generator is bitwise ``np.random.PCG64(seed + [run])``.
+    generator is bitwise ``np.random.PCG64(seed + [run])``.  ``ends`` holds
+    each row's own horizon, at most the block's (by default the block's):
+    the slot loop censors a row there, and reads none of its slots past it.
 
     Given only ``observations``, a block is whole.  Given a longer
     ``horizon`` and the ``streams`` (family, true parameter, one bit generator
@@ -184,6 +188,7 @@ class PathBlock:
         observations: np.ndarray,
         horizon: int | None = None,
         streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None,
+        ends: np.ndarray | None = None,
     ) -> None:
         if observations.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
@@ -191,6 +196,7 @@ class PathBlock:
         self.change_points = change_points
         self._width = observations.shape[-1]
         self.horizon = self._width if horizon is None else horizon
+        self.ends = np.full(change_points.size, self.horizon) if ends is None else ends
         self.drawn = np.full(change_points.size, self._width, dtype=np.int64)
         self._chunks = [observations]  # chunk k holds slots [k * width, (k + 1) * width)
         self._streams = streams
@@ -237,45 +243,74 @@ class PathBlock:
         self.drawn[rows] = hi
 
 
-def draw_paths(spec: DetectorSpec, lam_true, runs: range, horizon: int, seed) -> PathBlock:
+def draw_paths(spec: DetectorSpec, lam_true, runs, horizon: int | None = None, seed=None) -> PathBlock:
     """Draw the change times and paths of the given runs into one block.
 
     Run r draws on its own generator, bitwise ``np.random.PCG64(seed + [r])``
     (``default_rng``'s), as ``sample_path_multi(..., seed + [r])`` would;
-    ``lam_true`` holds one parameter per source.  The whole block is seeded
-    in one vectorised pass and drawn by one block call of
-    ``sample_path_multi``, a bank as its one-source case.  A window block is
-    drawn whole: a multi-source draw is row-major, so no prefix of a longer
-    one.  A bank block is lazy from a head of min(horizon, CHUNK_SLOTS)
-    slots, and its first h slots equal the block drawn at horizon h bitwise.
+    ``lam_true`` holds one parameter per source.  ``runs`` is a range of run
+    ids drawn on ``seed`` to ``horizon``, or a list of parts (runs, horizon,
+    seed) whose rows the block stacks in order, each part drawn as its own
+    call would draw it; the block is as long as its longest part, and a row's
+    ``ends`` entry is its part's horizon.  Each part is seeded in one
+    vectorised pass and drawn by one block call of ``sample_path_multi``, a
+    bank as its one-source case.  A window part is drawn whole at its own
+    horizon: a multi-source draw is row-major, so no prefix of a longer one;
+    the block holds 0.0 past it.  A bank block is lazy from a head of
+    min(horizon, CHUNK_SLOTS) slots, and a row's first h slots equal its row
+    of the block drawn at horizon h bitwise.
     """
+    parts = [(runs, horizon, seed)] if isinstance(runs, range) else runs
     families = _sources(spec)[0]
     lams = _lams(families, lam_true)
     bank = isinstance(spec, BankSpec)
+    ends = np.repeat([h for _, h, _ in parts], [len(r) for r, _, _ in parts])
+    horizon = int(ends.max())
     width = min(horizon, CHUNK_SLOTS) if bank else horizon
-    bitgens = _bit_generators(seed, runs)  # a Generator holds three times the memory of its bit generator
-    xs = np.empty((len(runs), len(families), width))
-    ts, _ = sample_path_multi(families, spec.prior, lams, width, bitgens, out=xs)
+    xs = np.zeros((ends.size, len(families), width))
+    ts = np.empty(ends.size, dtype=np.int64)
+    bitgens = []
+    lo = 0
+    for part_runs, part_horizon, part_seed in parts:
+        hi = lo + len(part_runs)
+        part = _bit_generators(part_seed, part_runs)  # a Generator holds three times the memory of its bit generator
+        whole = bank or part_horizon == width
+        out = xs[lo:hi] if whole else np.empty((hi - lo, len(families), part_horizon))
+        ts[lo:hi], _ = sample_path_multi(families, spec.prior, lams, out.shape[-1], part, out=out)
+        if not whole:
+            xs[lo:hi, :, :part_horizon] = out
+        bitgens += part
+        lo = hi
     if not bank:
-        return PathBlock(ts, xs)
-    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
+        return PathBlock(ts, xs, ends=ends)
+    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens), ends)
 
 
-def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int):
+def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int, thresholds=None):
     """Stop slot (0 if censored) and firing chart per spec and block row, each [specs, rows].
 
     Several specs must be banks that share family and prior: they step
     together in one bank batch, and a row runs until every spec has crossed.
-    Running rows are drawn one chunk at a time, as they reach it.
+    ``thresholds`` holds each row's log thresholds, one entry per spec:
+    [rows, charts] for a bank, [rows] for a window; by default every row
+    takes the specs' own.  A row is censored at its own horizon,
+    ``paths.ends``.  Running rows are drawn one chunk at a time, as they
+    reach it.
     """
     live = np.arange(paths.change_points.size)
     spec = specs[0]
+    if thresholds is None:
+        thresholds = [_log_thresholds(s) for s in specs]
     if isinstance(spec, BankSpec):
-        det = BankBatch(spec.family, spec.prior, [(s.grid, s.log_thresholds, s.variant) for s in specs], live)
+        det = BankBatch(spec.family, spec.prior, [(s.grid, t, s.variant) for s, t in zip(specs, thresholds)], live)
     else:
-        det = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, spec.log_threshold, live, bounded=True)
+        det = RingBatch(
+            spec.families, spec.prior, spec.grids, spec.window_len, thresholds[0], live, block=paths.observations
+        )
     stop = np.zeros((len(specs), live.size), dtype=np.int64)
     firing = np.full(stop.shape, -1, dtype=np.int64)
+    cuts = iter(np.unique(paths.ends[paths.ends < horizon]).tolist())  # slots where some rows' horizons end
+    cut = next(cuts, None)
     ready = 0  # every running row holds the slots of xs below this
     for s in range(horizon):
         if s == ready:
@@ -288,10 +323,14 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int):
             stop[templates, runs], firing[templates, runs] = s + 1, charts
             if finished.size and det.retire(finished) == 0:
                 break
+        if s + 1 == cut:
+            cut = next(cuts, None)
+            if det.retire(np.flatnonzero(paths.ends[det.rows] == s + 1)) == 0:
+                break
     return stop, firing
 
 
-def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray, horizon: int) -> RunArrays:
+def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray, horizon) -> RunArrays:
     stopped = stop > 0
     false_alarm = stopped & (stop < change_points)
     delay = np.where(stopped, np.maximum(stop - change_points, 0), np.maximum(horizon - change_points, 0))
@@ -304,6 +343,20 @@ def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray,
     )
 
 
+def _model(spec: DetectorSpec) -> tuple:
+    """Everything of a spec but its thresholds."""
+    if isinstance(spec, BankSpec):
+        return spec.family, spec.prior, spec.grid, spec.variant
+    return spec.families, spec.prior, spec.grids, spec.window_len
+
+
+def _log_thresholds(spec: DetectorSpec) -> np.ndarray:
+    """A spec's log thresholds: one per chart for a bank, one value for a window."""
+    if isinstance(spec, BankSpec):
+        return np.broadcast_to(spec.log_thresholds, len(spec.grid))
+    return np.asarray(spec.log_threshold)
+
+
 def simulate_runs(
     spec: DetectorSpec | tuple[BankSpec, ...],
     lam_true,
@@ -311,6 +364,7 @@ def simulate_runs(
     horizon: int,
     seed,
     batch_size: int = BATCH_SIZE,
+    cells=None,
 ) -> RunArrays:
     """Run n_runs independent paths through fresh detector state.
 
@@ -325,6 +379,16 @@ def simulate_runs(
     in one batch, each run gives the same stop slot and firing chart as that
     spec alone, and the per-run arrays of the result gain a leading axis,
     one row per spec.
+
+    ``cells`` runs several cells of one model in one call, as a sweep's
+    alpha cells do: a list of (spec, horizon), each spec given as ``spec``
+    is and equal to it but for its thresholds, each horizon at most
+    ``horizon``.  Cell c runs n_runs runs on seed + [c], and its runs are
+    bitwise those of ``simulate_runs(spec_c, lam_true, n_runs, horizon_c,
+    seed + [c])``; the result's arrays gain a leading axis, one row per
+    cell.  A batch holds runs of every cell, each with its cell's
+    thresholds.  Bank rows run to ``horizon`` and are then censored at
+    their cell's; window rows stop, censored, at their cell's horizon.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
@@ -337,18 +401,49 @@ def simulate_runs(
     _check_count("horizon", horizon)
     _check_count("batch_size", batch_size)
     lams = _lams(_sources(specs[0])[0], lam_true)
-    ts = np.empty(n_runs, dtype=np.int64)
-    stop = np.empty((len(specs), n_runs), dtype=np.int64)
+    if cells is None:
+        plan = [(specs, horizon, seed)]
+    else:
+        base = list(seed) if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+        plan = [(s if isinstance(s, tuple) else (s,), h, base + [c]) for c, (s, h) in enumerate(cells)]
+        if not plan:
+            raise ValueError("cells must hold at least one (spec, horizon) cell")
+        for cell_specs, cell_horizon, _ in plan:
+            if tuple(map(_model, cell_specs)) != tuple(map(_model, specs)):
+                raise ValueError("every cell's specs must equal spec but for their thresholds")
+            _check_count("a cell's horizon", cell_horizon)
+            if cell_horizon > horizon:
+                raise ValueError(f"a cell's horizon {cell_horizon} exceeds horizon {horizon}")
+    bank = isinstance(specs[0], BankSpec)
+    # each spec's log thresholds in every cell: [cells, charts] for a bank, [cells] for a window
+    cell_thresholds = [np.array([_log_thresholds(c[0][k]) for c in plan]) for k in range(len(specs))]
+    total = len(plan) * n_runs
+    ts = np.empty(total, dtype=np.int64)
+    stop = np.empty((len(specs), total), dtype=np.int64)
     firing = np.empty_like(stop)
-    for lo in range(0, n_runs, batch_size):
-        hi = min(lo + batch_size, n_runs)
-        block = draw_paths(specs[0], lams, range(lo, hi), horizon, seed)
+    for lo in range(0, total, batch_size):
+        hi = min(lo + batch_size, total)
+        parts = []
+        for c in range(lo // n_runs, (hi - 1) // n_runs + 1):
+            _, cell_horizon, cell_seed = plan[c]
+            runs = range(max(lo - c * n_runs, 0), min(hi - c * n_runs, n_runs))
+            parts.append((runs, horizon if bank else cell_horizon, cell_seed))
+        block = draw_paths(specs[0], lams, parts)
         ts[lo:hi] = block.change_points
-        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, horizon)
+        row_cells = np.arange(lo, hi) // n_runs
+        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, horizon, [t[row_cells] for t in cell_thresholds])
         del block  # free this batch's paths before the next are drawn
+    ends = np.repeat([h for _, h, _ in plan], n_runs)
+    late = stop > ends  # bank rows ran to horizon; each cell is censored at its own
+    stop[late], firing[late] = 0, -1
     if not isinstance(spec, tuple):
         stop, firing = stop[0], firing[0]
-    return _run_arrays(ts, stop, firing, horizon)
+    runs = _run_arrays(ts, stop, firing, ends)
+    if cells is None:
+        return runs
+    # [..., cells x runs] -> [cells, ..., runs]
+    fields = (runs.change_point, runs.stop_time, runs.firing_chart, runs.false_alarm, runs.delay)
+    return RunArrays(*(np.moveaxis(a.reshape(*a.shape[:-1], len(plan), n_runs), -2, 0) for a in fields))
 
 
 def estimate(
@@ -625,39 +720,54 @@ def add_vs_alpha_sweep(
     """Estimate delay and false-alarm rate over an alpha grid for each template.
 
     Thresholds follow the union-bound rule per alpha.  Runs are paired across
-    templates at each alpha (same per-run seeds), so pathwise dominance
-    between chart variants carries over to the estimates exactly.  Bank
-    templates on one family and prior run in one ``simulate_runs`` call per
-    alpha, to the longest of their horizons, so each path is drawn once and
-    they step through it together.
+    templates at each alpha (same per-run seeds, [seed, alpha index] + [run]),
+    so pathwise dominance between chart variants carries over to the
+    estimates exactly.  Each model group runs in one ``simulate_runs`` call
+    over every alpha, one cell per alpha: the bank templates on one family
+    and prior form a group, run to the longest of their horizons, so each
+    path is drawn once and they step through it together; a window template
+    is a group of its own.
 
-    ``alphas`` must be strictly decreasing, so a repeated value is refused,
-    ``n_runs`` an integer of at least 1 and ``censor_cap`` in [0, 1); a
-    template none of whose charts grows under ``lam_true`` is refused at any
-    horizon.  A cell whose runs all have zero delay has efficiency inf.
+    ``templates`` must be nonempty, ``alphas`` strictly decreasing, so a
+    repeated value is refused, ``n_runs`` an integer of at least 1 and
+    ``censor_cap`` in [0, 1); a template none of whose charts grows under
+    ``lam_true`` is refused at any horizon.  A cell whose runs all have zero
+    delay has efficiency inf.
     """
     _check_count("n_runs", n_runs)
     _check_censor_cap(censor_cap)
     alphas = _check_alphas(alphas)
-    rows: list[SweepRow] = []
-    for a_idx, alpha in enumerate(alphas):
-        cells = [_sweep_cell(template, lam_true, alpha, n_runs, horizon, censor_cap) for template in templates]
+    if not templates:
+        raise ValueError("templates must hold at least one template")
+    grid = [[_sweep_cell(template, lam_true, alpha, n_runs, horizon, censor_cap) for template in templates]
+            for alpha in alphas]
 
-        groups: dict[object, list[_Cell]] = {}
-        for cell in cells:  # a window cell is a group of its own: a ring batch is one template
-            key = (cell.spec.family, cell.spec.prior) if isinstance(cell.spec, BankSpec) else id(cell)
-            groups.setdefault(key, []).append(cell)
-        for group in groups.values():
-            specs, longest = tuple(c.spec for c in group), max(c.horizon for c in group)
-            spec = specs if isinstance(specs[0], BankSpec) else specs[0]
-            runs = simulate_runs(spec, group[0].lam_vec, n_runs, longest, [seed, a_idx], batch_size=BATCH_SIZE)
-            stops, firings = runs.stop_time.reshape(len(group), -1), runs.firing_chart.reshape(len(group), -1)
-            for cell, stop, firing in zip(group, stops, firings):  # each censored at its own horizon
+    groups: dict[object, list[int]] = {}
+    for t, template in enumerate(templates):  # a window template is a group of its own: a ring batch is one template
+        key = (template.family, template.prior) if isinstance(template, BankTemplate) else t
+        groups.setdefault(key, []).append(t)
+    for members in groups.values():
+        bank = isinstance(templates[members[0]], BankTemplate)
+        cells = []  # one per alpha, run on seed [seed, alpha index], to the longest horizon of its templates
+        for row in grid:
+            specs = tuple(row[t].spec for t in members)
+            cells.append((specs if bank else specs[0], max(row[t].horizon for t in members)))
+        longest = max(cell_horizon for _, cell_horizon in cells)
+        lam_vec = grid[0][members[0]].lam_vec
+        runs = simulate_runs(cells[0][0], lam_vec, n_runs, longest, [seed], batch_size=BATCH_SIZE, cells=cells)
+        # [alphas, members, runs]; a window group's result has no member axis
+        stops = runs.stop_time if bank else runs.stop_time[:, None]
+        firings = runs.firing_chart if bank else runs.firing_chart[:, None]
+        for row, change_points, stop_row, firing_row in zip(grid, runs.change_point, stops, firings):
+            for t, stop, firing in zip(members, stop_row, firing_row):  # each censored at its own horizon
+                cell = row[t]
                 late = stop > cell.horizon
                 stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
-                cell.runs = _run_arrays(runs.change_point, stop, firing, cell.horizon)
+                cell.runs = _run_arrays(change_points, stop, firing, cell.horizon)
 
-        for cell in cells:
+    rows: list[SweepRow] = []
+    for alpha, row in zip(alphas, grid):
+        for cell in row:
             summary = summarize(cell.runs, censor_cap=censor_cap)
             rows.append(
                 SweepRow(

@@ -18,17 +18,19 @@ slot freed by the expired oldest start is exactly the slot the newest start
 needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
 per-column maxima; no column moves.  ``RingBatch`` runs many runs at once,
 one row each, and is the only implementation of the step and its stop rule.
-Its ``retire`` compacts its rings in place once fewer than COMPACT_BELOW of
+Each row has its own threshold, so one batch may hold runs of several alpha
+cells.  Its ``retire`` compacts its state once fewer than COMPACT_BELOW of
 the rows still run; ``WindowEngine`` is an unbounded batch of one that
 keeps the tables and evaluates the exact joint statistic on every step, so
 its work counters count the work it does.
 
-A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables.
-It keeps each slot's llrs in a history ring [rows, width, sum_l I_l], the
-same bytes as the tables, and bounds every row's statistic by one prefix
-sum.  With m_t = slot_cost + sum_l max_i llr_{l,i}(t), the largest per-source
-sum is at most the sum of the per-slot largest llrs, so start k's joint is at
-most P_n - P_{k-1} with P_n = m_1 + ... + m_n, and the row's joint at most
+A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables
+and no llrs.  It bounds every row's statistic by one prefix sum, and reads
+back the observations of the path block it is stepped through for the few
+rows and slots it must replay.  With m_t = slot_cost + sum_l max_i
+llr_{l,i}(t), the largest per-source sum is at most the sum of the per-slot
+largest llrs, so start k's joint is at most P_n - P_{k-1} with
+P_n = m_1 + ... + m_n, and the row's joint at most
 P_n - min_{j in [n-w, n-1]} P_j, w = m_alpha + 1.  The minimum slides in
 lockstep over all rows (van Herk / Gil-Werman): prefixes are kept in a ring
 of w, P_j at column j mod w, so a block of w prefixes fills the ring in
@@ -42,10 +44,10 @@ weight of the slots since the block began.
 Consecutive sources whose families compare equal and whose grids have one
 size form a run of like sources, and a bounded batch steps each run at
 once: one broadcast llr call gives [g, I, rows] for the run's g sources,
-then one history write, one ``ring_advance`` of the run's g running sums
-and one reduction each for the largest llr and the largest |llr| of every
-source.  The values are those of one call per source, bitwise; a lone
-source is a run of one.
+then one ``ring_advance`` of the run's g running sums and one reduction
+each for the largest llr and the largest |llr| of every source.  The
+values are those of one call per source, bitwise; a lone source is a run
+of one.
 
 The bound and the exact statistic associate their additions differently,
 so the bound carries an allowance for rounding.  With u the unit roundoff
@@ -70,20 +72,23 @@ row's running mass, and in any order a sum of N such terms is at least
 under 1/4: the computed G is at least three quarters of the real one, and
 twice that covers it with room for the allowance's own roundings.
 
-Rows whose bound stays under the threshold cannot cross.  For the others,
-``tighten`` replays from the history the sums of every start from the
-oldest one whose bound P_n - P_{k-1} + allowance reaches the threshold;
-each sum starts at 0.0 and adds the llrs in slot order, the additions
-``ring_advance`` makes, so it is bitwise the table's, signed zeros
-included.  The replay runs along diagonals, S passes for S starts: the
+Rows whose bound stays under their threshold cannot cross.  For the
+others, ``tighten`` replays the sums of every start from the oldest one
+whose bound P_n - P_{k-1} + allowance reaches a row's threshold.  It reads
+those slots' observations from the block and recomputes their llrs with
+the call ``advance`` makes; the llr is elementwise, so they are the bits
+``advance`` saw.  Each sum starts at 0.0 and adds the llrs in slot order,
+the additions ``ring_advance`` makes, so it is bitwise the table's, signed
+zeros included.  The replay runs along diagonals, S passes for S starts: the
 gathered llrs are followed by S rows of +0.0, and pass d adds row k + d to
 every start k at once, so a start adds its own llrs in slot order and then
 +0.0 once per later start.  A sum that starts at +0.0 never becomes -0.0
 (round to nearest gives -0.0 only for two -0.0 operands), and x + 0.0 is x
 bitwise for every other x, so the trailing adds change no bit.  Older
-starts read -inf: their exact joint is below the threshold, so they can
-neither cross nor win the oldest-first argmax.  Stop slots and firing
-charts therefore stay bitwise those of the exact step.
+starts read -inf: for every replayed row their exact joint is below that
+row's threshold, so they can neither cross nor win its oldest-first
+argmax.  Stop slots and firing charts therefore stay bitwise those of the
+exact step.
 The bound costs O(L) per row and slot, plus O(w) per row once per w slots
 for a block's suffix minima.
 """
@@ -111,9 +116,9 @@ from .families import (
 __all__ = ["WindowEngine", "window_length_for", "composite_kl"]
 
 
-# A bounded batch moves its ring tables' running rows down once fewer than
-# this share of its rows still runs: often enough to keep the per-slot work
-# near the live count, rarely enough that the row copies stay cheap.
+# A ring batch keeps only its running rows once fewer than this share of its
+# rows still runs: often enough to keep the per-slot work near the live
+# count, rarely enough that the row copies stay cheap.
 COMPACT_BELOW = 0.75
 
 
@@ -169,10 +174,10 @@ class RingBatch:
 
     Unbounded, source l keeps a ring table [rows, I_l, width] of llr sums
     per run, candidate and start slot, and ``total`` holds every row's exact
-    joint statistic.  Bounded, the batch keeps no tables: one llr history
-    ring [rows, width, sum_l I_l] holds the last ``width`` slots' llrs of
-    every candidate, source after source.  Its bound is a prefix sum P of
-    the per-slot bound m_t (see the module docstring), kept rows last:
+    joint statistic.  Bounded, the batch keeps no tables and no llrs: it
+    reads ``block`` [block rows, L, slots], the observations it is stepped
+    with, whenever it replays.  Its bound is a prefix sum P of the per-slot
+    bound m_t (see the module docstring), kept rows last:
     ``peaks`` [L, rows, 1, 1] holds each source's running sum of its largest
     llrs since the current block of ``width`` slots began, one one-column
     ring table per source, advanced a run of like sources at a time
@@ -182,9 +187,11 @@ class RingBatch:
     [rows] the current block's running minimum and ``mass`` [2, rows] the
     previous and current block's llr mass, which scales the rounding
     allowance.  ``bound`` and ``start_bounds`` are never below the exact
-    statistic; ``tighten`` replays exact sums from the history for the rows
+    statistic; ``tighten`` replays exact sums from the block for the rows
     and starts they cannot rule out, one diagonal pass per replayed start
-    over all of them.  ``rows`` holds the block row of each state row.
+    over all of them.  ``rows`` holds the block row of each state row and
+    ``thresholds`` its log threshold (``log_thresholds`` is one value or
+    one per row); both move with the rows when they compact.
     ``WindowEngine`` is an unbounded batch of one; grids come from
     ``check_window``.
     """
@@ -195,24 +202,24 @@ class RingBatch:
         prior: GeometricPrior,
         grids: Sequence,
         window_len: int,
-        log_threshold: float,
+        log_thresholds,
         rows: np.ndarray,
-        bounded: bool = False,
+        block: np.ndarray | None = None,
     ) -> None:
         self.families = tuple(families)
         self.grids = [np.asarray(grid, dtype=float)[None, :] for grid in grids]
-        self.log_threshold = log_threshold
+        self.thresholds = np.broadcast_to(np.asarray(log_thresholds, dtype=float), rows.shape).copy()
         self.width = window_len + 1
         self.rows = rows
         self.running = np.ones(rows.size, dtype=bool)
-        self.bounded = bounded
+        self.block = block
+        self.bounded = block is not None
         # weight for start k at slot n depends only on the span n - k + 1
         self.weights = np.arange(1, self.width + 1) * prior.slot_cost
-        if bounded:
+        if self.bounded:
             n_sources = len(self.grids)
-            # source l's candidates are columns edges[l]:edges[l + 1] of the history
+            # source l's candidates are columns edges[l]:edges[l + 1] of a replay
             self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
-            self.history = np.zeros((rows.size, self.width, self.edges[-1]))
             # runs of like sources: consecutive sources whose families compare equal and whose grids have
             # one size share each per-slot call, as (family, first source, end, grids [g, I, 1]); candidates
             # come before rows, so an llr [g, I, rows] reduces over its candidates one contiguous row at a time
@@ -241,10 +248,10 @@ class RingBatch:
         self.starts = self.slots = np.zeros(0, dtype=np.int64)  # in-window starts and their ring slots
 
     def advance(self, x: np.ndarray) -> None:
-        """Advance each row's tables, or its history and prefix sum, by x[row]."""
+        """Advance each row's tables, or its prefix sum, by x[row]."""
         self.n += 1
-        slot_new = self.n % self.width
         if not self.bounded:
+            slot_new = self.n % self.width
             for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
                 ring_advance(self.tables[l], fam._llr(grid, x[:, l, None]), slot_new)
         else:
@@ -252,8 +259,6 @@ class RingBatch:
             xs = x.T[:, None, :]  # [L, 1, rows]
             for fam, lo, hi, lams in self.source_runs:
                 llr = fam._llr(lams, xs[lo:hi])  # [g, I, rows], the tables' values transposed
-                c0, c1 = self.edges[lo], self.edges[hi]
-                self.history[:, slot_new, c0:c1] = llr.reshape(c1 - c0, x.shape[0]).T
                 ring_advance(self.peaks[lo:hi], llr.max(axis=1)[..., None], None)
                 self.mass[1] += np.abs(llr, out=llr).max(axis=1).sum(axis=0)
             self.steps += 1
@@ -309,23 +314,29 @@ class RingBatch:
         """Exact joint statistic [rows, starts] of the given rows of a bounded batch; -inf at starts that cannot cross.
 
         k0 is the oldest start at which any given row's ``start_bounds``
-        reach the threshold.  The sums of starts k0..n are replayed from the
-        history; older starts read -inf, since their exact joint is below
-        the threshold.  Each replayed sum starts at 0.0 and adds l_k, ...,
-        l_n in slot order, the additions of ``ring_advance``, so it is
-        bitwise the eager table's: pass d of the diagonal replay adds l_{k+d}
-        to every start k at once, or +0.0 past l_n, which changes no bit of
-        a sum that started at +0.0 (see the module docstring).
+        reach its threshold.  The sums of starts k0..n are replayed from the
+        observations of slots k0..n, read from the block; older starts read
+        -inf, since their exact joint is below every given row's threshold.
+        The llrs l_k0, ..., l_n are recomputed by the call ``advance`` makes,
+        which is elementwise and so gives the same bits.  Each replayed sum
+        starts at 0.0 and adds l_k, ..., l_n in slot order, the additions of
+        ``ring_advance``, so it is bitwise the eager table's: pass d of the
+        diagonal replay adds l_{k+d} to every start k at once, or +0.0 past
+        l_n, which changes no bit of a sum that started at +0.0 (see the
+        module docstring).
         """
         total = self.start_bounds(rows)
-        reach = np.flatnonzero((total >= self.log_threshold).any(axis=0))
+        reach = np.flatnonzero((total >= self.thresholds[rows, None]).any(axis=0))
         first = reach[0] if reach.size else self.starts.size
         total[:, :first] = -np.inf
-        slots = self.slots[first:]
-        span = slots.size
-        # start-major, so each pass is one contiguous add over every start
+        span = self.starts.size - first
+        # slot k is block column k - 1; start-major, so each pass is one contiguous add over every start
+        xs = self.block[self.rows[rows][None, :], :, self.starts[first:, None] - 1]  # [slots, rows, L]
         padded = np.zeros((2 * span, rows.size, self.edges[-1]))  # [slots, rows, candidates]
-        padded[:span] = self.history[rows[None, :], slots[:, None]]
+        for fam, lo, hi, lams in self.source_runs:
+            llr = fam._llr(lams, xs[..., lo:hi].reshape(-1, hi - lo).T[:, None, :])  # [g, I, slots x rows]
+            c0, c1 = self.edges[lo], self.edges[hi]
+            padded[:span, :, c0:c1] = llr.reshape(c1 - c0, span, rows.size).transpose(1, 2, 0)
         sums = np.zeros((span, rows.size, self.edges[-1]))
         for d in range(span):
             sums += padded[d : d + span]
@@ -358,14 +369,14 @@ class RingBatch:
         self.advance(x)
         if not self.bounded:
             self.total = self.joint(self.maxima())
-            rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.log_threshold))
+            rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.thresholds))
             total = self.total[rows]
         else:
-            rows = np.flatnonzero(self.running & (self.bound() >= self.log_threshold))
+            rows = np.flatnonzero(self.running & (self.bound() >= self.thresholds))
             if rows.size == 0:
                 return rows, rows, rows, rows
             total = self.tighten(rows)
-            crossed = total.max(axis=1) >= self.log_threshold
+            crossed = total.max(axis=1) >= self.thresholds[rows]
             rows, total = rows[crossed], total[crossed]
         if rows.size == 0:
             return rows, rows, rows, rows
@@ -397,23 +408,15 @@ class RingBatch:
         return n_running
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep only the rows ``keep`` (ascending): the tables or the history move down in place, not copied whole."""
-        moves = [(dst, src) for dst, src in enumerate(keep.tolist()) if dst != src]
-
-        def kept(ring: np.ndarray) -> np.ndarray:
-            for dst, src in moves:
-                ring[dst] = ring[src]
-            return ring[: keep.size]
-
+        """Keep only the rows ``keep`` (ascending)."""
         if not self.bounded:
-            self.tables = [kept(table) for table in self.tables]
+            self.tables = [table[keep] for table in self.tables]
         else:
-            self.history = kept(self.history)
             self.peaks = self.peaks[:, keep]
             self.prefix, self.prefixes, self.suffix, self.low, self.mass = (
                 state[..., keep] for state in (self.prefix, self.prefixes, self.suffix, self.low, self.mass)
             )
-        self.rows, self.running = self.rows[keep], self.running[keep]
+        self.rows, self.running, self.thresholds = self.rows[keep], self.running[keep], self.thresholds[keep]
 
 
 class WindowEngine:

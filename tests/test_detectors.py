@@ -248,6 +248,15 @@ class TestPosterior:
         with pytest.raises(ValueError):
             stat_from_posterior(1.5, 0.1)
 
+    @pytest.mark.parametrize("to_posterior", [posterior_from_stat, posterior_complement_from_stat])
+    def test_nan_statistic_is_refused(self, to_posterior):
+        # as its inverse refuses a NaN posterior; the infinities stay valid
+        with pytest.raises(ValueError, match="log_r"):
+            to_posterior(math.nan, 0.1)
+        with pytest.raises(ValueError, match="log_r"):
+            to_posterior(np.float64("nan"), 0.1)
+        assert {to_posterior(-math.inf, 0.1), to_posterior(math.inf, 0.1)} == {0.0, 1.0}
+
     @settings(max_examples=60)
     @given(
         log_r=st.floats(min_value=-40, max_value=40),

@@ -249,7 +249,7 @@ class TestCompactionInvariance:
         with mock.patch.object(simulate, "BATCH_SIZE", block_runs), count_draws() as draws:
             rows = add_vs_alpha_sweep(templates, 1.0, alphas, n_runs=80, seed=seed, censor_cap=0.05)
         assert len({r.horizon for r in rows[:3]}) == 2
-        assert draws.call_count == len(alphas) * 2 * -(-80 // block_runs)  # one group per family
+        assert draws.call_count == 2 * -(-len(alphas) * 80 // block_runs)  # one group per family, every alpha in it
         for a_idx, alpha in enumerate(alphas):
             for t_idx, template in enumerate(templates):
                 row = rows[a_idx * len(templates) + t_idx]
@@ -282,7 +282,7 @@ class TestCompactionInvariance:
         lam, alphas, n_runs = (1.8, 2.2), (0.2, 0.05), 40
         with mock.patch.object(simulate, "BATCH_SIZE", block_runs), count_draws() as draws:
             rows = add_vs_alpha_sweep(templates, lam, alphas, n_runs=n_runs, seed=seed, censor_cap=0.05)
-        assert draws.call_count == len(alphas) * len(templates) * -(-n_runs // block_runs)
+        assert draws.call_count == len(templates) * -(-len(alphas) * n_runs // block_runs)
         for a_idx, alpha in enumerate(alphas):
             for t_idx, template in enumerate(templates):
                 row = rows[a_idx * len(templates) + t_idx]
@@ -349,7 +349,7 @@ class TestChunkInvariance:
             with count_draws() as draws:
                 split = add_vs_alpha_sweep(*args, n_runs=80, seed=2, censor_cap=0.05)
         assert split == whole
-        assert draws.call_count == 2 * -(-80 // block_runs)  # one group per alpha
+        assert draws.call_count == -(-2 * 80 // block_runs)  # one group, both alphas in it
 
     def test_undrawn_slots_are_never_read(self):
         # after every draw, each allocated chunk's undrawn rows turn NaN; a NaN
@@ -490,7 +490,8 @@ class TestPrunedWindowKernel:
         families, grids, _ = sources
         rng = np.random.default_rng(seed)
         args = (families, GeometricPrior(0.05), grids, window_len, -math.inf)
-        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        block = np.zeros((rows, len(families), 5 * (window_len + 1) + 5))  # the observations the batch steps with
+        rings = RingBatch(*args, np.arange(rows), block=block)
         twin = RingBatch(*args, np.arange(rows))
 
         def assert_bounded():
@@ -506,6 +507,7 @@ class TestPrunedWindowKernel:
             n_rows = rings.rows.size
             scale = rng.uniform(0.5, 3.0) * magnitude ** rng.random()
             x = rng.standard_normal((n_rows, len(families))) * scale
+            block[rings.rows, :, rings.n] = x
             rings.advance(x)
             twin.advance(x)
             assert_bounded()
@@ -537,7 +539,8 @@ class TestPrunedWindowKernel:
         grids = ((-1.0, 0.5, 2.0), (1.4, 2.0))
         rng = np.random.default_rng(seed)
         args = (families, GeometricPrior(0.05), grids, window_len, threshold)
-        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        block = np.zeros((rows, len(families), horizon))  # the observations the batch steps with
+        rings = RingBatch(*args, np.arange(rows), block=block)
         twin = RingBatch(*args, np.arange(rows))
         edges = [0, 3, 5]
         for _ in range(horizon):
@@ -546,6 +549,7 @@ class TestPrunedWindowKernel:
             mid = rng.random(n_rows) < 0.4
             x[mid, 0] = rng.choice(grids[0], int(mid.sum())) / 2.0
             x[rings.rows == 0, 0] = -0.5
+            block[rings.rows, :, rings.n] = x
             rings.advance(x)
             twin.advance(x)
             exact = twin.joint(twin.maxima())
@@ -588,7 +592,8 @@ class TestPrunedWindowKernel:
         grids = ((1.4, 2.0), (1.2, 2.4), (0.3, 1.0, 2.5), (1.2, 1.7, 2.4), (1.4, 2.0), (1.4, 2.0))
         rng = np.random.default_rng(seed)
         args = (families, GeometricPrior(0.05), grids, window_len, threshold)
-        rings = RingBatch(*args, np.arange(rows), bounded=True)
+        block = np.zeros((rows, len(families), 3 * (window_len + 1) + 5))  # the observations the batch steps with
+        rings = RingBatch(*args, np.arange(rows), block=block)
         twin = RingBatch(*args, np.arange(rows))
         assert [(lo, hi) for _, lo, hi, _ in rings.source_runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
         edges = np.cumsum([0] + [len(grid) for grid in grids])
@@ -596,6 +601,7 @@ class TestPrunedWindowKernel:
         for _ in range(3 * (window_len + 1) + 5):
             n_rows = rings.rows.size
             x = rng.standard_normal((n_rows, len(families))) * scale + shift
+            block[rings.rows, :, rings.n] = x
             got, want = rings.step(x), twin.step(x)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))  # stop slots and firing charts
             exact = twin.total
@@ -1010,6 +1016,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="strictly decreasing"):
             add_vs_alpha_sweep([BankTemplate("sr", FAMILY, PRIOR, GRID)], 1.0, (0.1, 0.1), 100, 0)
 
+    def test_empty_template_list_is_refused(self):
+        # a sweep with nothing to run must not read as one that ran; refused before any cell is built
+        with mock.patch.object(simulate, "_sweep_cell", wraps=simulate._sweep_cell) as built:
+            with pytest.raises(ValueError, match="templates"):
+                add_vs_alpha_sweep([], 1.0, (0.1,), 10, 0)
+        assert built.call_count == 0
+
     @pytest.mark.parametrize(
         "n_runs, horizon, censor_cap, problem",
         [
@@ -1267,3 +1280,102 @@ class TestGroupedBankBatch:
         for other in others:
             with pytest.raises(ValueError, match="several specs must be banks that share family and prior"):
                 simulate_runs((bank_spec(), other), 1.0, 5, 20, 0)
+
+
+def cell_runs(runs, c):
+    """Cell c's runs of a multi-cell result."""
+    fields = ("change_point", "stop_time", "firing_chart", "false_alarm", "delay")
+    return RunArrays(*(getattr(runs, f)[c] for f in fields))
+
+
+class TestMultiCellRuns:
+    """One simulate_runs call over several alpha cells of one model gives, cell by cell, the runs of a call per cell."""
+
+    BATCH_SIZES = (1, 7)  # with n_runs and cells x n_runs: batches split cells mid-batch, or hold them whole
+
+    @pytest.mark.parametrize(
+        "grids",
+        [((0.3, 1.0, 2.5), (0.3, 0.6, 1.0, 1.5, 2.5)), ((0.3, 0.6), (1.5, 2.5))],
+        ids=["nested", "disjoint"],
+    )
+    def test_bank_cells_match_one_call_per_cell(self, grids):
+        # SR, MAX and SUM on both grids; per cell its own thresholds, per chart in some,
+        # and its own horizon, short enough that the shorter cells censor runs
+        family, _, lam = GROUP_SOURCES["mean"]
+        prior = GeometricPrior(0.02)
+        models = [(grid, variant) for variant in ChartVariant for grid in grids]
+        kinds = (
+            lambda n, level: (level,),
+            lambda n, level: (math.inf,) * (n - 1) + (level,),
+            lambda n, level: (level + 3.0,) + (-math.inf,) * (n - 1),
+        )
+        cells = []
+        for c, level in enumerate((3.0, 6.0, 9.0)):
+            specs = tuple(
+                BankSpec(family, prior, grid, kinds[(c + k) % len(kinds)](len(grid), level), variant)
+                for k, (grid, variant) in enumerate(models)
+            )
+            cells.append((specs, (40, 25, 60)[c]))
+        n_runs, seed = 30, [11, 3]
+        censored = stopped = 0
+        for batch_size in self.BATCH_SIZES + (n_runs, len(cells) * n_runs):
+            merged = simulate_runs(cells[0][0], lam, n_runs, 60, seed, batch_size=batch_size, cells=cells)
+            assert merged.stop_time.shape == merged.firing_chart.shape == (len(cells), len(models), n_runs)
+            for c, (specs, horizon) in enumerate(cells):
+                alone = simulate_runs(specs, lam, n_runs, horizon, seed + [c])
+                assert_same_runs(cell_runs(merged, c), alone)
+                censored += int((alone.stop_time == 0).sum())
+                stopped += int((alone.stop_time > 0).sum())
+        assert censored > 0 and stopped > 0
+
+    @pytest.mark.parametrize("horizons", [(20, 45, 120), (120, 60, 120)])
+    def test_window_cells_match_one_call_per_cell(self, horizons):
+        # cells drawn at their own horizons and censored there; the window stops late at threshold 3
+        lam, n_runs = (1.8, 2.2), 24
+        cells = [(window_spec(threshold), horizon) for threshold, horizon in zip((3.0, 2.0, 4.0), horizons)]
+        censored = stopped = 0
+        for batch_size in self.BATCH_SIZES + (n_runs, len(cells) * n_runs):
+            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), 5, batch_size=batch_size, cells=cells)
+            assert merged.stop_time.shape == (len(cells), n_runs)
+            for c, (spec, horizon) in enumerate(cells):
+                alone = simulate_runs(spec, lam, n_runs, horizon, [5, c])
+                assert_same_runs(cell_runs(merged, c), alone)
+                censored += int((alone.stop_time == 0).sum())
+                stopped += int((alone.stop_time > 0).sum())
+        assert censored > 0 and stopped > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sources=window_sources(),
+        window_len=st.integers(1, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_window_cells_of_one_to_three_sources(self, sources, window_len, data, seed):
+        families, grids, lam = sources
+        prior = GeometricPrior(0.05)
+        n_cells = data.draw(st.integers(2, 3), label="cells")
+        horizons = data.draw(st.lists(st.integers(1, PRUNED_HORIZON), min_size=n_cells, max_size=n_cells), label="h")
+        levels = data.draw(
+            st.lists(st.sampled_from([-math.inf, 1.0, 3.0, 6.0, math.inf]), min_size=n_cells, max_size=n_cells),
+            label="thresholds",
+        )
+        cells = [(WindowSpec(families, prior, grids, window_len, level), h) for level, h in zip(levels, horizons)]
+        n_runs = 9
+        for batch_size in self.BATCH_SIZES + (n_runs, n_cells * n_runs):
+            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), [seed], batch_size=batch_size, cells=cells)
+            for c, (spec, horizon) in enumerate(cells):
+                assert_same_runs(cell_runs(merged, c), simulate_runs(spec, lam, n_runs, horizon, [seed, c]))
+
+    def test_cells_must_share_the_model_and_fit_the_horizon(self):
+        wide = BankSpec(FAMILY, PRIOR, (0.5, 1.0), (5.0,))
+        with pytest.raises(ValueError, match="but for their thresholds"):
+            simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[(bank_spec(), 20), (wide, 20)])
+        with pytest.raises(ValueError, match="but for their thresholds"):
+            simulate_runs(window_spec(), (1.8, 2.2), 5, 20, 0, cells=[(bank_spec(), 20)])
+        with pytest.raises(ValueError, match="exceeds horizon"):
+            simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[(bank_spec(), 20), (bank_spec(), 21)])
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[(bank_spec(), 2.5)])
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[])

@@ -57,22 +57,31 @@ class TestRingPrimitives:
 class TestBoundedBatchSpace:
     """The abstract's claim that space grows linearly in the source count, on the batch the sweeps run."""
 
-    ROW_STATE = ("history", "peaks", "prefix", "prefixes", "suffix", "low", "mass", "running", "rows")
+    ROW_STATE = ("peaks", "prefix", "prefixes", "suffix", "low", "mass", "thresholds", "running", "rows")
 
-    @pytest.mark.parametrize("n_sources, per_row", [(1, 3721), (2, 6585), (4, 12313), (8, 23769), (16, 46681)])
-    def test_row_state_bytes(self, n_sources, per_row):
-        # per row: the llr history of every candidate, the prefix and suffix
-        # rings, one running sum per source, four floats, a bool and a block row
+    @pytest.mark.parametrize("n_sources, history_per_row", [(1, 3721), (2, 6585), (4, 12313), (8, 23769), (16, 46681)])
+    def test_row_state_bytes(self, n_sources, history_per_row):
+        # per row: the prefix and suffix rings, one running sum per source, three
+        # floats, a threshold, a bool and a block row; no llr of any candidate: the
+        # batch replays from the observation block it is stepped with, not its own
         grid, window = (1.5, 1.6, 1.7, 2.0, 2.1, 2.2, 2.3), 50
         width = window + 1
-        assert per_row == 8 * (width * (n_sources * len(grid) + 2) + n_sources + 4) + 9
+        per_row = 8 * (2 * width + n_sources + 5) + 9
+        assert per_row == {1: 873, 2: 881, 4: 897, 8: 929, 16: 993}[n_sources]
+        # a batch that kept the w'·ΣI_l llr history and a shared threshold held
+        # history_per_row bytes: the same state less that history, plus the threshold
+        history = 8 * width * n_sources * len(grid)
+        assert history_per_row == 8 * (width * (n_sources * len(grid) + 2) + n_sources + 4) + 9
+        assert per_row == history_per_row - history + 8
         shared = set()
         for rows in (3, 5):
+            block = np.zeros((rows, n_sources, 10))
             batch = RingBatch(
-                (variance_family(),) * n_sources, PRIOR, (grid,) * n_sources, window, 10.0, np.arange(rows), bounded=True
+                (variance_family(),) * n_sources, PRIOR, (grid,) * n_sources, window, 10.0, np.arange(rows), block=block
             )
-            nbytes = {name: v.nbytes for name, v in vars(batch).items() if isinstance(v, np.ndarray)}
+            nbytes = {name: v.nbytes for name, v in vars(batch).items() if isinstance(v, np.ndarray) and v is not block}
             assert sum(nbytes[name] for name in self.ROW_STATE) == rows * per_row
+            assert all(v < rows * 8 * width * n_sources * len(grid) for v in nbytes.values())
             shared.add(sum(nbytes.values()) - rows * per_row)
         assert len(shared) == 1  # no other array grows with the rows
 
