@@ -186,8 +186,6 @@ class BankBatch:
             for k, t in enumerate(ts):
                 gather[k, : grids[t].size] = np.searchsorted(union, grids[t])
                 thr[:, k, : grids[t].size] = banks[t][1]
-            if len(ts) == 1 and width == union.size:
-                gather = None  # the union in its own order: the llr needs no gather
             self.blocks.append((variant, len(self.order), gather))
             self.thresholds.append(thr)
             self.order += ts
@@ -214,10 +212,7 @@ class BankBatch:
         for (variant, offset, gather), stats, thr, llr, hit in zip(
             self.blocks, self.log_stats, self.thresholds, self._llr, self._hit
         ):
-            if gather is None:
-                llr = llr_union[:, None, :]
-            else:
-                llr = np.take(llr_union, gather, axis=1, out=llr[:n], mode="clip")
+            llr = np.take(llr_union, gather, axis=1, out=llr[:n], mode="clip")
             advance_log_stats(variant, stats, self.cost, llr, out=stats, work=self._work[:n])
             hits = np.flatnonzero(np.greater_equal(stats, thr, out=hit[:n]))
             if hits.size:

@@ -95,12 +95,6 @@ class GeometricPrior:
     def mean(self) -> float:
         return 1.0 / self.rho
 
-    def cdf(self, k: int | np.ndarray) -> float | np.ndarray:
-        k_arr = np.asarray(k)
-        out = -np.expm1(np.asarray(k_arr, dtype=float) * math.log1p(-self.rho))
-        out = np.where(k_arr < 1, 0.0, out)
-        return float(out) if out.ndim == 0 else out
-
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Change times of uniforms u in [0, 1), by inverse CDF.
 

@@ -20,13 +20,14 @@ several templates that share family and prior; a row is done once every
 template has crossed.  A ring batch is one template.  Both take one
 threshold per row, so a batch may hold runs of several alpha cells of one
 model.  ``simulate_runs`` is the one place that draws paths: it walks the
-runs of its cells in blocks of ``batch_size``, draws each block and runs it
-through the loop.  A sweep makes one ``simulate_runs`` call per model group,
-with one cell per alpha: the bank templates on one family and prior step
-together to the longest of their horizons, and each is then censored at
-its own (a run's slots up to a horizon do not depend on how far it runs
-on); a window template is a group of its own, and its rows stop, censored,
-at their cell's horizon.
+runs of its cells in blocks of ``batch_size``, draws each run at its cell's
+horizon and steps the block to its end.  A sweep makes one ``simulate_runs``
+call per model group, with one cell per alpha: the bank templates on one
+family and prior step together, and a window template is a group of its own.
+
+Runs are censored in one place, ``_run_arrays``: a stop past the run's
+horizon reads as censored.  A run's slots up to its horizon do not depend
+on how far its block runs on, so stepping past the horizon changes nothing.
 
 Delay accounting is unconditional: a false alarm contributes 0, a run whose
 change never arrived inside the horizon contributes 0, and a censored run
@@ -169,9 +170,8 @@ class PathBlock:
     for the window engine.  Every drawn observation is checked for
     finiteness once, so the batch steps can call the families' unchecked llr.
     ``draw_paths`` seeds every run of a block in one pass; row r's bit
-    generator is bitwise ``np.random.PCG64(seed + [run])``.  ``ends`` holds
-    each row's own horizon, at most the block's (by default the block's):
-    the slot loop censors a row there, and reads none of its slots past it.
+    generator is bitwise ``np.random.PCG64(seed + [run])``.  The slot loop
+    steps every row to the block's horizon, whatever its run's own.
 
     Given only ``observations``, a block is whole.  Given a longer
     ``horizon`` and the ``streams`` (family, true parameter, one bit generator
@@ -188,7 +188,6 @@ class PathBlock:
         observations: np.ndarray,
         horizon: int | None = None,
         streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None,
-        ends: np.ndarray | None = None,
     ) -> None:
         if observations.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
@@ -196,7 +195,6 @@ class PathBlock:
         self.change_points = change_points
         self._width = observations.shape[-1]
         self.horizon = self._width if horizon is None else horizon
-        self.ends = np.full(change_points.size, self.horizon) if ends is None else ends
         self.drawn = np.full(change_points.size, self._width, dtype=np.int64)
         self._chunks = [observations]  # chunk k holds slots [k * width, (k + 1) * width)
         self._streams = streams
@@ -243,16 +241,15 @@ class PathBlock:
         self.drawn[rows] = hi
 
 
-def draw_paths(spec: DetectorSpec, lam_true, runs, horizon: int | None = None, seed=None) -> PathBlock:
+def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     """Draw the change times and paths of the given runs into one block.
 
     Run r draws on its own generator, bitwise ``np.random.PCG64(seed + [r])``
     (``default_rng``'s), as ``sample_path_multi(..., seed + [r])`` would;
-    ``lam_true`` holds one parameter per source.  ``runs`` is a range of run
-    ids drawn on ``seed`` to ``horizon``, or a list of parts (runs, horizon,
-    seed) whose rows the block stacks in order, each part drawn as its own
-    call would draw it; the block is as long as its longest part, and a row's
-    ``ends`` entry is its part's horizon.  Each part is seeded in one
+    ``lam_true`` holds one parameter per source.  ``parts`` is a list of
+    (runs, horizon, seed), a range of run ids each, whose rows the block
+    stacks in order, each part drawn as its own block would draw it; the
+    block is as long as its longest part.  Each part is seeded in one
     vectorised pass and drawn by one block call of ``sample_path_multi``, a
     bank as its one-source case.  A window part is drawn whole at its own
     horizon: a multi-source draw is row-major, so no prefix of a longer one;
@@ -260,15 +257,13 @@ def draw_paths(spec: DetectorSpec, lam_true, runs, horizon: int | None = None, s
     min(horizon, CHUNK_SLOTS) slots, and a row's first h slots equal its row
     of the block drawn at horizon h bitwise.
     """
-    parts = [(runs, horizon, seed)] if isinstance(runs, range) else runs
     families = _sources(spec)[0]
     lams = _lams(families, lam_true)
     bank = isinstance(spec, BankSpec)
-    ends = np.repeat([h for _, h, _ in parts], [len(r) for r, _, _ in parts])
-    horizon = int(ends.max())
+    horizon = max(h for _, h, _ in parts)
     width = min(horizon, CHUNK_SLOTS) if bank else horizon
-    xs = np.zeros((ends.size, len(families), width))
-    ts = np.empty(ends.size, dtype=np.int64)
+    xs = np.zeros((sum(len(r) for r, _, _ in parts), len(families), width))
+    ts = np.empty(xs.shape[0], dtype=np.int64)
     bitgens = []
     lo = 0
     for part_runs, part_horizon, part_seed in parts:
@@ -282,20 +277,20 @@ def draw_paths(spec: DetectorSpec, lam_true, runs, horizon: int | None = None, s
         bitgens += part
         lo = hi
     if not bank:
-        return PathBlock(ts, xs, ends=ends)
-    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens), ends)
+        return PathBlock(ts, xs)
+    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
 
 
-def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int, thresholds=None):
-    """Stop slot (0 if censored) and firing chart per spec and block row, each [specs, rows].
+def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds=None):
+    """Stop slot (0 if none) and firing chart per spec and block row, each [specs, rows].
 
     Several specs must be banks that share family and prior: they step
     together in one bank batch, and a row runs until every spec has crossed.
     ``thresholds`` holds each row's log thresholds, one entry per spec:
     [rows, charts] for a bank, [rows] for a window; by default every row
-    takes the specs' own.  A row is censored at its own horizon,
-    ``paths.ends``.  Running rows are drawn one chunk at a time, as they
-    reach it.
+    takes the specs' own.  Every row runs to the block's horizon; a stop
+    past a run's own horizon is for ``_run_arrays`` to censor.  Running rows
+    are drawn one chunk at a time, as they reach it.
     """
     live = np.arange(paths.change_points.size)
     spec = specs[0]
@@ -309,10 +304,8 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int, 
         )
     stop = np.zeros((len(specs), live.size), dtype=np.int64)
     firing = np.full(stop.shape, -1, dtype=np.int64)
-    cuts = iter(np.unique(paths.ends[paths.ends < horizon]).tolist())  # slots where some rows' horizons end
-    cut = next(cuts, None)
     ready = 0  # every running row holds the slots of xs below this
-    for s in range(horizon):
+    for s in range(paths.horizon):
         if s == ready:
             drawn = paths.draw_to(det.rows, s + 1)
             xs, base = paths.chunk(s)
@@ -323,14 +316,13 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, horizon: int, 
             stop[templates, runs], firing[templates, runs] = s + 1, charts
             if finished.size and det.retire(finished) == 0:
                 break
-        if s + 1 == cut:
-            cut = next(cuts, None)
-            if det.retire(np.flatnonzero(paths.ends[det.rows] == s + 1)) == 0:
-                break
     return stop, firing
 
 
 def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray, horizon) -> RunArrays:
+    """Runs censored at ``horizon``, each run's or one for all: a stop past it reads as none (0, chart -1)."""
+    late = stop > horizon
+    stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
     stopped = stop > 0
     false_alarm = stopped & (stop < change_points)
     delay = np.where(stopped, np.maximum(stop - change_points, 0), np.maximum(horizon - change_points, 0))
@@ -386,9 +378,8 @@ def simulate_runs(
     ``horizon``.  Cell c runs n_runs runs on seed + [c], and its runs are
     bitwise those of ``simulate_runs(spec_c, lam_true, n_runs, horizon_c,
     seed + [c])``; the result's arrays gain a leading axis, one row per
-    cell.  A batch holds runs of every cell, each with its cell's
-    thresholds.  Bank rows run to ``horizon`` and are then censored at
-    their cell's; window rows stop, censored, at their cell's horizon.
+    cell.  A batch holds runs of every cell, each drawn at its cell's horizon
+    and run with its cell's thresholds, and each is censored at that horizon.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
@@ -414,7 +405,6 @@ def simulate_runs(
             _check_count("a cell's horizon", cell_horizon)
             if cell_horizon > horizon:
                 raise ValueError(f"a cell's horizon {cell_horizon} exceeds horizon {horizon}")
-    bank = isinstance(specs[0], BankSpec)
     # each spec's log thresholds in every cell: [cells, charts] for a bank, [cells] for a window
     cell_thresholds = [np.array([_log_thresholds(c[0][k]) for c in plan]) for k in range(len(specs))]
     total = len(plan) * n_runs
@@ -427,18 +417,15 @@ def simulate_runs(
         for c in range(lo // n_runs, (hi - 1) // n_runs + 1):
             _, cell_horizon, cell_seed = plan[c]
             runs = range(max(lo - c * n_runs, 0), min(hi - c * n_runs, n_runs))
-            parts.append((runs, horizon if bank else cell_horizon, cell_seed))
+            parts.append((runs, cell_horizon, cell_seed))
         block = draw_paths(specs[0], lams, parts)
         ts[lo:hi] = block.change_points
         row_cells = np.arange(lo, hi) // n_runs
-        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, horizon, [t[row_cells] for t in cell_thresholds])
+        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, [t[row_cells] for t in cell_thresholds])
         del block  # free this batch's paths before the next are drawn
-    ends = np.repeat([h for _, h, _ in plan], n_runs)
-    late = stop > ends  # bank rows ran to horizon; each cell is censored at its own
-    stop[late], firing[late] = 0, -1
     if not isinstance(spec, tuple):
         stop, firing = stop[0], firing[0]
-    runs = _run_arrays(ts, stop, firing, ends)
+    runs = _run_arrays(ts, stop, firing, np.repeat([h for _, h, _ in plan], n_runs))
     if cells is None:
         return runs
     # [..., cells x runs] -> [cells, ..., runs]
@@ -723,10 +710,11 @@ def add_vs_alpha_sweep(
     templates at each alpha (same per-run seeds, [seed, alpha index] + [run]),
     so pathwise dominance between chart variants carries over to the
     estimates exactly.  Each model group runs in one ``simulate_runs`` call
-    over every alpha, one cell per alpha: the bank templates on one family
-    and prior form a group, run to the longest of their horizons, so each
-    path is drawn once and they step through it together; a window template
-    is a group of its own.
+    over every alpha, one cell per alpha at the longest of its templates'
+    horizons: the bank templates on one family and prior form a group, so
+    each path is drawn once and they step through it together; a window
+    template is a group of its own.  Each template's runs are then censored
+    at its own horizon.
 
     ``templates`` must be nonempty, ``alphas`` strictly decreasing, so a
     repeated value is refused, ``n_runs`` an integer of at least 1 and
@@ -747,23 +735,18 @@ def add_vs_alpha_sweep(
         key = (template.family, template.prior) if isinstance(template, BankTemplate) else t
         groups.setdefault(key, []).append(t)
     for members in groups.values():
-        bank = isinstance(templates[members[0]], BankTemplate)
         cells = []  # one per alpha, run on seed [seed, alpha index], to the longest horizon of its templates
         for row in grid:
             specs = tuple(row[t].spec for t in members)
-            cells.append((specs if bank else specs[0], max(row[t].horizon for t in members)))
+            cells.append((specs if len(specs) > 1 else specs[0], max(row[t].horizon for t in members)))
         longest = max(cell_horizon for _, cell_horizon in cells)
         lam_vec = grid[0][members[0]].lam_vec
         runs = simulate_runs(cells[0][0], lam_vec, n_runs, longest, [seed], batch_size=BATCH_SIZE, cells=cells)
-        # [alphas, members, runs]; a window group's result has no member axis
-        stops = runs.stop_time if bank else runs.stop_time[:, None]
-        firings = runs.firing_chart if bank else runs.firing_chart[:, None]
+        shape = (len(grid), len(members), n_runs)
+        stops, firings = runs.stop_time.reshape(shape), runs.firing_chart.reshape(shape)
         for row, change_points, stop_row, firing_row in zip(grid, runs.change_point, stops, firings):
-            for t, stop, firing in zip(members, stop_row, firing_row):  # each censored at its own horizon
-                cell = row[t]
-                late = stop > cell.horizon
-                stop, firing = np.where(late, 0, stop), np.where(late, -1, firing)
-                cell.runs = _run_arrays(change_points, stop, firing, cell.horizon)
+            for t, stop, firing in zip(members, stop_row, firing_row):
+                row[t].runs = _run_arrays(change_points, stop, firing, row[t].horizon)
 
     rows: list[SweepRow] = []
     for alpha, row in zip(alphas, grid):

@@ -593,6 +593,13 @@ class TestPinnedResults:
         assert main(["run", str(path), "--out", str(out)]) == 0
         self.assert_pinned("fig5-window", out)
 
+    def test_fig5_preset(self, tmp_path, capsys):
+        # the one preset whose window cells differ in horizon (1223, 1231, 1239)
+        out = tmp_path / "fig5"
+        assert main(["preset", "fig5", "--seed", "0", "--runs", "200", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+        assert digest == "27f5a402a9551006e086b3c7a3634a47cf487372d7a34eab9d32e491ee11260a"
+
     def test_example1_preset(self, tmp_path, capsys):
         out = tmp_path / "example1"
         assert main(["preset", "example1", "--seed", "0", "--runs", "200", "--out", str(out)]) == 0

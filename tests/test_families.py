@@ -75,22 +75,6 @@ class TestGeometricPrior:
         assert prior.slot_cost == pytest.approx(0.010050335853501442, abs=0, rel=1e-15)
         assert prior.mean == pytest.approx(100.0)
 
-    def test_cdf_frozen_value(self):
-        # P(t <= 10) = 1 - 0.99^10, evaluated independently with expm1
-        assert GeometricPrior(0.01).cdf(10) == pytest.approx(
-            0.09561792499119552, abs=0, rel=1e-15
-        )
-
-    def test_cdf_edges(self):
-        prior = GeometricPrior(0.25)
-        assert prior.cdf(0) == 0.0
-        assert prior.cdf(1) == pytest.approx(0.25)
-
-    @given(st.floats(min_value=1e-4, max_value=0.999), st.integers(1, 300))
-    def test_cdf_matches_direct_sum(self, rho, n):
-        direct = sum(rho * (1 - rho) ** (k - 1) for k in range(1, n + 1))
-        assert GeometricPrior(rho).cdf(n) == pytest.approx(direct, rel=1e-9)
-
     def test_sample_matches_scipy_inverse_cdf(self):
         # the change-time draw against scipy's ppf on a grid of uniforms
         prior = GeometricPrior(0.07)

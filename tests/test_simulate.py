@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from unittest import mock
@@ -205,10 +206,10 @@ class TestCompactionInvariance:
         # 120 fits in the first chunk, 200 does not: both blocks are drawn to
         # their ends here, as the slot loop draws them, and then compared
         rows = np.arange(6)
-        long = draw_paths(bank_spec(), 1.0, range(3, 9), 300, [6, 1])
+        long = draw_paths(bank_spec(), 1.0, [(range(3, 9), 300, [6, 1])])
         assert long.draw_to(rows, 1000) == 300  # never past the horizon
         for short_horizon in (120, 200):
-            short = draw_paths(bank_spec(), 1.0, range(3, 9), short_horizon, [6, 1])
+            short = draw_paths(bank_spec(), 1.0, [(range(3, 9), short_horizon, [6, 1])])
             assert short.draw_to(rows, short_horizon) == short_horizon
             assert np.array_equal(long.change_points, short.change_points)
             assert np.array_equal(long.observations[:, :short_horizon], short.observations)
@@ -217,15 +218,15 @@ class TestCompactionInvariance:
     def test_bank_block_is_the_one_source_window_block(self, horizon):
         # a lazy bank block drawn to its end is the whole block a one-source window draws
         runs = range(3, 40)
-        bank = draw_paths(bank_spec(), 1.0, runs, horizon, [6, 2])
+        bank = draw_paths(bank_spec(), 1.0, [(runs, horizon, [6, 2])])
         assert bank.draw_to(np.arange(len(runs)), horizon) == horizon
         window = WindowSpec(families=(FAMILY,), prior=PRIOR, grids=(GRID,), window_len=15, log_threshold=6.0)
-        whole = draw_paths(window, (1.0,), runs, horizon, [6, 2])
+        whole = draw_paths(window, (1.0,), [(runs, horizon, [6, 2])])
         assert np.array_equal(bank.change_points, whole.change_points)
         assert bank.observations.tobytes() == whole.observations[:, 0].tobytes()
 
     def test_path_block_validation(self):
-        block = draw_paths(bank_spec(), 1.0, range(5), 50, 0)
+        block = draw_paths(bank_spec(), 1.0, [(range(5), 50, 0)])
         bad = block.observations.copy()
         bad[2, 7] = np.nan
         with pytest.raises(ValueError):
@@ -368,12 +369,12 @@ class TestChunkInvariance:
 
         spec, lam, horizon = chunked_cases()[1]
         with mock.patch.object(simulate, "CHUNK_SLOTS", 16):
-            block = draw_paths(spec, lam, range(CHUNK_RUNS), horizon, SCATTER_SEED)
+            block = draw_paths(spec, lam, [(range(CHUNK_RUNS), horizon, SCATTER_SEED)])
             assert (block.drawn == 16).all()
             with pytest.raises(ValueError):
                 block.observations
             with mock.patch.object(PathBlock, "draw_to", draw_then_poison):
-                stop, firing = simulate._run_batch((spec,), block, horizon)
+                stop, firing = simulate._run_batch((spec,), block)
         assert (stop > 16).sum() > CHUNK_RUNS // 2
         assert np.isnan(block.chunk(16)[0]).any()  # the poison was laid
         with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
@@ -413,7 +414,7 @@ def same_bits(a, b):
 
 def exact_statistics(spec, lam, n_runs, horizon, seed):
     """Every run's exact joint statistic at every slot, from a ring batch that never stops a row."""
-    xs = draw_paths(spec, lam, range(n_runs), horizon, seed).observations
+    xs = draw_paths(spec, lam, [(range(n_runs), horizon, seed)]).observations
     rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, math.inf, np.arange(n_runs))
     stats = []
     for s in range(horizon):
@@ -680,7 +681,7 @@ class TestBlockDraws:
         prior = GeometricPrior(rho)
         spec = BankSpec(family=FAMILY, prior=prior, grid=GRID, log_thresholds=(6.0,))
         runs = range(lo, lo + n_runs)
-        block = draw_paths(spec, lam, runs, horizon, seed)
+        block = draw_paths(spec, lam, [(runs, horizon, seed)])
         rows = np.arange(n_runs)
         block.draw_to(rows[::2], horizon // 2 + 1)  # some rows extended first, and further
         assert block.draw_to(rows, horizon) == horizon
@@ -703,7 +704,7 @@ class TestBlockDraws:
         prior = GeometricPrior(rho)
         spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=5, log_threshold=6.0)
         runs = range(lo, lo + n_runs)
-        block = draw_paths(spec, lams, runs, horizon, seed)
+        block = draw_paths(spec, lams, [(runs, horizon, seed)])
         assert block.observations.shape == (n_runs, len(families), horizon)
         for j, run in enumerate(runs):
             t, x = sample_path_multi(list(families), prior, lams, horizon, per_run_seed(seed, run))
@@ -716,7 +717,7 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
             simulate_runs(bank_spec(), 1.0, 5, 20, seed)
         with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
-            draw_paths(window_spec(), (1.8, 2.2), range(3), 20, seed)
+            draw_paths(window_spec(), (1.8, 2.2), [(range(3), 20, seed)])
 
     def test_takes_multi_word_seeds(self):
         for seed in (2**64, [2**64, 1], np.int64(3)):
@@ -737,8 +738,8 @@ class TestInfiniteThresholds:
         high_spec = bank_spec(variant, math.inf)
         high = simulate_runs(high_spec, 1.0, self.N_RUNS, horizon, seed)
         assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
-        block = draw_paths(high_spec, 1.0, range(self.N_RUNS), horizon, seed)
-        assert (simulate._run_batch((high_spec,), block, horizon)[0] == 0).all()
+        block = draw_paths(high_spec, 1.0, [(range(self.N_RUNS), horizon, seed)])
+        assert (simulate._run_batch((high_spec,), block)[0] == 0).all()
         for rid in range(self.N_RUNS):
             t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [seed, rid])
             # censored runs read every slot, so the lazy block is the eager path
@@ -775,7 +776,7 @@ class TestTieRulesThroughTheLoop:
         prior = GeometricPrior(0.05)
         spec = BankSpec(family, prior, (-1.0, 1.0), (prior.slot_cost - 0.5,), ChartVariant.SUM)
         block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.zeros((self.N_RUNS, 4)))
-        stop, firing = simulate._run_batch((spec,), block, 4)
+        stop, firing = simulate._run_batch((spec,), block)
         assert (stop == 1).all() and (firing == 0).all()
 
     def test_window_ties_fire_the_oldest_start(self):
@@ -791,7 +792,7 @@ class TestTieRulesThroughTheLoop:
         report = WindowEngine(families, prior, grids, 5, 4.0).run_to_stop(x)
         assert (report.stopped_at, report.window_start, report.source_rows, report.firing_chart) == (2, 1, (0, 0), 0)
         block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.broadcast_to(x, (self.N_RUNS, 2, 3)).copy())
-        stop, firing = simulate._run_batch((spec,), block, 3)
+        stop, firing = simulate._run_batch((spec,), block)
         assert (stop == 2).all() and (firing == 0).all()
 
 
@@ -1001,6 +1002,23 @@ class TestSweep:
         # identical paths per run make the delay ordering exact, not just in
         # expectation
         assert by_label["sr"].add_hat <= by_label["max"].add_hat <= by_label["sum"].add_hat
+
+    def test_one_simulate_runs_call_per_model_group(self):
+        # the benchmark's tracer reads each call's spec (its ``families``, if any) and horizon
+        templates = [
+            BankTemplate("sr-3", FAMILY, PRIOR, GRID, ChartVariant.SR),
+            BankTemplate("max-1", FAMILY, PRIOR, (2.0,), ChartVariant.MAX),
+            WindowTemplate("w", (FAMILY,), PRIOR, (GRID,), 10),
+        ]
+        with mock.patch.object(simulate, "simulate_runs", wraps=simulate.simulate_runs) as calls:
+            rows = add_vs_alpha_sweep(templates, 1.0, (0.2, 0.05), n_runs=20, seed=3, censor_cap=0.05)
+        assert calls.call_count == 2
+        bank, window = (inspect.signature(simulate_runs).bind(*c.args, **c.kwargs).arguments for c in calls.call_args_list)
+        assert isinstance(bank["spec"], tuple) and len(bank["spec"]) == 2
+        assert isinstance(window["spec"], WindowSpec)
+        assert len({r.horizon for r in rows if r.detector != "w"}) > 1  # the bank group's cells differ in horizon
+        assert bank["horizon"] == max(r.horizon for r in rows if r.detector != "w")
+        assert window["horizon"] == max(r.horizon for r in rows if r.detector == "w")
 
     def test_alpha_validation(self):
         t = [BankTemplate("sr", FAMILY, PRIOR, GRID)]
@@ -1366,6 +1384,29 @@ class TestMultiCellRuns:
             merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), [seed], batch_size=batch_size, cells=cells)
             for c, (spec, horizon) in enumerate(cells):
                 assert_same_runs(cell_runs(merged, c), simulate_runs(spec, lam, n_runs, horizon, [seed, c]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(group=bank_groups(), data=st.data(), seed=st.integers(0, 2**16))
+    def test_bank_cells_of_one_to_four_specs(self, group, data, seed):
+        # cells of one model, each with its own thresholds and a horizon of its own
+        specs, _, lam = group
+        n_cells = data.draw(st.integers(2, 3), label="cells")
+        horizons = data.draw(st.lists(st.integers(1, 40), min_size=n_cells, max_size=n_cells), label="h")
+        cells = []
+        for horizon in horizons:
+            cell = []
+            for s in specs:
+                thresholds = data.draw(st.lists(GROUP_THRESHOLDS, min_size=len(s.grid), max_size=len(s.grid)))
+                cell.append(BankSpec(s.family, s.prior, s.grid, tuple(thresholds), s.variant))
+            cells.append((tuple(cell) if len(cell) > 1 else cell[0], horizon))  # a lone spec bare, as a sweep passes it
+        n_runs = 9
+        for batch_size in self.BATCH_SIZES + (n_runs, n_cells * n_runs):
+            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), [seed], batch_size=batch_size, cells=cells)
+            for c, (spec, horizon) in enumerate(cells):
+                runs = cell_runs(merged, c)
+                assert_same_runs(runs, simulate_runs(spec, lam, n_runs, horizon, [seed, c]))
+                assert (runs.stop_time <= horizon).all()
+                assert np.array_equal(runs.firing_chart == -1, runs.stop_time == 0)
 
     def test_cells_must_share_the_model_and_fit_the_horizon(self):
         wide = BankSpec(FAMILY, PRIOR, (0.5, 1.0), (5.0,))
