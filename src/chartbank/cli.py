@@ -409,7 +409,7 @@ def _sweep_plan(cfg: AnyConfig) -> tuple[list[tuple[list[Template], object]], di
                 slowest = prior.slot_cost + sum(
                     min(f.kl_post_vs_pre(g) for g in grid) for f, grid in zip(families, cfg.source_grids)
                 )
-                window = window_length_for(min(cfg.alphas), cfg.rho, slowest)
+                window = window_length_for(min(cfg.alphas), slowest)
         template = WindowTemplate("windowed-max", families, prior, cfg.source_grids, window)
         return [([template], cfg.lambda_true)], {"window": window}
     interval = Interval(cfg.lambda_low, cfg.lambda_high)

@@ -73,13 +73,10 @@ def _mesh_and_denominator(spec: DesignSpec, mesh_points: int) -> tuple[np.ndarra
     _check_count("mesh_points", mesh_points)
     if mesh_points < 2:
         raise ValueError("mesh needs at least 2 points")
-    if spec.interval.contains(spec.family.pre_param):
-        raise ValueError(
-            "design interval contains a parameter indistinguishable from the pre-change density"
-        )
     mesh = np.linspace(spec.interval.low, spec.interval.high, mesh_points)
     kl_pre = spec.family.kl_post_vs_pre(mesh)
-    if np.any(kl_pre <= 0):
+    # the mesh may step over pre_param, and a divergence may round to 0 at a mesh point that is not pre_param
+    if spec.interval.contains(spec.family.pre_param) or np.any(kl_pre <= 0):
         raise ValueError(
             "design interval contains a parameter indistinguishable from the pre-change density"
         )

@@ -242,7 +242,42 @@ class BankBatch:
         return self.rows.size
 
 
-class ChartBank:
+class _SteppedDetector:
+    """The shell of a detector stepped one slot at a time: the stop report,
+    the guard against stepping past it, and ``run_to_stop``.
+
+    A subclass sets ``_slot_shape``, the shape of one slot's observations,
+    calls ``_check_running`` before it advances and stores its first
+    crossing in ``_report``.
+    """
+
+    _slot_shape: tuple[int, ...] = ()
+    _report: StopReport | None = None
+
+    @property
+    def stopped(self) -> StopReport | None:
+        return self._report
+
+    def _check_running(self) -> None:
+        if self._report is not None:
+            raise AlreadyStoppedError(
+                f"{type(self).__name__} already stopped at slot {self._report.stopped_at}; build a fresh one"
+            )
+
+    def run_to_stop(self, block) -> StopReport | None:
+        """Feed a block, one slot per entry of its last axis, until the first alarm; None if it runs out."""
+        block = np.asarray(block, dtype=float)
+        if block.ndim == 0 or block.shape[:-1] != self._slot_shape or block.size == 0:
+            dims = ", ".join([*map(str, self._slot_shape), "length"])
+            raise ValueError(f"expected a nonempty [{dims}] block, got shape {block.shape}")
+        for s in range(block.shape[-1]):
+            report = self.step(block[..., s])
+            if report is not None:
+                return report
+        return None
+
+
+class ChartBank(_SteppedDetector):
     """Bank of charts over a candidate grid, stepped one observation at a time."""
 
     def __init__(
@@ -261,7 +296,6 @@ class ChartBank:
         self._batch = BankBatch(family, prior, [(grid_arr, thr, variant)], rows=np.zeros(1, dtype=np.int64))
         self._x = np.empty(1)  # the observation, reused by every step
         self._n = 0
-        self._report: StopReport | None = None
 
     @property
     def grid(self) -> np.ndarray:
@@ -279,16 +313,9 @@ class ChartBank:
     def time(self) -> int:
         return self._n
 
-    @property
-    def stopped(self) -> StopReport | None:
-        return self._report
-
     def step(self, x: float) -> StopReport | None:
         """Advance one slot; return a report on the first crossing, else None."""
-        if self._report is not None:
-            raise AlreadyStoppedError(
-                f"bank already stopped at slot {self._report.stopped_at}; build a fresh bank"
-            )
+        self._check_running()
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")
@@ -299,17 +326,6 @@ class ChartBank:
             chart = int(charts[0])
             self._report = StopReport(self._n, chart, float(self._batch.log_stats[0][0, 0, chart]))
             return self._report
-        return None
-
-    def run_to_stop(self, path) -> StopReport | None:
-        """Feed observations until the first alarm; None if the path runs out."""
-        path_arr = np.asarray(path, dtype=float)
-        if path_arr.ndim != 1 or path_arr.size == 0:
-            raise ValueError("path must be a nonempty 1-d array")
-        for x in path_arr:
-            report = self.step(float(x))
-            if report is not None:
-                return report
         return None
 
 

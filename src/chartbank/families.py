@@ -91,10 +91,6 @@ class GeometricPrior:
     def slot_cost(self) -> float:
         return -math.log1p(-self.rho)
 
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rho
-
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Change times of uniforms u in [0, 1), by inverse CDF.
 
@@ -120,7 +116,7 @@ class ObservationFamily(ABC):
     The post-change densities f_lam are one parametric family, and its member
     at ``pre_param`` is the pre-change density g.  A subclass states that
     model once: ``post_params``, ``pre_param``, ``_llr``, ``_kl`` and
-    ``_from_std``.  The checked divergences, llr and sampling maps below,
+    ``_from_std``.  The checked divergences and llr below, path sampling,
     and design's refusal of an interval holding ``pre_param``, follow from
     these.
     """
@@ -154,19 +150,6 @@ class ObservationFamily(ABC):
         """KL divergence of the post-change density at lam from the one at lam_other."""
         out = self._kl(self._check_lam(lam), self._check_lam(lam_other))
         return float(out) if np.ndim(out) == 0 else out
-
-    def pre_from_std(self, z: np.ndarray) -> np.ndarray:
-        """Pre-change observations from standard normals z, elementwise."""
-        return self._from_std(self.pre_param, np.asarray(z, dtype=float))
-
-    def post_from_std(self, lam: float, z: np.ndarray) -> np.ndarray:
-        """Post-change observations at lam from standard normals z, elementwise.
-
-        Paths map one standard-normal stream through these two, so the
-        pre-change portion of a path is bitwise independent of the true
-        post-change parameter, and a shorter path is a prefix of a longer one.
-        """
-        return self._from_std(float(self._check_lam(lam)), np.asarray(z, dtype=float))
 
     @abstractmethod
     def _llr(self, lam_arr: np.ndarray, x_arr: np.ndarray) -> np.ndarray:

@@ -716,7 +716,8 @@ def add_vs_alpha_sweep(
     template is a group of its own.  Each template's runs are then censored
     at its own horizon.
 
-    ``templates`` must be nonempty, ``alphas`` strictly decreasing, so a
+    ``templates`` must be nonempty with distinct labels, since rows are
+    told apart by (alpha, label), ``alphas`` strictly decreasing, so a
     repeated value is refused, ``n_runs`` an integer of at least 1 and
     ``censor_cap`` in [0, 1); a template none of whose charts grows under
     ``lam_true`` is refused at any horizon.  A cell whose runs all have zero
@@ -727,6 +728,10 @@ def add_vs_alpha_sweep(
     alphas = _check_alphas(alphas)
     if not templates:
         raise ValueError("templates must hold at least one template")
+    labels = [template.label for template in templates]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"template label {label!r} is repeated; each template needs its own label")
     grid = [[_sweep_cell(template, lam_true, alpha, n_runs, horizon, censor_cap) for template in templates]
             for alpha in alphas]
 

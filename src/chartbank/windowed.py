@@ -22,7 +22,8 @@ Each row has its own threshold, so one batch may hold runs of several alpha
 cells.  Its ``retire`` compacts its state once fewer than COMPACT_BELOW of
 the rows still run; ``WindowEngine`` is an unbounded batch of one that
 keeps the tables and evaluates the exact joint statistic on every step, so
-its work counters count the work it does.
+its work counters count the work it does.  Its stop guard and
+``run_to_stop`` are the stepped shell it shares with ``ChartBank``.
 
 A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables
 and no llrs.  It bounds every row's statistic by one prefix sum, and reads
@@ -77,15 +78,11 @@ others, ``tighten`` replays the sums of every start from the oldest one
 whose bound P_n - P_{k-1} + allowance reaches a row's threshold.  It reads
 those slots' observations from the block and recomputes their llrs with
 the call ``advance`` makes; the llr is elementwise, so they are the bits
-``advance`` saw.  Each sum starts at 0.0 and adds the llrs in slot order,
-the additions ``ring_advance`` makes, so it is bitwise the table's, signed
-zeros included.  The replay runs along diagonals, S passes for S starts: the
-gathered llrs are followed by S rows of +0.0, and pass d adds row k + d to
-every start k at once, so a start adds its own llrs in slot order and then
-+0.0 once per later start.  A sum that starts at +0.0 never becomes -0.0
-(round to nearest gives -0.0 only for two -0.0 operands), and x + 0.0 is x
-bitwise for every other x, so the trailing adds change no bit.  Older
-starts read -inf: for every replayed row their exact joint is below that
+``advance`` saw.  The replay runs along diagonals, S passes for S starts:
+every sum starts at 0.0, and pass d adds the llrs of slot k + d to every
+start k that has one, so each start adds exactly its own llrs in slot
+order, the additions ``ring_advance`` makes, and is bitwise the table's.
+Older starts read -inf: for every replayed row their exact joint is below that
 row's threshold, so they can neither cross nor win its oldest-first
 argmax.  Stop slots and firing charts therefore stay bitwise those of the
 exact step.
@@ -101,8 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlreadyStoppedError
-from .detectors import StopReport, check_charts
+from .detectors import StopReport, _SteppedDetector, check_charts
 from .families import (
     GeometricPrior,
     ObservationFamily,
@@ -321,9 +317,7 @@ class RingBatch:
         which is elementwise and so gives the same bits.  Each replayed sum
         starts at 0.0 and adds l_k, ..., l_n in slot order, the additions of
         ``ring_advance``, so it is bitwise the eager table's: pass d of the
-        diagonal replay adds l_{k+d} to every start k at once, or +0.0 past
-        l_n, which changes no bit of a sum that started at +0.0 (see the
-        module docstring).
+        diagonal replay adds l_{k+d} to every start k <= n - d at once.
         """
         total = self.start_bounds(rows)
         reach = np.flatnonzero((total >= self.thresholds[rows, None]).any(axis=0))
@@ -332,14 +326,14 @@ class RingBatch:
         span = self.starts.size - first
         # slot k is block column k - 1; start-major, so each pass is one contiguous add over every start
         xs = self.block[self.rows[rows][None, :], :, self.starts[first:, None] - 1]  # [slots, rows, L]
-        padded = np.zeros((2 * span, rows.size, self.edges[-1]))  # [slots, rows, candidates]
+        llrs = np.empty((span, rows.size, self.edges[-1]))  # [slots, rows, candidates]
         for fam, lo, hi, lams in self.source_runs:
             llr = fam._llr(lams, xs[..., lo:hi].reshape(-1, hi - lo).T[:, None, :])  # [g, I, slots x rows]
             c0, c1 = self.edges[lo], self.edges[hi]
-            padded[:span, :, c0:c1] = llr.reshape(c1 - c0, span, rows.size).transpose(1, 2, 0)
-        sums = np.zeros((span, rows.size, self.edges[-1]))
+            llrs[:, :, c0:c1] = llr.reshape(c1 - c0, span, rows.size).transpose(1, 2, 0)
+        sums = np.zeros_like(llrs)
         for d in range(span):
-            sums += padded[d : d + span]
+            sums[: span - d] += llrs[d:]
         # a run's maxima take one elementwise pass per candidate over all its sources (numpy's reduction over a
         # short innermost axis costs about three times as much), then the joint adds them in source order, as
         # ``joint`` does
@@ -419,7 +413,7 @@ class RingBatch:
         self.rows, self.running, self.thresholds = self.rows[keep], self.running[keep], self.thresholds[keep]
 
 
-class WindowEngine:
+class WindowEngine(_SteppedDetector):
     """Joint detector over several sources with a shared trailing window."""
 
     def __init__(
@@ -437,20 +431,16 @@ class WindowEngine:
         self.width = window_len + 1
         self._rings = RingBatch(families, prior, grid_arrs, window_len, self.log_threshold, np.zeros(1, dtype=np.int64))
         self._cells = sum(grid.size for grid in grid_arrs) * self.width
-        self._report: StopReport | None = None
+        self._slot_shape = (len(grid_arrs),)
         self.work = {"cell_adds": 0, "max_scans": 0, "combines": 0}
 
     @property
     def n_sources(self) -> int:
-        return len(self._rings.tables)
+        return self._slot_shape[0]
 
     @property
     def time(self) -> int:
         return self._rings.n
-
-    @property
-    def stopped(self) -> StopReport | None:
-        return self._report
 
     def statistic(self) -> float:
         """Current joint statistic; -inf before the first observation."""
@@ -466,10 +456,7 @@ class WindowEngine:
 
     def step(self, x_vec) -> StopReport | None:
         """Feed one observation per source; report on the first crossing."""
-        if self._report is not None:
-            raise AlreadyStoppedError(
-                f"engine already stopped at slot {self._report.stopped_at}; build a fresh engine"
-            )
+        self._check_running()
         xs = _as_float_array(x_vec, "x")  # before any source moves, so a bad vector changes nothing
         if xs.shape != (self.n_sources,):
             raise ValueError(f"expected {self.n_sources} observations, got shape {xs.shape}")
@@ -490,37 +477,27 @@ class WindowEngine:
             return self._report
         return None
 
-    def run_to_stop(self, paths) -> StopReport | None:
-        """Feed a [n_sources, length] observation block until the first alarm."""
-        block = np.asarray(paths, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self.n_sources or block.shape[1] == 0:
-            raise ValueError(f"expected a [{self.n_sources}, length] block, got {block.shape}")
-        for s in range(block.shape[1]):
-            report = self.step(block[:, s])
-            if report is not None:
-                return report
-        return None
+
+# How far the window exceeds |log alpha| / d_min: the asymptotic requirement
+# is only that the window grow faster than that, so any constant above 1 meets it.
+WINDOW_SLACK = 1.5
 
 
-def window_length_for(alpha: float, rho: float, d_min: float, slack: float = 1.5) -> int:
+def window_length_for(alpha: float, d_min: float) -> int:
     """Window length meeting the delay-coverage condition with room to spare.
 
-    Returns ceil(slack * |log alpha| / d_min) where d_min is the slowest
-    composite post-change drift (divergence sum plus slot cost) the window
-    must accommodate.  ``slack`` must exceed 1; the asymptotic requirement is
-    only that the window grow faster than |log alpha| / d_min.
+    Returns ceil(WINDOW_SLACK * |log alpha| / d_min) where d_min is the
+    slowest composite post-change drift (divergence sum plus slot cost) the
+    window must accommodate.
 
     Warns when log(window) is not small against |log alpha|, since the
     false-alarm threshold analysis treats that ratio as negligible.
     """
     _check_alpha(alpha)
-    GeometricPrior(rho)  # validates rho
     _check_positive("d_min", d_min)
-    if not (1.0 < slack < math.inf):
-        raise ValueError(f"slack must be finite and exceed 1, got {slack}")
-    span = slack * abs(math.log(alpha)) / d_min
+    span = WINDOW_SLACK * abs(math.log(alpha)) / d_min
     if not span < 2.0**62:
-        raise ValueError(f"window length {span} is past the int64 range (slack={slack}, d_min={d_min})")
+        raise ValueError(f"window length {span} is past the int64 range (d_min={d_min})")
     m = max(1, math.ceil(span))
     if math.log(m) > 0.5 * abs(math.log(alpha)):
         warnings.warn(

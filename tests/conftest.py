@@ -1,7 +1,11 @@
+import math
 import sys
 
 import numpy as np
+import pytest
 from scipy import integrate
+
+from chartbank import AlreadyStoppedError
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -40,3 +44,43 @@ def quadrature_kl(log_p, log_q, low, high):
 
 def gaussian_logpdf(x, mean, sigma):
     return -0.5 * ((x - mean) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)
+
+
+class SteppedShellCases:
+    """The stepped-detector shell's tests, run on each detector whose test class subclasses this.
+
+    The subclass sets ``slot_shape``, the shape of one slot's observations,
+    and defines ``detector(log_threshold)``, a fresh detector.
+    """
+
+    slot_shape: tuple[int, ...]
+
+    def test_step_after_stop_raises(self):
+        detector = self.detector(-100.0)
+        assert detector.stopped is None
+        x = np.full(self.slot_shape, 0.1)
+        report = detector.step(x)
+        assert report is not None and detector.stopped is report
+        with pytest.raises(AlreadyStoppedError):
+            detector.step(x)
+        with pytest.raises(AlreadyStoppedError):
+            detector.run_to_stop(x[..., None])
+
+    def test_run_to_stop_refuses_bad_blocks(self):
+        detector = self.detector(math.inf)
+        for block in (np.zeros(self.slot_shape + (0,)), np.zeros((2, *self.slot_shape, 5)), np.zeros(self.slot_shape)):
+            with pytest.raises(ValueError, match="nonempty"):
+                detector.run_to_stop(block)
+        assert detector.time == 0
+
+    @pytest.mark.parametrize("log_threshold", [2.0, 5.0, math.inf])
+    def test_run_to_stop_equals_stepping(self, log_threshold):
+        block = np.random.default_rng(4).standard_normal(self.slot_shape + (60,)) * 2.0 + 1.0
+        ran, stepped = self.detector(log_threshold), self.detector(log_threshold)
+        report = ran.run_to_stop(block)
+        for s in range(block.shape[-1]):
+            expected = stepped.step(block[..., s])
+            if expected is not None:
+                break
+        assert (report is None) == (log_threshold == math.inf)
+        assert report == expected and ran.time == stepped.time

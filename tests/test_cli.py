@@ -153,6 +153,8 @@ mystery = 3
             )
         assert isinstance(cfg, MultiSweepConfig)
         assert cfg.window is None and cfg.horizon is None
+        with pytest.warns(UserWarning, match="window length"):
+            assert cli._sweep_plan(cfg)[1] == {"window": 8}
 
     def test_multisource_arity_mismatch(self):
         with pytest.raises(ConfigError) as err:
@@ -653,6 +655,10 @@ class TestReadmeConfigs:
         code = execute_config(dataclasses.replace(cfg, n_runs=200), tmp_path)
         assert code != EXIT_CONFIG
         assert (tmp_path / "results.csv").is_file()
+
+    def test_readme_multisource_window_is_derived(self):
+        (block,) = [block for block in README_INI_BLOCKS if "window = auto" in block]
+        assert cli._sweep_plan(parse_config_text(block))[1] == {"window": 24}
 
 
 class TestReadmePython:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartbank import (
-    AlreadyStoppedError,
     ChartBank,
     ChartVariant,
     GaussianMeanShift,
@@ -19,6 +18,7 @@ from chartbank import (
     posterior_from_stat,
     stat_from_posterior,
 )
+from conftest import SteppedShellCases
 
 FAMILY = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
 PRIOR = GeometricPrior(0.05)
@@ -133,7 +133,12 @@ class TestOrdering:
             assert a <= b <= c
 
 
-class TestBankBehaviour:
+class TestBankBehaviour(SteppedShellCases):
+    slot_shape = ()
+
+    def detector(self, log_threshold):
+        return fresh_bank(threshold=log_threshold)
+
     def test_crossing_is_inclusive(self):
         # the statistic equals slot_cost + llr on the first step; a threshold
         # placed exactly there must fire
@@ -155,14 +160,6 @@ class TestBankBehaviour:
         report = bank.step(0.0)
         assert report is not None and report.stopped_at == 1
         assert report.firing_chart == 0
-
-    def test_step_after_stop_raises(self):
-        bank = fresh_bank(threshold=-10.0)
-        assert bank.stopped is None
-        report = bank.step(0.0)
-        assert report is not None and bank.stopped is report
-        with pytest.raises(AlreadyStoppedError):
-            bank.step(0.0)
 
     def test_run_to_stop_none_when_no_crossing(self):
         bank = fresh_bank(threshold=1e9)

@@ -533,7 +533,7 @@ class TestPrunedWindowKernel:
         # horizons on both sides of the ring width; the mean source is sometimes fed
         # the midpoint of one of its candidates, whose llr is then 0.0 or -0.0, and
         # block row 0 always the midpoint of -1.0: that candidate's replayed spans are
-        # -0.0 throughout, trailing padded passes included, and must sum to +0.0
+        # -0.0 throughout and must sum to +0.0, as the eager table's 0.0 + -0.0 does
         horizon = data.draw(st.integers(1, 2 * (window_len + 1)), label="horizon")
         mean = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
         families = (mean, WINDOW_SOURCES["variance"][0])
@@ -1039,6 +1039,18 @@ class TestSweep:
         with mock.patch.object(simulate, "_sweep_cell", wraps=simulate._sweep_cell) as built:
             with pytest.raises(ValueError, match="templates"):
                 add_vs_alpha_sweep([], 1.0, (0.1,), 10, 0)
+        assert built.call_count == 0
+
+    def test_repeated_template_label_is_refused(self):
+        # rows, results.csv and the manifest's cells are keyed by (alpha, label): a repeat made two rows alike
+        templates = [
+            BankTemplate("a", FAMILY, PRIOR, (0.5,)),
+            BankTemplate("b", FAMILY, PRIOR, GRID),
+            BankTemplate("a", FAMILY, PRIOR, (1.0,)),
+        ]
+        with mock.patch.object(simulate, "_sweep_cell", wraps=simulate._sweep_cell) as built:
+            with pytest.raises(ValueError, match="template label 'a' is repeated"):
+                add_vs_alpha_sweep(templates, 1.0, (0.1,), 10, 0)
         assert built.call_count == 0
 
     @pytest.mark.parametrize(

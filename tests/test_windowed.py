@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chartbank import (
-    AlreadyStoppedError,
     ChartBank,
     ChartVariant,
     GaussianMeanShift,
@@ -19,6 +18,7 @@ from chartbank import (
     window_length_for,
 )
 from chartbank.windowed import RingBatch, ring_advance, ring_maxima, window_offsets
+from conftest import SteppedShellCases
 
 PRIOR = GeometricPrior(0.01)
 
@@ -142,7 +142,12 @@ class TestEngineVsOracle:
             assert engine.statistic() == pytest.approx(float(bank.log_stats.max()), abs=1e-9)
 
 
-class TestEngineBehaviour:
+class TestEngineBehaviour(SteppedShellCases):
+    slot_shape = (2,)
+
+    def detector(self, log_threshold):
+        return WindowEngine([variance_family()] * 2, PRIOR, [(1.5, 2.0)] * 2, 5, log_threshold)
+
     def test_statistic_before_any_observation(self):
         engine = WindowEngine([variance_family()], PRIOR, [(1.5, 2.0)], 5, 10.0)
         assert engine.statistic() == -math.inf
@@ -153,14 +158,6 @@ class TestEngineBehaviour:
             engine.step(np.zeros(3))
         with pytest.raises(ValueError):
             engine.run_to_stop(np.zeros((3, 10)))
-
-    def test_step_after_stop_raises(self):
-        engine = WindowEngine([variance_family()], PRIOR, [(2.0,)], 5, -100.0)
-        assert engine.stopped is None
-        report = engine.step(np.array([0.1]))
-        assert report is not None and engine.stopped is report
-        with pytest.raises(AlreadyStoppedError):
-            engine.step(np.array([0.1]))
 
     def test_report_fields_and_composite_index(self):
         # constant observations steer each source to a known best row: the
@@ -244,46 +241,35 @@ class TestEngineBehaviour:
 
 class TestSizing:
     def test_window_length_frozen(self):
-        assert window_length_for(1e-3, 0.01, 0.5, slack=1.5) == 21
+        assert window_length_for(1e-3, 0.5) == 21
 
     def test_window_length_scales_with_log_alpha(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m1 = window_length_for(1e-2, 0.01, 0.4)
-            m2 = window_length_for(1e-4, 0.01, 0.4)
+            m1 = window_length_for(1e-2, 0.4)
+            m2 = window_length_for(1e-4, 0.4)
         assert m2 == pytest.approx(2 * m1, abs=1)
 
     def test_window_length_validation(self):
         with pytest.raises(ValueError):
-            window_length_for(0.0, 0.01, 0.5)
+            window_length_for(0.0, 0.5)
         with pytest.raises(ValueError):
-            window_length_for(1e-3, 0.01, 0.0)
-        with pytest.raises(ValueError):
-            window_length_for(1e-3, 0.01, 0.5, slack=1.0)
+            window_length_for(1e-3, 0.0)
 
-    @pytest.mark.parametrize(
-        "d_min, slack, name",
-        [
-            (math.inf, 1.5, "d_min"),
-            (-math.inf, 1.5, "d_min"),
-            (math.nan, 1.5, "d_min"),
-            (0.5, math.nan, "slack"),
-            (0.5, math.inf, "slack"),
-        ],
-    )
-    def test_window_length_refuses_non_finite_inputs(self, d_min, slack, name):
+    @pytest.mark.parametrize("d_min", [math.inf, -math.inf, math.nan])
+    def test_window_length_refuses_non_finite_inputs(self, d_min):
         # an infinite d_min used to fail with "math domain error", a NaN with
-        # "cannot convert float NaN to integer", an infinite slack with OverflowError
-        with pytest.raises(ValueError, match=f"^{name} must be "):
-            window_length_for(1e-3, 0.01, d_min, slack=slack)
+        # "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^d_min must be "):
+            window_length_for(1e-3, d_min)
 
     def test_window_length_at_the_float_range_ends(self):
         with pytest.raises(ValueError, match="past the int64 range"):
-            window_length_for(1e-300, 0.01, 0.5, slack=1e308)
-        # slack * |log alpha| / d_min underflows to 0.0; the shortest window is one slot
-        assert window_length_for(1 - 1e-16, 0.01, 1e308) == 1
+            window_length_for(1e-3, 5e-324)
+        # |log alpha| / d_min underflows to 0.0; the shortest window is one slot
+        assert window_length_for(1 - 1e-16, 1e308) == 1
 
     @pytest.mark.parametrize("window_len", [2.5, 3.0, np.float64(4.0), True, np.bool_(True)])
     def test_window_len_must_be_an_integer(self, window_len):
@@ -297,7 +283,7 @@ class TestSizing:
 
     def test_window_length_warns_when_threshold_analysis_degrades(self):
         with pytest.warns(UserWarning):
-            window_length_for(0.5, 0.01, 0.01)
+            window_length_for(0.5, 0.01)
 
     def test_composite_kl_frozen(self):
         fams = [variance_family()] * 3
