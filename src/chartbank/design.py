@@ -63,6 +63,10 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not isinstance(self.family.post_params, Interval):
+            raise ValueError(
+                f"a design covers an interval of the family's parameters, not {self.family.post_params!r}"
+            )
         if not self.family.post_params.contains(np.array([self.interval.low, self.interval.high])):
             raise ValueError("design interval must lie inside the family's admissible set")
         if self.lipschitz_k is not None:

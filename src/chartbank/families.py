@@ -335,29 +335,67 @@ class _Seeded(ISeedSequence):
         return self.words
 
 
-def _bit_generators(seed, runs: range | None = None) -> list[np.random.PCG64]:
-    """One generator per run r, bitwise ``np.random.PCG64(seed + [r])``; without runs, ``[PCG64(seed)]``.
-
-    ``seed`` is a non-negative integer or a sequence of them, as numpy takes
-    it.  numpy hashes a seed list through SeedSequence in Python-level calls,
-    about 20 us per run; for a block of runs the hashing runs over every run
-    at once and each run's PCG64 gets its finished state words.  One seed
-    alone is cheaper through numpy's own hashing.
-    """
+def _run_words(seed, runs: range | np.ndarray) -> np.ndarray:
+    """``_pcg64_seeds`` of seed + [r], [runs, 4], for each id r of a range or an int64 array of run ids."""
     base = _seed_words(seed)
-    if runs is None:
-        if not base:
-            raise ValueError("seed must hold at least one integer")
-        return [np.random.PCG64(np.array(base, dtype=np.uint32))]
-    ids = np.arange(runs.start, runs.stop, runs.step, dtype=np.int64)
+    ids = np.arange(runs.start, runs.stop, runs.step, dtype=np.int64) if isinstance(runs, range) else runs
     if ids.size and ids.min() < 0:
         raise ValueError(f"run ids must be non-negative, got {runs!r}")
     entropy = np.zeros((ids.size, max(len(base) + 2, _POOL)), dtype=np.uint32)
     entropy[:, : len(base)] = base
     entropy[:, len(base)] = ids & _MASK32
     entropy[:, len(base) + 1] = ids >> 32
-    length = len(base) + 1 + (ids > _MASK32)
-    return [np.random.PCG64(_Seeded(words)) for words in _pcg64_seeds(entropy, length)]
+    return _pcg64_seeds(entropy, len(base) + 1 + (ids > _MASK32))
+
+
+def _bit_generators(seed, runs: range | np.ndarray | None = None) -> list[np.random.PCG64]:
+    """One generator per run r, bitwise ``np.random.PCG64(seed + [r])``; without runs, ``[PCG64(seed)]``.
+
+    ``seed`` is a non-negative integer or a sequence of them, as numpy takes
+    it, and ``runs`` a range or an int64 array of run ids.  numpy hashes a
+    seed list through SeedSequence in Python-level calls, about 20 us per
+    run; for a block of runs ``_run_words`` hashes every run at once and each
+    run's PCG64 gets its finished state words.  One seed alone is cheaper
+    through numpy's own hashing.
+    """
+    if runs is not None:
+        return [np.random.PCG64(_Seeded(words)) for words in _run_words(seed, runs)]
+    base = _seed_words(seed)
+    if not base:
+        raise ValueError("seed must hold at least one integer")
+    return [np.random.PCG64(np.array(base, dtype=np.uint32))]
+
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), high and low word
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+
+
+def _first_uniforms(words: np.ndarray) -> np.ndarray:
+    """Each row's first ``Generator(PCG64).random()`` from its ``_run_words`` row, on uint64 arrays.
+
+    Words 0-1 are the initial state and 2-3 the stream, high word first.
+    PCG64 seeds with state 0 and inc = (stream << 1) | 1, steps, adds the
+    state and steps again; a draw steps once more and takes the top 53 bits
+    of the XSL-RR output.  A 128-bit value is a (high, low) pair, and the
+    product of the low words runs on 32-bit limbs.
+    """
+
+    def add(a, b):
+        lo = a[1] + b[1]
+        return a[0] + b[0] + (lo < b[1]), lo
+
+    def step(state, inc):  # state * multiplier + inc, mod 2**128
+        (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+        a0, a1, m0, m1 = lo & _MASK32, lo >> 32, m_lo & _MASK32, m_lo >> 32
+        p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+        mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        top = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * m_hi + hi * m_lo
+        return add((top, (mid << 32) | (p00 & _MASK32)), inc)
+
+    inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+    hi, lo = step(step(add(inc, (words[:, 0], words[:, 1])), inc), inc)  # the first step from 0 gives inc
+    x, rot = hi ^ lo, hi >> 58
+    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
 
 
 # Cells of one source that _map_std maps at a time: 128 KB of float64, within L2.

@@ -19,11 +19,13 @@ once, a ring batch compacts once enough have stopped).  A bank batch may hold
 several templates that share family and prior; a row is done once every
 template has crossed.  A ring batch is one template.  Both take one
 threshold per row, so a batch may hold runs of several alpha cells of one
-model.  ``simulate_runs`` is the one place that draws paths: it walks the
-runs of its cells in blocks of ``batch_size``, draws each run at its cell's
-horizon and steps the block to its end.  A sweep makes one ``simulate_runs``
-call per model group, with one cell per alpha: the bank templates on one
-family and prior step together, and a window template is a group of its own.
+model.  ``simulate_runs`` is the one place that draws paths: it reads every
+run's change time off its seed words, walks the runs of its cells in
+ascending change time, ``batch_size`` at a time, so a block's runs retire
+together, draws each run at its cell's horizon and steps the block to its
+end.  A sweep makes one ``simulate_runs`` call per model group, with one
+cell per alpha: the bank templates on one family and prior step together,
+and a window template is a group of its own.
 
 Runs are censored in one place, ``_run_arrays``: a stop past the run's
 horizon reads as censored.  A run's slots up to its horizon do not depend
@@ -55,8 +57,10 @@ from .families import (
     _check_alpha,
     _check_count,
     _check_positive,
+    _first_uniforms,
     _lams,
     _map_std,
+    _run_words,
     sample_path_multi,
 )
 from .windowed import RingBatch, check_window, composite_kl
@@ -164,7 +168,7 @@ MAX_AUTO_HORIZON = 1_000_000
 
 
 class PathBlock:
-    """Change times and observation paths of consecutive runs, one row per run.
+    """Change times and observation paths of a block of runs, one row per run.
 
     The paths are [runs, horizon] for a bank and [runs, n_sources, horizon]
     for the window engine.  Every drawn observation is checked for
@@ -247,15 +251,15 @@ def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     Run r draws on its own generator, bitwise ``np.random.PCG64(seed + [r])``
     (``default_rng``'s), as ``sample_path_multi(..., seed + [r])`` would;
     ``lam_true`` holds one parameter per source.  ``parts`` is a list of
-    (runs, horizon, seed), a range of run ids each, whose rows the block
-    stacks in order, each part drawn as its own block would draw it; the
-    block is as long as its longest part.  Each part is seeded in one
-    vectorised pass and drawn by one block call of ``sample_path_multi``, a
-    bank as its one-source case.  A window part is drawn whole at its own
-    horizon: a multi-source draw is row-major, so no prefix of a longer one;
-    the block holds 0.0 past it.  A bank block is lazy from a head of
-    min(horizon, CHUNK_SLOTS) slots, and a row's first h slots equal its row
-    of the block drawn at horizon h bitwise.
+    (runs, horizon, seed), a range or an int64 array of run ids each, whose
+    rows the block stacks in order, each part drawn as its own block would
+    draw it; the block is as long as its longest part.  Each part is seeded
+    in one vectorised pass and drawn by one block call of
+    ``sample_path_multi``, a bank as its one-source case.  A window part is
+    drawn whole at its own horizon: a multi-source draw is row-major, so no
+    prefix of a longer one; the block holds 0.0 past it.  A bank block is
+    lazy from a head of min(horizon, CHUNK_SLOTS) slots, and a row's first h
+    slots equal its row of the block drawn at horizon h bitwise.
     """
     families = _sources(spec)[0]
     lams = _lams(families, lam_true)
@@ -364,7 +368,8 @@ def simulate_runs(
     float.  Per-run seeds are (seed, run index) and runs never interact, so the
     result is bitwise the same under any batch size, and how the detector's
     batch retires stopped rows does not change it either.  Runs are drawn
-    and stepped ``batch_size`` at a time.
+    and stepped ``batch_size`` at a time, in ascending change time, which
+    ``_first_uniforms`` reads off each run's seed words before any draw.
 
     ``spec`` may also be a tuple of bank specs that share family and prior,
     as a sweep's bank templates do: they step through each path together,
@@ -408,20 +413,20 @@ def simulate_runs(
     # each spec's log thresholds in every cell: [cells, charts] for a bank, [cells] for a window
     cell_thresholds = [np.array([_log_thresholds(c[0][k]) for c in plan]) for k in range(len(specs))]
     total = len(plan) * n_runs
+    # blocks take the runs in ascending change time, so a block's runs retire together and one block holds the tail
+    words = np.concatenate([_run_words(cell_seed, range(n_runs)) for _, _, cell_seed in plan])
+    order = np.argsort(specs[0].prior._from_uniform(_first_uniforms(words)), kind="stable")
+    del words
     ts = np.empty(total, dtype=np.int64)
     stop = np.empty((len(specs), total), dtype=np.int64)
     firing = np.empty_like(stop)
     for lo in range(0, total, batch_size):
-        hi = min(lo + batch_size, total)
-        parts = []
-        for c in range(lo // n_runs, (hi - 1) // n_runs + 1):
-            _, cell_horizon, cell_seed = plan[c]
-            runs = range(max(lo - c * n_runs, 0), min(hi - c * n_runs, n_runs))
-            parts.append((runs, cell_horizon, cell_seed))
+        rows = np.sort(order[lo : lo + batch_size])  # by cell, in ascending run id
+        cuts = np.searchsorted(rows, np.arange(len(plan) + 1) * n_runs)
+        parts = [(rows[a:b] - c * n_runs, *plan[c][1:]) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
         block = draw_paths(specs[0], lams, parts)
-        ts[lo:hi] = block.change_points
-        row_cells = np.arange(lo, hi) // n_runs
-        stop[:, lo:hi], firing[:, lo:hi] = _run_batch(specs, block, [t[row_cells] for t in cell_thresholds])
+        ts[rows] = block.change_points
+        stop[:, rows], firing[:, rows] = _run_batch(specs, block, [t[rows // n_runs] for t in cell_thresholds])
         del block  # free this batch's paths before the next are drawn
     if not isinstance(spec, tuple):
         stop, firing = stop[0], firing[0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chartbank import (
     CapacityError,
     DesignSpec,
+    FiniteSet,
     GaussianMeanShift,
     GaussianVarianceShift,
     GeometricPrior,
@@ -180,6 +181,12 @@ class TestSpecValidation:
             DesignSpec(
                 family=FAMILY, interval=Interval(0.37, 9.0), epsilon=0.2, prior=PRIOR
             )
+
+    def test_family_on_a_finite_set_is_refused(self):
+        # mesh points between the members are not admissible, so the design could not run
+        fam = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=FiniteSet((0.5, 1.0, 2.0)))
+        with pytest.raises(ValueError, match=r"not FiniteSet\(values=\(0\.5, 1\.0, 2\.0\)\)"):
+            DesignSpec(family=fam, interval=Interval(0.5, 2.0), epsilon=0.2, prior=PRIOR)
 
     def test_lipschitz_positive(self):
         with pytest.raises(ValueError):

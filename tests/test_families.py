@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -15,7 +15,7 @@ from chartbank import (
     sample_path,
     sample_path_multi,
 )
-from chartbank.families import _bit_generators
+from chartbank.families import _bit_generators, _first_uniforms, _run_words
 from conftest import gaussian_logpdf, quadrature_kl
 
 
@@ -423,6 +423,28 @@ def test_block_seeding_is_numpys_pcg64(base, lo, n):
         assert bitgen.state == np.random.PCG64(base + [r]).state
         first = np.random.Generator(bitgen).random(3)
         assert first.tobytes() == np.random.default_rng(base + [r]).random(3).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # seeds of one to three elements, words at and above 2**31 among them
+    base=st.lists(st.one_of(st.sampled_from(WORD_EDGES + (2**31, 2**63)), st.integers(0, 2**70)), min_size=1, max_size=3),
+    # run ids on both sides of 2**32, and none at all
+    ids=st.lists(st.one_of(st.integers(0, 5000), st.integers(2**32 - 3, 2**32 + 3), st.integers(0, 2**62)), max_size=8),
+    rho=st.sampled_from([1e-4, 0.01, 0.5]),
+)
+@example(base=[0, 0], ids=[], rho=0.01)
+@example(base=[0, 0], ids=[0, 2**32 - 1, 2**32], rho=0.01)
+def test_first_uniforms_are_numpys_first_draws(base, ids, rho):
+    # the change-time pre-pass must read each run's first uniform off its seed words, as the run's own draw does
+    ids = np.array(ids, dtype=np.int64)
+    u = _first_uniforms(_run_words(base, ids))
+    assert u.tobytes() == np.array([np.random.default_rng(base + [r]).random() for r in ids.tolist()]).tobytes()
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    prior = GeometricPrior(rho)
+    out = np.empty((ids.size, 1, 3))
+    ts, _ = sample_path_multi((family,), prior, (1.0,), 3, _bit_generators(base, ids), out=out)
+    assert np.array_equal(prior._from_uniform(u), ts)
 
 
 def test_integer_seed_is_a_one_element_base():

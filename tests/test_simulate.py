@@ -1432,3 +1432,55 @@ class TestMultiCellRuns:
             simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[(bank_spec(), 2.5)])
         with pytest.raises(ValueError, match="at least one"):
             simulate_runs(bank_spec(), 1.0, 5, 20, 0, cells=[])
+
+
+class TestChangeTimeBlocks:
+    """simulate_runs steps the runs of all its cells in ascending change time, batch_size at a time."""
+
+    N_RUNS = 20
+
+    def check_schedule(self, cells, lam, seed):
+        n_runs, horizon = self.N_RUNS, max(h for _, h in cells)
+        with mock.patch.object(simulate, "_run_batch", wraps=simulate._run_batch) as batches:
+            merged = simulate_runs(cells[0][0], lam, n_runs, horizon, seed, batch_size=16, cells=cells)
+        blocks = [call.args[1].change_points for call in batches.call_args_list]
+        assert [b.size for b in blocks] == [16] * (len(blocks) - 1) + [len(cells) * n_runs - 16 * (len(blocks) - 1)]
+        for block, after in zip(blocks, blocks[1:]):
+            assert block.max() <= after.min()
+        whole = simulate_runs(cells[0][0], lam, n_runs, horizon, seed, batch_size=len(cells) * n_runs, cells=cells)
+        assert_same_runs(merged, whole)
+        for c, (spec, cell_horizon) in enumerate(cells):
+            assert_same_runs(cell_runs(merged, c), simulate_runs(spec, lam, n_runs, cell_horizon, seed + [c]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(group=bank_groups(), data=st.data(), seed=st.integers(0, 2**16))
+    def test_bank_blocks(self, group, data, seed):
+        specs, _, lam = group
+        n_cells = data.draw(st.integers(2, 3), label="cells")
+        horizons = data.draw(st.lists(st.integers(1, 40), min_size=n_cells, max_size=n_cells, unique=True), label="h")
+        cells = []
+        for horizon in horizons:
+            cell = []
+            for s in specs:
+                thresholds = data.draw(st.lists(GROUP_THRESHOLDS, min_size=len(s.grid), max_size=len(s.grid)))
+                cell.append(BankSpec(s.family, s.prior, s.grid, tuple(thresholds), s.variant))
+            cells.append((tuple(cell), horizon))
+        self.check_schedule(cells, lam, [seed])
+
+    @settings(max_examples=15, deadline=None)
+    @given(sources=window_sources(), window_len=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**16))
+    def test_window_blocks(self, sources, window_len, data, seed):
+        families, grids, lam = sources
+        prior = GeometricPrior(0.05)
+        n_cells = data.draw(st.integers(2, 3), label="cells")
+        horizons = data.draw(
+            st.lists(st.integers(1, PRUNED_HORIZON), min_size=n_cells, max_size=n_cells, unique=True), label="h"
+        )
+        levels = data.draw(st.lists(st.sampled_from([1.0, 3.0, 6.0]), min_size=n_cells, max_size=n_cells), label="b")
+        cells = [(WindowSpec(families, prior, grids, window_len, level), h) for level, h in zip(levels, horizons)]
+        self.check_schedule(cells, lam, [seed])
+
+    @pytest.mark.parametrize("spec, lam", [(bank_spec(), 1.0), (window_spec(), (1.8, 2.2))], ids=["bank", "window"])
+    def test_draw_paths_refuses_a_negative_run_id(self, spec, lam):
+        with pytest.raises(ValueError, match="run ids must be non-negative"):
+            draw_paths(spec, lam, [(np.array([3, 4]), 20, [6]), (np.array([2, -1]), 20, [7])])
