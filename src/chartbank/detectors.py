@@ -170,7 +170,8 @@ class BankBatch:
         self.cost = prior.slot_cost
         self.rows = rows
         grids = [np.asarray(grid, dtype=float) for grid, _, _ in banks]
-        union = np.unique(np.concatenate(grids))
+        union = np.sort(np.concatenate(grids))
+        union = union[np.append(True, union[1:] != union[:-1])]  # np.unique would import numpy.ma
         self.union = union[None, :]
         self.order = []  # the template of each column of ``done``: the variants' templates, block by block
         self.blocks = []  # per variant present: variant, its first column of done, llr gather

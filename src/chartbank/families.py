@@ -269,7 +269,7 @@ _POOL = 4  # SeedSequence's default pool, in 32-bit words
 
 
 def _seed_words(seed) -> list[int]:
-    """The 32-bit words, low first, that SeedSequence takes from an integer seed or a sequence of them."""
+    """The 32-bit words, low first, that SeedSequence takes from an integer seed or a nonempty sequence of them."""
     words = []
     for s in seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]:
         if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s < 0:
@@ -279,6 +279,8 @@ def _seed_words(seed) -> list[int]:
         while s > _MASK32:
             s >>= 32
             words.append(s & _MASK32)
+    if not words:
+        raise ValueError("seed must hold at least one integer")
     return words
 
 
@@ -324,7 +326,7 @@ def _pcg64_seeds(entropy: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 class _Seeded(ISeedSequence):
-    """Hands PCG64 the four seed words ``_pcg64_seeds`` computed for one row."""
+    """Hands PCG64 one ``_run_words`` row: ``PCG64(_Seeded(words))`` is bitwise ``PCG64(seed + [r])``."""
 
     __slots__ = ("words",)
 
@@ -336,7 +338,10 @@ class _Seeded(ISeedSequence):
 
 
 def _run_words(seed, runs: range | np.ndarray) -> np.ndarray:
-    """``_pcg64_seeds`` of seed + [r], [runs, 4], for each id r of a range or an int64 array of run ids."""
+    """``_pcg64_seeds`` of seed + [r], [runs, 4], for each id r of a range or an int64 array of run ids.
+
+    numpy hashes a seed list in Python-level calls, about 20 us per run; this hashes a whole block at once.
+    """
     base = _seed_words(seed)
     ids = np.arange(runs.start, runs.stop, runs.step, dtype=np.int64) if isinstance(runs, range) else runs
     if ids.size and ids.min() < 0:
@@ -346,24 +351,6 @@ def _run_words(seed, runs: range | np.ndarray) -> np.ndarray:
     entropy[:, len(base)] = ids & _MASK32
     entropy[:, len(base) + 1] = ids >> 32
     return _pcg64_seeds(entropy, len(base) + 1 + (ids > _MASK32))
-
-
-def _bit_generators(seed, runs: range | np.ndarray | None = None) -> list[np.random.PCG64]:
-    """One generator per run r, bitwise ``np.random.PCG64(seed + [r])``; without runs, ``[PCG64(seed)]``.
-
-    ``seed`` is a non-negative integer or a sequence of them, as numpy takes
-    it, and ``runs`` a range or an int64 array of run ids.  numpy hashes a
-    seed list through SeedSequence in Python-level calls, about 20 us per
-    run; for a block of runs ``_run_words`` hashes every run at once and each
-    run's PCG64 gets its finished state words.  One seed alone is cheaper
-    through numpy's own hashing.
-    """
-    if runs is not None:
-        return [np.random.PCG64(_Seeded(words)) for words in _run_words(seed, runs)]
-    base = _seed_words(seed)
-    if not base:
-        raise ValueError("seed must hold at least one integer")
-    return [np.random.PCG64(np.array(base, dtype=np.uint32))]
 
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), high and low word
@@ -451,9 +438,10 @@ def sample_path_multi(
     standard-normal block that each source maps pre/post.  So two calls with
     the same seed but different true parameters share t and every
     pre-change observation bitwise, and with one source a shorter horizon
-    gives a bitwise prefix of a longer one.  ``out`` (contiguous float64,
-    [n_sources, horizon]) receives the block.  ``seed`` is a non-negative
-    integer or a sequence of them, drawn on ``np.random.default_rng(seed)``'s
+    gives a bitwise prefix of a longer one.  ``out`` (float64, [n_sources,
+    horizon], contiguous along its last axis, so a column slice will do)
+    receives the block in place.  ``seed`` is a non-negative integer or a
+    nonempty sequence of them, drawn on ``np.random.default_rng(seed)``'s
     stream, or a ``numpy.random.Generator`` whose stream the call continues.
 
     Given ``out`` of shape [rows, n_sources, horizon] and one bit generator
@@ -474,18 +462,21 @@ def sample_path_multi(
     elif isinstance(seed, np.random.Generator):
         bitgens = [seed.bit_generator]
     else:
-        bitgens = _bit_generators(seed)
+        bitgens = [np.random.PCG64(np.array(_seed_words(seed), dtype=np.uint32))]
     shape = (len(bitgens), len(families), horizon) if block else (len(families), horizon)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
+    elif out.size and horizon > 1 and out.strides[-1] != out.itemsize:  # as numpy's draw into each row asks
+        raise ValueError(f"out must be contiguous along its last axis, got strides {out.strides}")
     z = out if block else out[None]
     u = np.empty(len(bitgens))
-    for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals
+    for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals, source by source
         rng = np.random.Generator(bitgen)
         u[r] = rng.random()
-        rng.standard_normal(out=z[r])
+        for zi in z[r]:
+            rng.standard_normal(out=zi)
     ts = prior._from_uniform(u)
     _map_std(families, lams, ts, z, 0)
     return (ts, out) if block else (int(ts[0]), out)

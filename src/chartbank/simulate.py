@@ -5,11 +5,12 @@ drives a fresh detector over it.  Runs are seeded individually from
 (base seed, run index), so results are bitwise reproducible under any batch
 size, compaction schedule or sharing of paths between templates, and two
 estimates that share a base seed see identical change times and pre-change
-observations.  A block of runs is seeded in one vectorised pass of numpy's
-SeedSequence hashing over all its runs, which hands each run's PCG64 the
-state words that ``np.random.PCG64(seed + [run])`` would compute for itself;
-so each run's stream is bitwise the one ``default_rng(seed + [run])`` gives,
-whatever block the run is drawn in.
+observations.  Every seed passes one check, ``families._seed_words``, which
+refuses an empty one.  A block of runs is seeded in one vectorised pass of
+numpy's SeedSequence hashing, which hands each run's PCG64 the state words
+that ``np.random.PCG64(seed + [run])`` would compute for itself; so each
+run's stream is bitwise the one ``default_rng(seed + [run])`` gives, whatever
+block the run is drawn in.
 
 One slot loop runs a detector's own per-slot step (``BankBatch`` or
 ``RingBatch``) over many runs at once: each slot it reads the running rows'
@@ -53,7 +54,6 @@ from .families import (
     GeometricPrior,
     ObservationFamily,
     _as_float_array,
-    _bit_generators,
     _check_alpha,
     _check_count,
     _check_positive,
@@ -61,6 +61,8 @@ from .families import (
     _lams,
     _map_std,
     _run_words,
+    _Seeded,
+    _seed_words,
     sample_path_multi,
 )
 from .windowed import RingBatch, check_window, composite_kl
@@ -173,9 +175,9 @@ class PathBlock:
     The paths are [runs, horizon] for a bank and [runs, n_sources, horizon]
     for the window engine.  Every drawn observation is checked for
     finiteness once, so the batch steps can call the families' unchecked llr.
-    ``draw_paths`` seeds every run of a block in one pass; row r's bit
-    generator is bitwise ``np.random.PCG64(seed + [run])``.  The slot loop
-    steps every row to the block's horizon, whatever its run's own.
+    ``draw_paths`` seeds every run of a block in one ``_run_words`` pass; row
+    r's bit generator is bitwise ``np.random.PCG64(seed + [run])``.  The slot
+    loop steps every row to the block's horizon, whatever its run's own.
 
     Given only ``observations``, a block is whole.  Given a longer
     ``horizon`` and the ``streams`` (family, true parameter, one bit generator
@@ -248,17 +250,17 @@ class PathBlock:
 def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     """Draw the change times and paths of the given runs into one block.
 
-    Run r draws on its own generator, bitwise ``np.random.PCG64(seed + [r])``
-    (``default_rng``'s), as ``sample_path_multi(..., seed + [r])`` would;
-    ``lam_true`` holds one parameter per source.  ``parts`` is a list of
-    (runs, horizon, seed), a range or an int64 array of run ids each, whose
-    rows the block stacks in order, each part drawn as its own block would
-    draw it; the block is as long as its longest part.  Each part is seeded
-    in one vectorised pass and drawn by one block call of
-    ``sample_path_multi``, a bank as its one-source case.  A window part is
-    drawn whole at its own horizon: a multi-source draw is row-major, so no
-    prefix of a longer one; the block holds 0.0 past it.  A bank block is
-    lazy from a head of min(horizon, CHUNK_SLOTS) slots, and a row's first h
+    ``parts`` is a list of (runs, horizon, seed), a range or an int64 array
+    of run ids each, whose rows the block stacks in order; the block is as
+    long as its longest part.  Run r draws on ``PCG64(_Seeded(words))`` of
+    its ``_run_words`` row, bitwise ``np.random.PCG64(seed + [r])``, as
+    ``sample_path_multi(..., seed + [r])`` would; ``lam_true`` holds one
+    parameter per source.  Each part is one block call of
+    ``sample_path_multi`` that draws in place into the part's rows, a bank
+    as its one-source case.  A window part fills the first ``horizon``
+    columns of its rows (a multi-source draw is row-major, so no prefix of a
+    longer one), and the block holds 0.0 past them.  A bank block is lazy
+    from a head of min(horizon, CHUNK_SLOTS) slots, and a row's first h
     slots equal its row of the block drawn at horizon h bitwise.
     """
     families = _sources(spec)[0]
@@ -272,12 +274,9 @@ def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     lo = 0
     for part_runs, part_horizon, part_seed in parts:
         hi = lo + len(part_runs)
-        part = _bit_generators(part_seed, part_runs)  # a Generator holds three times the memory of its bit generator
-        whole = bank or part_horizon == width
-        out = xs[lo:hi] if whole else np.empty((hi - lo, len(families), part_horizon))
-        ts[lo:hi], _ = sample_path_multi(families, spec.prior, lams, out.shape[-1], part, out=out)
-        if not whole:
-            xs[lo:hi, :, :part_horizon] = out
+        part = [np.random.PCG64(_Seeded(w)) for w in _run_words(part_seed, part_runs)]  # a Generator is 3x the memory
+        h = width if bank else part_horizon
+        ts[lo:hi], _ = sample_path_multi(families, spec.prior, lams, h, part, out=xs[lo:hi, :, :h])
         bitgens += part
         lo = hi
     if not bank:
@@ -400,8 +399,7 @@ def simulate_runs(
     if cells is None:
         plan = [(specs, horizon, seed)]
     else:
-        base = list(seed) if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
-        plan = [(s if isinstance(s, tuple) else (s,), h, base + [c]) for c, (s, h) in enumerate(cells)]
+        plan = [(s if isinstance(s, tuple) else (s,), h, _seed_words(seed) + [c]) for c, (s, h) in enumerate(cells)]
         if not plan:
             raise ValueError("cells must hold at least one (spec, horizon) cell")
         for cell_specs, cell_horizon, _ in plan:

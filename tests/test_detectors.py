@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chartbank
 from chartbank import (
     ChartBank,
     ChartVariant,
@@ -331,3 +336,24 @@ class TestRecursionBitsDoNotDependOnLayout:
         sr, mx, sm = (advance_log_stats(v, state, 0.01, llr) for v in ChartVariant)
         assert np.all(sm <= mx) and np.all(mx <= sr)
         assert np.allclose(sr, np.logaddexp(state, 0.0) + 0.01 + llr, rtol=1e-15, atol=1e-15)
+
+
+def test_banks_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 20 ms at a process's first bank; the union of grids needs no mask
+    code = textwrap.dedent(
+        """
+        import sys
+        from chartbank import BankSpec, ChartBank, GaussianMeanShift, GeometricPrior, Interval, simulate_runs
+        family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
+        prior = GeometricPrior(0.05)
+        ChartBank(family, prior, (0.5, 1.0, 2.0), 4.0).step(1.0)
+        specs = [BankSpec(family=family, prior=prior, grid=grid, log_thresholds=(4.0,)) for grid in [(0.5, 1.0), (1.0, 2.0)]]
+        simulate_runs(tuple(specs), 1.0, 20, 50, 3)
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """
+    )
+    src = os.path.dirname(os.path.dirname(chartbank.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

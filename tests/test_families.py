@@ -15,7 +15,7 @@ from chartbank import (
     sample_path,
     sample_path_multi,
 )
-from chartbank.families import _bit_generators, _first_uniforms, _run_words
+from chartbank.families import _first_uniforms, _run_words, _Seeded, _seed_words
 from conftest import gaussian_logpdf, quadrature_kl
 
 
@@ -406,6 +406,11 @@ def test_prior_and_family_compose(rho, lam):
 WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64)
 
 
+def run_bit_generators(seed, runs):
+    """One PCG64 per run, built from its seed words as draw_paths builds it."""
+    return [np.random.PCG64(_Seeded(words)) for words in _run_words(seed, runs)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     base=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)), min_size=1, max_size=3),
@@ -417,7 +422,7 @@ def test_block_seeding_is_numpys_pcg64(base, lo, n):
     # the vectorised SeedSequence mixing must give numpy's PCG64 state for
     # entropy shorter and longer than its four-word pool
     runs = range(lo, lo + n)
-    bitgens = _bit_generators(base, runs)
+    bitgens = run_bit_generators(base, runs)
     assert len(bitgens) == n
     for r, bitgen in zip(runs, bitgens):
         assert bitgen.state == np.random.PCG64(base + [r]).state
@@ -443,15 +448,16 @@ def test_first_uniforms_are_numpys_first_draws(base, ids, rho):
     family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
     prior = GeometricPrior(rho)
     out = np.empty((ids.size, 1, 3))
-    ts, _ = sample_path_multi((family,), prior, (1.0,), 3, _bit_generators(base, ids), out=out)
+    ts, _ = sample_path_multi((family,), prior, (1.0,), 3, run_bit_generators(base, ids), out=out)
     assert np.array_equal(prior._from_uniform(u), ts)
 
 
 def test_integer_seed_is_a_one_element_base():
     runs = range(5, 9)
-    for r, bitgen in zip(runs, _bit_generators(np.int64(7), runs)):
+    for r, bitgen in zip(runs, run_bit_generators(np.int64(7), runs)):
         assert bitgen.state == np.random.PCG64([7, r]).state
-    assert _bit_generators(2**64)[0].state == np.random.PCG64(2**64).state
+    # a lone seed's generator, as sample_path_multi builds it
+    assert np.random.PCG64(np.array(_seed_words(2**64), dtype=np.uint32)).state == np.random.PCG64(2**64).state
 
 
 # Seed elements numpy would truncate, reinterpret or refuse unclearly
@@ -472,7 +478,7 @@ def test_per_run_draws_refuse_non_integer_seed_elements(seed):
 def test_block_draw_takes_one_bit_generator_per_row(seed):
     family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
     if seed == "one-row":
-        seed = _bit_generators(0, range(1))
+        seed = run_bit_generators(0, range(1))
     with pytest.raises(ValueError, match="one bit generator per row"):
         sample_path_multi((family,), GeometricPrior(0.05), (1.0,), 10, seed, out=np.empty((2, 1, 10)))
 
@@ -486,3 +492,23 @@ def test_per_run_draws_take_multi_word_seeds():
         assert t == t_ref and x.tobytes() == x_ref.tobytes()
     with pytest.raises(ValueError, match="at least one integer"):
         sample_path(family, prior, 1.0, 10, [])
+
+
+def test_out_is_filled_in_place_through_a_column_slice():
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    prior = GeometricPrior(0.05)
+    t_ref, x_ref = sample_path_multi([family, family], prior, (1.0, 2.0), 10, [4, 2])
+    wide = np.full((2, 15), 7.0)
+    t, x = sample_path_multi([family, family], prior, (1.0, 2.0), 10, [4, 2], out=wide[:, :10])
+    assert t == t_ref and np.shares_memory(x, wide)
+    assert wide[:, :10].tobytes() == x_ref.tobytes() and (wide[:, 10:] == 7.0).all()
+
+
+@pytest.mark.parametrize("shape", [(2, 10), (3, 2, 10)], ids=["one-run", "block"])
+def test_out_refuses_a_strided_last_axis(shape):
+    # numpy draws only into a contiguous run of memory, so a strided row is refused by name
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    out = np.empty((*shape[:-1], 2 * shape[-1]))[..., ::2]
+    seed = run_bit_generators(0, range(shape[0])) if len(shape) == 3 else 0
+    with pytest.raises(ValueError, match="out must be contiguous along its last axis"):
+        sample_path_multi([family, family], GeometricPrior(0.05), (1.0, 2.0), 10, seed, out=out)

@@ -698,18 +698,28 @@ class TestBlockDraws:
         n_runs=st.integers(1, 8),
         horizon=st.integers(1, 60),
         rho=st.sampled_from([1e-4, 0.05, 0.5]),
+        # a second part on its own seed and horizon, as a batch of several cells holds
+        second=st.one_of(st.none(), st.tuples(st.integers(0, 3000), st.integers(1, 4), st.integers(1, 60))),
     )
-    def test_window_rows_are_per_run_draws(self, sources, seed, lo, n_runs, horizon, rho):
+    def test_window_rows_are_per_run_draws(self, sources, seed, lo, n_runs, horizon, rho, second):
         families, grids, lams = sources
         prior = GeometricPrior(rho)
         spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=5, log_threshold=6.0)
-        runs = range(lo, lo + n_runs)
-        block = draw_paths(spec, lams, [(runs, horizon, seed)])
-        assert block.observations.shape == (n_runs, len(families), horizon)
-        for j, run in enumerate(runs):
-            t, x = sample_path_multi(list(families), prior, lams, horizon, per_run_seed(seed, run))
-            assert block.change_points[j] == t
-            assert block.observations[j].tobytes() == x.tobytes()
+        parts = [(range(lo, lo + n_runs), horizon, seed)]
+        if second is not None:
+            lo2, n2, horizon2 = second
+            parts.append((np.arange(lo2, lo2 + n2, dtype=np.int64), horizon2, per_run_seed(seed, 1)))
+        block = draw_paths(spec, lams, parts)
+        width = max(h for _, h, _ in parts)
+        assert block.observations.shape == (sum(len(r) for r, _, _ in parts), len(families), width)
+        j = 0
+        for runs, h, part_seed in parts:
+            for run in runs:
+                t, x = sample_path_multi(list(families), prior, lams, h, per_run_seed(part_seed, int(run)))
+                assert block.change_points[j] == t
+                assert block.observations[j, :, :h].tobytes() == x.tobytes()
+                assert (block.observations[j, :, h:] == 0.0).all()
+                j += 1
 
     @pytest.mark.parametrize("seed", [[0.9, 1], 0.9, True, [True, 1], -1, [0, -1], "7"], ids=repr)
     def test_refuses_non_integer_seed_elements(self, seed):
@@ -718,6 +728,18 @@ class TestBlockDraws:
             simulate_runs(bank_spec(), 1.0, 5, 20, seed)
         with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
             draw_paths(window_spec(), (1.8, 2.2), [(range(3), 20, seed)])
+
+    def test_refuses_an_empty_seed(self):
+        # every entry point refuses an empty seed, as sample_path does; none draws on default_rng([run])
+        spec = bank_spec()
+        with pytest.raises(ValueError, match="seed must hold at least one integer"):
+            simulate_runs(spec, 1.0, 3, 5, seed=[])
+        with pytest.raises(ValueError, match="seed must hold at least one integer"):
+            simulate_runs(spec, 1.0, 3, 5, seed=[], cells=[(spec, 5)])
+        with pytest.raises(ValueError, match="seed must hold at least one integer"):
+            draw_paths(window_spec(), (1.8, 2.2), [(range(3), 20, [])])
+        with pytest.raises(ValueError, match="seed must hold at least one integer"):
+            sample_path_multi(list(window_spec().families), PRIOR, (1.8, 2.2), 20, [])
 
     def test_takes_multi_word_seeds(self):
         for seed in (2**64, [2**64, 1], np.int64(3)):
