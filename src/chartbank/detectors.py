@@ -140,10 +140,32 @@ def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.nd
 
 
 _NONE = np.zeros(0, dtype=np.int64)  # no rows
-_NONE.flags.writeable = False
+
+# A batch keeps its stopped rows until fewer than this share of its rows runs: often enough to keep
+# the per-slot work near the live count, rarely enough that the row copies stay cheap.
+COMPACT_BELOW = 0.75
 
 
-class BankBatch:
+class _RetiringBatch:
+    """The one retire policy of ``BankBatch`` and ``RingBatch``: ``rows`` holds the block row of each
+    state row, ``running`` whether it runs.  A stopped row is held, stepped but never reported again,
+    until fewer than COMPACT_BELOW of the held rows run; then the batch's ``compact(keep)`` drops it.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.running = np.ones(rows.size, dtype=bool)
+
+    def retire(self, rows: np.ndarray) -> int:
+        """Stop the given rows, compacting once fewer than COMPACT_BELOW still run; return how many run."""
+        self.running[rows] = False
+        n_running = int(np.count_nonzero(self.running))
+        if 0 < n_running < COMPACT_BELOW * self.rows.size:
+            self.compact(np.flatnonzero(self.running))
+        return n_running
+
+
+class BankBatch(_RetiringBatch):
     """The per-slot step of one or more banks over a batch of runs, one row per run.
 
     ``banks`` holds (grid, log_thresholds, variant) per template; the
@@ -159,16 +181,16 @@ class BankBatch:
     evaluated once per slot on the union of the grids and gathered into
     chart order; it is elementwise, so each chart's value is bitwise the one
     its own grid gives.  A template reports a row once, on the first slot one
-    of its charts crosses, and a row is done once every template has crossed.
-    ``rows`` holds the block row of each state row.  ``ChartBank`` is a
-    one-template batch of one.  Grids and thresholds must have passed
+    of its charts crosses, and a row is done once every template has crossed,
+    so a done row the batch still holds never reports again.  ``ChartBank``
+    is a one-template batch of one.  Grids and thresholds must have passed
     ``check_charts``.
     """
 
     def __init__(self, family: ObservationFamily, prior: GeometricPrior, banks, rows: np.ndarray) -> None:
+        super().__init__(rows)
         self.family = family
         self.cost = prior.slot_cost
-        self.rows = rows
         grids = [np.asarray(grid, dtype=float) for grid, _, _ in banks]
         union = np.sort(np.concatenate(grids))
         union = union[np.append(True, union[1:] != union[:-1])]  # np.unique would import numpy.ma
@@ -194,7 +216,7 @@ class BankBatch:
             self.log_stats.append(np.broadcast_to(init, (rows.size, len(ts), width)).copy())
         self.order = np.array(self.order)
         self.done = np.zeros((rows.size, len(banks)), dtype=bool)
-        # per-slot buffers, sliced to the rows still running; SR's softplus buffer fits the first block
+        # per-slot buffers, sliced to the rows held; SR's softplus buffer fits the first block
         self._llr = [np.empty(stats.shape) for stats in self.log_stats]
         self._hit = [np.empty(stats.shape, dtype=bool) for stats in self.log_stats]
         self._work = np.empty(self.log_stats[0].shape)
@@ -232,15 +254,11 @@ class BankBatch:
         rows, cols = np.divmod(cells, n_templates)
         return rows, self.order[cols], charts, rows[self.done[rows].all(axis=1)]
 
-    def retire(self, rows: np.ndarray) -> int:
-        """Drop the given rows at once; return how many rows still run."""
-        keep = np.ones(self.rows.size, dtype=bool)
-        keep[rows] = False
-        idx = np.flatnonzero(keep)  # take, not a boolean mask: several times faster on 2-d arrays
-        self.rows, self.done = self.rows[idx], self.done.take(idx, axis=0)
-        self.log_stats = [stats.take(idx, axis=0) for stats in self.log_stats]
-        self.thresholds = [thr.take(idx, axis=0) for thr in self.thresholds]
-        return self.rows.size
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the rows ``keep`` (ascending), by take: several times faster than a mask on 2-d arrays."""
+        self.rows, self.running, self.done = self.rows[keep], self.running[keep], self.done.take(keep, axis=0)
+        self.log_stats = [stats.take(keep, axis=0) for stats in self.log_stats]
+        self.thresholds = [thr.take(keep, axis=0) for thr in self.thresholds]
 
 
 class _SteppedDetector:

@@ -471,11 +471,12 @@ def sample_path_multi(
     elif out.size and horizon > 1 and out.strides[-1] != out.itemsize:  # as numpy's draw into each row asks
         raise ValueError(f"out must be contiguous along its last axis, got strides {out.strides}")
     z = out if block else out[None]
+    whole = z[:1].flags.c_contiguous  # a run's [n_sources, horizon] row is one draw, else one per source
     u = np.empty(len(bitgens))
-    for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals, source by source
+    for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals, row-major
         rng = np.random.Generator(bitgen)
         u[r] = rng.random()
-        for zi in z[r]:
+        for zi in z[r : r + 1] if whole else z[r]:
             rng.standard_normal(out=zi)
     ts = prior._from_uniform(u)
     _map_std(families, lams, ts, z, 0)

@@ -13,20 +13,20 @@ run's stream is bitwise the one ``default_rng(seed + [run])`` gives, whatever
 block the run is drawn in.
 
 One slot loop runs a detector's own per-slot step (``BankBatch`` or
-``RingBatch``) over many runs at once: each slot it reads the running rows'
-observations, records each (row, template) that crossed, and retires the
-rows the step reports done, by the batch's own policy (a bank drops them at
-once, a ring batch compacts once enough have stopped).  A bank batch may hold
-several templates that share family and prior; a row is done once every
-template has crossed.  A ring batch is one template.  Both take one
-threshold per row, so a batch may hold runs of several alpha cells of one
-model.  ``simulate_runs`` is the one place that draws paths: it reads every
-run's change time off its seed words, walks the runs of its cells in
-ascending change time, ``batch_size`` at a time, so a block's runs retire
-together, draws each run at its cell's horizon and steps the block to its
-end.  A sweep makes one ``simulate_runs`` call per model group, with one
-cell per alpha: the bank templates on one family and prior step together,
-and a window template is a group of its own.
+``RingBatch``) over many runs at once: each slot it reads the observations of
+the rows the batch holds, records each (row, template) that crossed, and
+retires the rows the step reports done.  Both batches retire by one policy: a
+stopped row is held, stepped but never reported again, until fewer than
+``COMPACT_BELOW`` of the held rows run.  A bank batch may hold several
+templates that share family and prior; a row is done once every template has
+crossed.  A ring batch is one template.  Both take one threshold per row, so a
+batch may hold runs of several alpha cells of one model.  ``simulate_runs`` is
+the one place that draws paths: it reads every run's change time off its seed
+words, walks the runs of its cells in ascending change time, ``batch_size``
+at a time, so a block's runs retire together, draws each run at its cell's
+horizon and steps the block to its end.  A sweep makes one ``simulate_runs``
+call per model group, with one cell per alpha: the bank templates on one
+family and prior step together, and a window template is a group of its own.
 
 Runs are censored in one place, ``_run_arrays``: a stop past the run's
 horizon reads as censored.  A run's slots up to its horizon do not depend
@@ -292,8 +292,8 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds=Non
     ``thresholds`` holds each row's log thresholds, one entry per spec:
     [rows, charts] for a bank, [rows] for a window; by default every row
     takes the specs' own.  Every row runs to the block's horizon; a stop
-    past a run's own horizon is for ``_run_arrays`` to censor.  Running rows
-    are drawn one chunk at a time, as they reach it.
+    past a run's own horizon is for ``_run_arrays`` to censor.  Held rows,
+    stopped ones too, are drawn one chunk at a time, as they reach it.
     """
     live = np.arange(paths.change_points.size)
     spec = specs[0]

@@ -19,10 +19,10 @@ needs, so a step is zero-one-column, add-the-new-llr-everywhere, then take
 per-column maxima; no column moves.  ``RingBatch`` runs many runs at once,
 one row each, and is the only implementation of the step and its stop rule.
 Each row has its own threshold, so one batch may hold runs of several alpha
-cells.  Its ``retire`` compacts its state once fewer than COMPACT_BELOW of
-the rows still run; ``WindowEngine`` is an unbounded batch of one that
-keeps the tables and evaluates the exact joint statistic on every step, so
-its work counters count the work it does.  Its stop guard and
+cells.  It retires stopped rows by the policy a bank batch uses too
+(``detectors._RetiringBatch``).  ``WindowEngine`` is an unbounded batch of
+one that keeps the tables and evaluates the exact joint statistic on every
+step, so its work counters count the work it does.  Its stop guard and
 ``run_to_stop`` are the stepped shell it shares with ``ChartBank``.
 
 A bounded batch, the one the Monte Carlo slot loop runs, keeps no tables
@@ -98,7 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detectors import StopReport, _SteppedDetector, check_charts
+from .detectors import StopReport, _RetiringBatch, _SteppedDetector, check_charts
 from .families import (
     GeometricPrior,
     ObservationFamily,
@@ -110,12 +110,6 @@ from .families import (
 )
 
 __all__ = ["WindowEngine", "window_length_for", "composite_kl"]
-
-
-# A ring batch keeps only its running rows once fewer than this share of its
-# rows still runs: often enough to keep the per-slot work near the live
-# count, rarely enough that the row copies stay cheap.
-COMPACT_BELOW = 0.75
 
 
 def ring_advance(table: np.ndarray, llr, slot_new: int | None) -> None:
@@ -165,7 +159,7 @@ def check_window(
     return [check_charts(fam, grid, log_threshold)[0] for fam, grid in zip(families, grids)]
 
 
-class RingBatch:
+class RingBatch(_RetiringBatch):
     """The window engine's per-slot step over a batch of runs.
 
     Unbounded, source l keeps a ring table [rows, I_l, width] of llr sums
@@ -185,9 +179,9 @@ class RingBatch:
     allowance.  ``bound`` and ``start_bounds`` are never below the exact
     statistic; ``tighten`` replays exact sums from the block for the rows
     and starts they cannot rule out, one diagonal pass per replayed start
-    over all of them.  ``rows`` holds the block row of each state row and
-    ``thresholds`` its log threshold (``log_thresholds`` is one value or
-    one per row); both move with the rows when they compact.
+    over all of them.  ``thresholds`` holds each state row's log threshold
+    (``log_thresholds`` is one value or one per row); it moves with the
+    rows when they compact, and ``step`` reports running rows only.
     ``WindowEngine`` is an unbounded batch of one; grids come from
     ``check_window``.
     """
@@ -206,27 +200,26 @@ class RingBatch:
         self.grids = [np.asarray(grid, dtype=float)[None, :] for grid in grids]
         self.thresholds = np.broadcast_to(np.asarray(log_thresholds, dtype=float), rows.shape).copy()
         self.width = window_len + 1
-        self.rows = rows
-        self.running = np.ones(rows.size, dtype=bool)
+        super().__init__(rows)
         self.block = block
         self.bounded = block is not None
         # weight for start k at slot n depends only on the span n - k + 1
         self.weights = np.arange(1, self.width + 1) * prior.slot_cost
+        n_sources = len(self.grids)
+        # source l's candidates are columns edges[l]:edges[l + 1] of a replay or of decode's sums
+        self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
+        # runs of like sources: consecutive sources whose families compare equal and whose grids have
+        # one size share each per-slot call, as (family, first source, end, grids [g, I, 1]); candidates
+        # come before rows, so an llr [g, I, rows] reduces over its candidates one contiguous row at a time
+        self.source_runs = []
+        lo = 0
+        for hi in range(1, n_sources + 1):
+            like = hi < n_sources and self.grids[hi].size == self.grids[lo].size
+            if like and self.families[hi] == self.families[lo]:
+                continue
+            self.source_runs.append((self.families[lo], lo, hi, np.stack(self.grids[lo:hi]).transpose(0, 2, 1)))
+            lo = hi
         if self.bounded:
-            n_sources = len(self.grids)
-            # source l's candidates are columns edges[l]:edges[l + 1] of a replay
-            self.edges = np.cumsum([0] + [grid.size for grid in self.grids]).tolist()
-            # runs of like sources: consecutive sources whose families compare equal and whose grids have
-            # one size share each per-slot call, as (family, first source, end, grids [g, I, 1]); candidates
-            # come before rows, so an llr [g, I, rows] reduces over its candidates one contiguous row at a time
-            self.source_runs = []
-            lo = 0
-            for hi in range(1, n_sources + 1):
-                like = hi < n_sources and self.grids[hi].size == self.grids[lo].size
-                if like and self.families[hi] == self.families[lo]:
-                    continue
-                self.source_runs.append((self.families[lo], lo, hi, np.stack(self.grids[lo:hi]).transpose(0, 2, 1)))
-                lo = hi
             # the bound's state keeps rows last, so each per-slot operation runs over contiguous rows
             self.peaks = np.zeros((n_sources, rows.size, 1, 1))
             self.steps = 0  # slots since the current block began, the same for every row
@@ -251,7 +244,19 @@ class RingBatch:
             for l, (fam, grid) in enumerate(zip(self.families, self.grids)):
                 ring_advance(self.tables[l], fam._llr(grid, x[:, l, None]), slot_new)
         else:
-            self.store_prefix()
+            # move P_{n-1} into the prefix ring; once that completes a block, take its suffix minima and
+            # rebase: subtract the block's last prefix from every stored one and restart the running sums
+            column = (self.n - 1) % self.width
+            self.prefixes[column] = self.prefix
+            np.minimum(self.low, self.prefix, out=self.low)
+            if column == self.width - 1:
+                self.prefixes -= self.prefix
+                self.suffix = np.minimum.accumulate(self.prefixes[::-1], axis=0)[::-1]
+                self.low[:] = np.inf
+                self.peaks[:] = 0.0
+                self.steps = 0
+                self.mass[0] = self.mass[1]
+                self.mass[1] = 0.0
             xs = x.T[:, None, :]  # [L, 1, rows]
             for fam, lo, hi, lams in self.source_runs:
                 llr = fam._llr(lams, xs[lo:hi])  # [g, I, rows], the tables' values transposed
@@ -261,24 +266,6 @@ class RingBatch:
             self.prefix = self.weights[self.steps - 1] + self.peaks.sum(axis=0).ravel()
             self.mass[1] += self.slot_mass
         self.starts, self.slots = window_offsets(self.n, self.width)
-
-    def store_prefix(self) -> None:
-        """Move P_{n-1} into the prefix ring; once that completes a block, take its suffix minima and rebase.
-
-        The rebase subtracts the block's last prefix from every stored one and
-        restarts the running sums at 0.0, so later prefixes are relative to it.
-        """
-        column = (self.n - 1) % self.width
-        self.prefixes[column] = self.prefix
-        np.minimum(self.low, self.prefix, out=self.low)
-        if column == self.width - 1:
-            self.prefixes -= self.prefix
-            self.suffix = np.minimum.accumulate(self.prefixes[::-1], axis=0)[::-1]
-            self.low[:] = np.inf
-            self.peaks[:] = 0.0
-            self.steps = 0
-            self.mass[0] = self.mass[1]
-            self.mass[1] = 0.0
 
     def allowance(self, rows=slice(None)) -> np.ndarray:
         """The rows' rounding allowances [rows]: twice gamma_{3(w+L+2)} times each one's llr mass over two blocks."""
@@ -384,22 +371,16 @@ class RingBatch:
         """
         best = np.argmax(total, axis=1)  # first max: the oldest start wins ties
         if not self.bounded:
-            columns = [table[rows, :, self.slots[best]] for table in self.tables]
+            at = np.concatenate([table[rows, :, self.slots[best]] for table in self.tables], axis=1)
         else:
             replayed, first, sums = self.replayed
             at = sums[best - first, np.searchsorted(replayed, rows)]  # both row lists ascend
-            columns = [at[:, lo:hi] for lo, hi in zip(self.edges, self.edges[1:])]
-        picks = [np.argmax(column, axis=1) for column in columns]
+        picks = []  # one argmax per run of like sources, first max: the lowest candidate wins ties
+        for _, lo, hi, lams in self.source_runs:
+            run = at[:, self.edges[lo] : self.edges[hi]].reshape(rows.size, hi - lo, lams.shape[1])
+            picks.extend(np.argmax(run, axis=2).T)
         # mixed radix, first source slowest
         return best, picks, np.ravel_multi_index(picks, [grid.size for grid in self.grids])
-
-    def retire(self, rows: np.ndarray) -> int:
-        """Stop the given rows, compacting once fewer than COMPACT_BELOW still run; return how many run."""
-        self.running[rows] = False
-        n_running = int(np.count_nonzero(self.running))
-        if 0 < n_running < COMPACT_BELOW * self.rows.size:
-            self.compact(np.flatnonzero(self.running))
-        return n_running
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (ascending)."""

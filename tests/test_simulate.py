@@ -34,7 +34,8 @@ from chartbank import (
     summarize,
     threshold_for,
 )
-from chartbank import simulate
+from chartbank import detectors, simulate
+from chartbank.detectors import BankBatch
 from chartbank.simulate import PathBlock, draw_paths
 from chartbank.windowed import RingBatch
 
@@ -354,7 +355,9 @@ class TestChunkInvariance:
 
     def test_undrawn_slots_are_never_read(self):
         # after every draw, each allocated chunk's undrawn rows turn NaN; a NaN
-        # read by a chart would stay in its statistic and censor the run
+        # read by a chart would stay in its statistic and censor the run.  The
+        # batch compacts on every retire, so a row leaves it on the slot it
+        # stops and its later chunks stay undrawn: a batch draws every row it holds
         def poison_undrawn(block):
             for base in range(0, int(block.drawn.max()), 16):
                 chunk, first = block.chunk(base)
@@ -367,14 +370,25 @@ class TestChunkInvariance:
             poison_undrawn(block)
             return ready
 
+        step = BankBatch.step
+
+        def read_drawn(batch, x):
+            assert not np.isnan(x).any()
+            return step(batch, x)
+
         spec, lam, horizon = chunked_cases()[1]
         with mock.patch.object(simulate, "CHUNK_SLOTS", 16):
             block = draw_paths(spec, lam, [(range(CHUNK_RUNS), horizon, SCATTER_SEED)])
             assert (block.drawn == 16).all()
             with pytest.raises(ValueError):
                 block.observations
-            with mock.patch.object(PathBlock, "draw_to", draw_then_poison):
+            with (
+                mock.patch.object(PathBlock, "draw_to", draw_then_poison),
+                mock.patch.object(detectors, "COMPACT_BELOW", 1.0),
+                mock.patch.object(BankBatch, "step", autospec=True, side_effect=read_drawn) as steps,
+            ):
                 stop, firing = simulate._run_batch((spec,), block)
+        assert steps.call_count > 16
         assert (stop > 16).sum() > CHUNK_RUNS // 2
         assert np.isnan(block.chunk(16)[0]).any()  # the poison was laid
         with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
@@ -619,6 +633,8 @@ class TestPrunedWindowKernel:
                 ours = rings.decode(crossed, total[total.max(axis=1) >= threshold])
                 theirs = twin.decode(crossed, exact[crossed])
                 assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+                for pick, table in zip(ours[1], twin.tables):  # each source's own lowest best candidate
+                    assert np.array_equal(pick, np.argmax(table[crossed, :, twin.slots[ours[0]]], axis=1))
             rings.retire(got[3])
             twin.retire(want[3])
             if rings.rows.size > 1 and rng.random() < 0.3:
@@ -1506,3 +1522,58 @@ class TestChangeTimeBlocks:
     def test_draw_paths_refuses_a_negative_run_id(self, spec, lam):
         with pytest.raises(ValueError, match="run ids must be non-negative"):
             draw_paths(spec, lam, [(np.array([3, 4]), 20, [6]), (np.array([2, -1]), 20, [7])])
+
+
+@st.composite
+def bank_cells(draw):
+    """A bank group as ``bank_groups`` draws it, in one to three cells, each with its own thresholds and horizon."""
+    specs, _, lam = draw(bank_groups())
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        cell = []
+        for s in specs:
+            thresholds = draw(st.lists(GROUP_THRESHOLDS, min_size=len(s.grid), max_size=len(s.grid)))
+            cell.append(BankSpec(s.family, s.prior, s.grid, tuple(thresholds), s.variant))
+        cells.append((tuple(cell), draw(st.integers(1, 40))))
+    return tuple(specs), cells, lam
+
+
+def under_share(below, spec, lam, n_runs, horizon, seed, **kwargs):
+    """simulate_runs with COMPACT_BELOW at ``below``, and how many times its batches compacted."""
+    batch = RingBatch if isinstance(spec, WindowSpec) else BankBatch
+    with (
+        mock.patch.object(detectors, "COMPACT_BELOW", below),
+        mock.patch.object(batch, "compact", autospec=True, side_effect=batch.compact) as compact,
+    ):
+        runs = simulate_runs(spec, lam, n_runs, horizon, seed, **kwargs)
+    return runs, compact.call_count
+
+
+class TestRetirePolicy:
+    """Holding stopped rows changes no run: a batch that never compacts (COMPACT_BELOW 0) and one that
+    compacts on every retire that leaves a row running (COMPACT_BELOW 1) give the same runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        group=bank_cells(),
+        n_runs=st.integers(1, 40),
+        batch_size=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_compaction_schedule_does_not_change_bank_runs(self, group, n_runs, batch_size, seed):
+        specs, cells, lam = group
+        horizon = max(h for _, h in cells)
+        never, _ = under_share(0.0, specs, lam, n_runs, horizon, [seed], batch_size=batch_size, cells=cells)
+        always, _ = under_share(1.0, specs, lam, n_runs, horizon, [seed], batch_size=batch_size, cells=cells)
+        assert_same_runs(never, always)
+
+    @pytest.mark.parametrize("case", range(len(scattered_cases())))
+    def test_share_sets_when_a_batch_compacts(self, case):
+        # scattered stops: 1.0 compacts on every retire that leaves a row running, 0.0 never,
+        # the default in between; every schedule gives the same runs
+        spec, lam, horizon = scattered_cases()[case]
+        runs = {below: under_share(below, spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED) for below in (0.0, 0.75, 1.0)}
+        assert runs[0.0][1] == 0
+        assert 0 < runs[0.75][1] < runs[1.0][1]
+        for below in (0.75, 1.0):
+            assert_same_runs(runs[0.0][0], runs[below][0])

@@ -177,6 +177,17 @@ class TestEngineBehaviour(SteppedShellCases):
         assert 1 <= report.window_start <= report.stopped_at
         assert report.firing_value >= 1.5
 
+    def test_like_sources_report_their_own_best_rows(self):
+        # three sources on one family with grids of one size form one run of like
+        # sources, whose best rows are picked together; each keeps its own
+        family = variance_family()
+        grids = [(1.5, 2.0, 3.0), (1.2, 2.0, 2.8), (1.5, 2.0, 3.0)]
+        engine = WindowEngine([family] * 3, PRIOR, grids, window_len=20, log_threshold=1.5)
+        assert [(lo, hi) for _, lo, hi, _ in engine._rings.source_runs] == [(0, 3)]
+        report = engine.run_to_stop(np.tile([[3.0], [1.2], [2.0]], 200))
+        assert report.source_rows == (2, 0, 1)
+        assert report.firing_chart == (2 * 3 + 0) * 3 + 1
+
     def test_column_for_start_tracking(self):
         family = variance_family()
         engine = WindowEngine([family, family], PRIOR, [(1.2, 2.0), (1.5,)], window_len=3, log_threshold=math.inf)
