@@ -24,7 +24,10 @@ batch may hold runs of several alpha cells of one model.  ``simulate_runs`` is
 the one place that draws paths: it reads every run's change time off its seed
 words, walks the runs of its cells in ascending change time, ``batch_size``
 at a time, so a block's runs retire together, draws each run at its cell's
-horizon and steps the block to its end.  A sweep makes one ``simulate_runs``
+horizon and steps the block to its end.  A bank block holds one chunk of
+``CHUNK_SLOTS`` slots, moved on in place for the running rows only, so a
+bank's memory does not grow with the horizon, and a stopped row the batch
+still holds steps on its stale values.  A sweep makes one ``simulate_runs``
 call per model group, with one cell per alpha: the bank templates on one
 family and prior step together, and a window template is a group of its own.
 
@@ -159,13 +162,15 @@ def _sources(d) -> tuple[tuple, tuple]:
 # Runs per path block, and so per slot-loop call.
 BATCH_SIZE = 2048
 
-# A lazy block draws its rows this many slots at a time: a fig4 run stops
+# A lazy block holds and draws this many slots at a time: a fig4 run stops
 # after about 120 slots on average, against a horizon near a thousand.
 CHUNK_SLOTS = 128
 
 # The longest horizon default_horizon sizes, reached at rho near 1e-5: a bank
-# batch steps each slot until its last run stops (about 10 us a slot), and a
-# window block holds BATCH_SIZE x sources x horizon float64s (16 KB a slot per source).
+# batch steps each slot until its last run stops (about 10 us a slot) and holds
+# one chunk whatever the horizon, while a window block holds BATCH_SIZE x
+# sources x horizon float64s (16 KB a slot per source; for fig5's three sources
+# that is 46 MB at rho = 1e-2, 454 MB at 1e-3 and 4.5 GB at 1e-4).
 MAX_AUTO_HORIZON = 1_000_000
 
 
@@ -181,11 +186,12 @@ class PathBlock:
 
     Given only ``observations``, a block is whole.  Given a longer
     ``horizon`` and the ``streams`` (family, true parameter, one bit generator
-    per row) that continue them, it is a lazy bank block: row r holds its
-    first ``drawn[r]`` slots, and ``draw_to`` extends rows a chunk of the
-    head's width at a time, continuing each run's one long draw bitwise.  A
-    chunk fills only the rows that reach it, so deep chunks stay small, and
-    ``observations`` refuses a block that is not drawn to the end.
+    per row) that continue them, it is a lazy bank block that holds one chunk,
+    the head's width of slots, whatever the horizon: ``chunk()`` reads it, and
+    ``draw_to`` moves it on in place, continuing each given row's one long
+    draw bitwise.  A row left out of a chunk keeps its stale values, and its
+    stream falls behind, so no later chunk may draw it.  ``observations``
+    serves whole blocks only.
     """
 
     def __init__(
@@ -199,52 +205,42 @@ class PathBlock:
             raise ValueError("need one observation row per change point")
         _as_float_array(observations, "x")
         self.change_points = change_points
-        self._width = observations.shape[-1]
-        self.horizon = self._width if horizon is None else horizon
-        self.drawn = np.full(change_points.size, self._width, dtype=np.int64)
-        self._chunks = [observations]  # chunk k holds slots [k * width, (k + 1) * width)
+        self.horizon = observations.shape[-1] if horizon is None else horizon
+        self._chunk, self._first = observations, 0  # slots [first, first + width) of every row
+        self._drawn = np.ones(change_points.size, dtype=bool)  # rows drawn into the held chunk
         self._streams = streams
 
     @property
     def observations(self) -> np.ndarray:
-        if self.drawn.min(initial=self.horizon) < self.horizon:
-            raise ValueError("block is drawn only in part; draw_to(rows, horizon) draws the rest")
-        return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks, axis=-1)
+        if self._chunk.shape[-1] < self.horizon:
+            raise ValueError("a lazy block holds one chunk at a time; read it with chunk() and draw_to")
+        return self._chunk
 
-    def chunk(self, s: int) -> tuple[np.ndarray, int]:
-        """The chunk holding slot s (0-indexed) and its first slot; valid for rows drawn past s."""
-        k = s // self._width
-        return self._chunks[k], k * self._width
+    def chunk(self) -> tuple[np.ndarray, int]:
+        """The held chunk and its first slot (0-indexed); a row left out of its draw holds stale values."""
+        return self._chunk, self._first
 
-    def draw_to(self, rows: np.ndarray, upto: int) -> int:
-        """Draw each of the given rows to at least ``upto`` slots (at most the horizon).
+    def draw_to(self, rows: np.ndarray, upto: int) -> None:
+        """Move the held chunk on until it holds slot ``upto`` - 1 (at most the horizon's last), drawing ``rows``.
 
-        Returns the fewest slots any of those rows now holds, so a loop
-        reading them needs no call before that slot.
+        Refuses a row left out of the held chunk: its stream has fallen behind.
         """
-        drawn, upto = self.drawn, min(upto, self.horizon)
-        while True:
-            short = rows[drawn[rows] < upto]
-            if short.size == 0:
-                return int(drawn[rows].min(initial=self.horizon))
-            lo = int(drawn[short].min())
-            self._extend(short[drawn[short] == lo], lo)
-
-    def _extend(self, rows: np.ndarray, lo: int) -> None:
-        """Draw the next chunk of rows that all hold exactly ``lo`` slots."""
-        family, lam, bitgens = self._streams
-        k, hi = lo // self._width, min(lo + self._width, self.horizon)
-        if k == len(self._chunks):
-            self._chunks.append(np.empty((self.change_points.size, hi - lo)))
-        x = self._chunks[k]
-        for r in rows.tolist():
-            np.random.Generator(bitgens[r]).standard_normal(out=x[r])
-        # one pre/post mapping for all rows: row by row measured 1.5x slower (1000 rows x 3 chunks)
-        z = x[rows][:, None]
-        _map_std((family,), (lam,), self.change_points[rows], z, lo)
-        _as_float_array(z, "x")
-        x[rows] = z[:, 0]
-        self.drawn[rows] = hi
+        while self._first + self._chunk.shape[-1] < min(upto, self.horizon):
+            drawn = np.zeros_like(self._drawn)
+            drawn[rows] = True  # a mask, not np.isin: that would import numpy.ma
+            if (drawn & ~self._drawn).any():
+                raise ValueError("a row left out of a chunk cannot be drawn again: its stream has fallen behind")
+            family, lam, bitgens = self._streams
+            lo = self._first + self._chunk.shape[-1]
+            x = self._chunk = self._chunk[:, : self.horizon - lo]
+            self._first, self._drawn = lo, drawn
+            for r in rows.tolist():
+                np.random.Generator(bitgens[r]).standard_normal(out=x[r])
+            # one pre/post mapping for all rows: row by row measured 1.5x slower (1000 rows x 3 chunks)
+            z = x[rows][:, None]
+            _map_std((family,), (lam,), self.change_points[rows], z, lo)
+            _as_float_array(z, "x")
+            x[rows] = z[:, 0]
 
 
 def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
@@ -259,9 +255,10 @@ def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     ``sample_path_multi`` that draws in place into the part's rows, a bank
     as its one-source case.  A window part fills the first ``horizon``
     columns of its rows (a multi-source draw is row-major, so no prefix of a
-    longer one), and the block holds 0.0 past them.  A bank block is lazy
-    from a head of min(horizon, CHUNK_SLOTS) slots, and a row's first h
-    slots equal its row of the block drawn at horizon h bitwise.
+    longer one), and the block holds 0.0 past them.  A bank block is lazy:
+    it holds one chunk of min(horizon, CHUNK_SLOTS) slots, the head first,
+    and the chunks a row is drawn into, read in turn, are bitwise its row of
+    the block drawn at any horizon h, up to slot h.
     """
     families = _sources(spec)[0]
     lams = _lams(families, lam_true)
@@ -292,8 +289,9 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds=Non
     ``thresholds`` holds each row's log thresholds, one entry per spec:
     [rows, charts] for a bank, [rows] for a window; by default every row
     takes the specs' own.  Every row runs to the block's horizon; a stop
-    past a run's own horizon is for ``_run_arrays`` to censor.  Held rows,
-    stopped ones too, are drawn one chunk at a time, as they reach it.
+    past a run's own horizon is for ``_run_arrays`` to censor.  Each chunk
+    of a lazy block is drawn for the running rows only: a stopped row the
+    batch still holds steps on its stale, finite values and never reports.
     """
     live = np.arange(paths.change_points.size)
     spec = specs[0]
@@ -307,12 +305,11 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds=Non
         )
     stop = np.zeros((len(specs), live.size), dtype=np.int64)
     firing = np.full(stop.shape, -1, dtype=np.int64)
-    ready = 0  # every running row holds the slots of xs below this
+    xs, base = paths.chunk()
     for s in range(paths.horizon):
-        if s == ready:
-            drawn = paths.draw_to(det.rows, s + 1)
-            xs, base = paths.chunk(s)
-            ready = min(drawn, base + xs.shape[-1])
+        if s == base + xs.shape[-1]:
+            paths.draw_to(det.rows[det.running], s + 1)
+            xs, base = paths.chunk()
         crossed, templates, charts, finished = det.step(xs[det.rows, ..., s - base])
         if crossed.size:
             runs = det.rows[crossed]

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -181,6 +182,18 @@ def count_draws():
     return mock.patch.object(simulate, "draw_paths", wraps=simulate.draw_paths)
 
 
+def collect_chunks(block):
+    """A lazy bank block's rows from slot 0 to its horizon, drawn chunk by chunk: the block holds one."""
+    rows = np.arange(block.change_points.size)
+    xs, first = block.chunk()
+    held = [xs.copy()]
+    while first + xs.shape[-1] < block.horizon:
+        block.draw_to(rows, first + xs.shape[-1] + 1)
+        xs, first = block.chunk()
+        held.append(xs.copy())
+    return np.concatenate(held, axis=-1)
+
+
 def assert_same_runs(a, b):
     for field in ("change_point", "stop_time", "firing_chart", "false_alarm", "delay"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -205,26 +218,30 @@ class TestCompactionInvariance:
 
     def test_shorter_bank_draw_is_a_prefix(self):
         # 120 fits in the first chunk, 200 does not: both blocks are drawn to
-        # their ends here, as the slot loop draws them, and then compared
-        rows = np.arange(6)
-        long = draw_paths(bank_spec(), 1.0, [(range(3, 9), 300, [6, 1])])
-        assert long.draw_to(rows, 1000) == 300  # never past the horizon
+        # their ends here, chunk by chunk as the slot loop draws them, and then compared
+        long_block = draw_paths(bank_spec(), 1.0, [(range(3, 9), 300, [6, 1])])
+        long = collect_chunks(long_block)
+        assert long.shape == (6, 300)
         for short_horizon in (120, 200):
             short = draw_paths(bank_spec(), 1.0, [(range(3, 9), short_horizon, [6, 1])])
-            assert short.draw_to(rows, short_horizon) == short_horizon
-            assert np.array_equal(long.change_points, short.change_points)
-            assert np.array_equal(long.observations[:, :short_horizon], short.observations)
+            assert np.array_equal(long[:, :short_horizon], collect_chunks(short))
+            assert np.array_equal(long_block.change_points, short.change_points)
+
+    def test_draw_to_stops_at_the_horizon(self):
+        block = draw_paths(bank_spec(), 1.0, [(range(6), 300, [6, 1])])
+        block.draw_to(np.arange(6), 1000)
+        xs, first = block.chunk()
+        assert (first, xs.shape) == (256, (6, 44))
 
     @pytest.mark.parametrize("horizon", [1, 127, 128, 300])
     def test_bank_block_is_the_one_source_window_block(self, horizon):
         # a lazy bank block drawn to its end is the whole block a one-source window draws
         runs = range(3, 40)
         bank = draw_paths(bank_spec(), 1.0, [(runs, horizon, [6, 2])])
-        assert bank.draw_to(np.arange(len(runs)), horizon) == horizon
         window = WindowSpec(families=(FAMILY,), prior=PRIOR, grids=(GRID,), window_len=15, log_threshold=6.0)
         whole = draw_paths(window, (1.0,), [(runs, horizon, [6, 2])])
         assert np.array_equal(bank.change_points, whole.change_points)
-        assert bank.observations.tobytes() == whole.observations[:, 0].tobytes()
+        assert collect_chunks(bank).tobytes() == whole.observations[:, 0].tobytes()
 
     def test_path_block_validation(self):
         block = draw_paths(bank_spec(), 1.0, [(range(5), 50, 0)])
@@ -354,46 +371,94 @@ class TestChunkInvariance:
         assert draws.call_count == -(-2 * 80 // block_runs)  # one group, both alphas in it
 
     def test_undrawn_slots_are_never_read(self):
-        # after every draw, each allocated chunk's undrawn rows turn NaN; a NaN
-        # read by a chart would stay in its statistic and censor the run.  The
-        # batch compacts on every retire, so a row leaves it on the slot it
-        # stops and its later chunks stay undrawn: a batch draws every row it holds
-        def poison_undrawn(block):
-            for base in range(0, int(block.drawn.max()), 16):
-                chunk, first = block.chunk(base)
-                chunk[block.drawn <= first] = np.nan
-
+        # after every draw, the rows left out of the held chunk turn NaN; a NaN
+        # read by a running row would stay in its statistic and censor the run.
+        # A stopped row the batch still holds reads the poison and never reports
         draw_to = PathBlock.draw_to
 
         def draw_then_poison(block, rows, upto):
-            ready = draw_to(block, rows, upto)
-            poison_undrawn(block)
-            return ready
+            draw_to(block, rows, upto)
+            left_out = np.ones(block.change_points.size, dtype=bool)
+            left_out[rows] = False
+            block.chunk()[0][left_out] = np.nan
 
         step = BankBatch.step
+        stale = []
 
         def read_drawn(batch, x):
-            assert not np.isnan(x).any()
+            assert not np.isnan(x[batch.running]).any()
+            stale.append(np.isnan(x).any())
             return step(batch, x)
 
         spec, lam, horizon = chunked_cases()[1]
         with mock.patch.object(simulate, "CHUNK_SLOTS", 16):
             block = draw_paths(spec, lam, [(range(CHUNK_RUNS), horizon, SCATTER_SEED)])
-            assert (block.drawn == 16).all()
             with pytest.raises(ValueError):
                 block.observations
             with (
                 mock.patch.object(PathBlock, "draw_to", draw_then_poison),
-                mock.patch.object(detectors, "COMPACT_BELOW", 1.0),
                 mock.patch.object(BankBatch, "step", autospec=True, side_effect=read_drawn) as steps,
             ):
                 stop, firing = simulate._run_batch((spec,), block)
         assert steps.call_count > 16
         assert (stop > 16).sum() > CHUNK_RUNS // 2
-        assert np.isnan(block.chunk(16)[0]).any()  # the poison was laid
+        assert any(stale)  # the poison was laid, and held stopped rows read it
         with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
             whole = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
         assert np.array_equal(whole.stop_time, stop[0]) and np.array_equal(whole.firing_chart, firing[0])
+
+    def test_slot_loop_draws_the_running_rows_only(self):
+        # with the default COMPACT_BELOW the batch holds stopped rows, and no chunk is drawn for them
+        events = []
+        draw_to, step = PathBlock.draw_to, BankBatch.step
+
+        def record_draw(block, rows, upto):
+            events.append(("draw", rows.copy()))
+            return draw_to(block, rows, upto)
+
+        def record_step(batch, x):
+            events.append(("step", batch.rows[batch.running], batch.rows.size))
+            return step(batch, x)
+
+        spec, lam, horizon = chunked_cases()[1]
+        with (
+            mock.patch.object(simulate, "CHUNK_SLOTS", 16),
+            mock.patch.object(PathBlock, "draw_to", record_draw),
+            mock.patch.object(BankBatch, "step", record_step),
+        ):
+            simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
+        draws = [(event[1], after) for event, after in zip(events, events[1:]) if event[0] == "draw"]
+        assert len(draws) > 4
+        for rows, (_, running, _) in draws:  # the slot's step reads the rows just drawn
+            assert np.array_equal(rows, running)
+        assert any(held > running.size for _, (_, running, held) in draws)
+
+    def test_draw_to_refuses_a_row_left_out_of_the_last_chunk(self):
+        rows, horizon = np.arange(6), 600
+        block = draw_paths(bank_spec(), 1.0, [(range(6), horizon, [6, 1])])
+        block.draw_to(rows[::2], 129)  # rows 1, 3 and 5 fall behind
+        with pytest.raises(ValueError, match="left out"):
+            block.draw_to(rows, 257)
+        block.draw_to(rows[::4], 257)  # fewer rows may go on, each continuing its own draw
+        xs, first = block.chunk()
+        for row in rows[::4]:
+            assert xs[row].tobytes() == sample_path(FAMILY, PRIOR, 1.0, horizon, [6, 1, row])[1][first : first + 128].tobytes()
+        with pytest.raises(ValueError, match="left out"):
+            block.draw_to(rows[::2], 385)  # row 2 was left out of the chunk just drawn
+
+    def test_bank_memory_does_not_grow_with_the_horizon(self):
+        # a censored bank steps every row to its horizon; at 8x the horizon it still holds one chunk
+        spec, n_runs, horizon = bank_spec(threshold=math.inf), 200, 300
+        simulate_runs(spec, 1.0, n_runs, horizon, 3)  # first-call allocations out of the way
+        peaks = []
+        for h in (horizon, 8 * horizon):
+            tracemalloc.start()
+            try:
+                simulate_runs(spec, 1.0, n_runs, h, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < n_runs * simulate.CHUNK_SLOTS * 8
 
 
 # Sources a pruned-window case draws from: family, candidates, true parameter.
@@ -698,13 +763,11 @@ class TestBlockDraws:
         spec = BankSpec(family=FAMILY, prior=prior, grid=GRID, log_thresholds=(6.0,))
         runs = range(lo, lo + n_runs)
         block = draw_paths(spec, lam, [(runs, horizon, seed)])
-        rows = np.arange(n_runs)
-        block.draw_to(rows[::2], horizon // 2 + 1)  # some rows extended first, and further
-        assert block.draw_to(rows, horizon) == horizon
+        xs = collect_chunks(block)
         for j, run in enumerate(runs):
             t, x = sample_path(FAMILY, prior, lam, horizon, per_run_seed(seed, run))
             assert block.change_points[j] == t
-            assert block.observations[j].tobytes() == x.tobytes()
+            assert xs[j].tobytes() == x.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -778,10 +841,13 @@ class TestInfiniteThresholds:
         assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
         block = draw_paths(high_spec, 1.0, [(range(self.N_RUNS), horizon, seed)])
         assert (simulate._run_batch((high_spec,), block)[0] == 0).all()
+        last, first = block.chunk()  # censored runs read every slot: the loop drew every row to the end
+        assert first + last.shape[-1] == horizon
+        xs = collect_chunks(draw_paths(high_spec, 1.0, [(range(self.N_RUNS), horizon, seed)]))
         for rid in range(self.N_RUNS):
             t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [seed, rid])
-            # censored runs read every slot, so the lazy block is the eager path
-            assert np.array_equal(block.observations[rid], x) and block.change_points[rid] == t
+            # so the lazy block is the eager path
+            assert np.array_equal(xs[rid], x) and np.array_equal(last[rid], x[first:]) and block.change_points[rid] == t
             report = ChartBank(FAMILY, PRIOR, GRID, -math.inf, variant).step(x[0])
             assert (report.stopped_at, report.firing_chart) == (1, 0)
             assert ChartBank(FAMILY, PRIOR, GRID, math.inf, variant).run_to_stop(x) is None
