@@ -222,7 +222,7 @@ class BankBatch(_RetiringBatch):
         self._work = np.empty(self.log_stats[0].shape)
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance each row by its observation x[row].
+        """Advance each row by its observation x[row], x being [rows] or a one-source [rows, 1].
 
         Returns the (row, template) pairs that crossed for the first time,
         each one's firing chart, and the rows now done with every template.
@@ -230,7 +230,7 @@ class BankBatch(_RetiringBatch):
         n = self.rows.size
         n_templates = self.order.size
         done = self.done.reshape(-1)  # (row, column) at row * templates + column
-        llr_union = self.family._llr(self.union, x[:, None])
+        llr_union = self.family._llr(self.union, x.reshape(-1, 1))
         found = []
         for (variant, offset, gather), stats, thr, llr, hit in zip(
             self.blocks, self.log_stats, self.thresholds, self._llr, self._hit

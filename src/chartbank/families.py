@@ -156,7 +156,8 @@ class ObservationFamily(ABC):
         """``llr`` on float arrays the caller has already validated.
 
         The slot loop and stepped detectors check the grid once up front and
-        the observations once per block or call, then call this directly.
+        the observations as drawn (in ``_map_std``) or once per call, then
+        call this directly.
         """
 
     @abstractmethod
@@ -389,22 +390,28 @@ def _first_uniforms(words: np.ndarray) -> np.ndarray:
 _MAP_CELLS = 1 << 14
 
 
-def _map_std(families, lams, change_points: np.ndarray, z: np.ndarray, lo: int) -> None:
-    """Map standard normals z [rows, n_sources, w], slots lo..lo+w-1 (0-indexed), to observations in place.
+def _map_std(families, lams, change_points: np.ndarray, z: np.ndarray, rows: np.ndarray, lo: int) -> None:
+    """Map standard normals z[rows] [rows, n_sources, w], slots lo..lo+w-1 (0-indexed), to observations in place.
 
-    Slots before each row's change time map pre-change, the rest
-    post-change at that source's true parameter, which the caller has
-    checked.  Rows go a few at a time, so no temporary holds more than
-    _MAP_CELLS cells.
+    Slots before each row's change time (``change_points[row]``) map
+    pre-change, the rest post-change at that source's true parameter, which
+    the caller has checked.  A non-finite observation is refused here, the
+    one check every drawn path passes, so the batch steps can call the
+    families' unchecked llr.  Rows go a few at a time, so no temporary holds
+    more than _MAP_CELLS cells.
     """
-    rows, _, w = z.shape
+    w = z.shape[-1]
     slots = np.arange(lo, lo + w)
     step = max(1, _MAP_CELLS // w)
-    for a in range(0, rows, step):
-        pre = slots[None, :] < change_points[a : a + step, None] - 1
+    for a in range(0, rows.size, step):
+        r = rows[a : a + step]
+        pre = slots[None, :] < change_points[r, None] - 1
         for i, (fam, lam) in enumerate(zip(families, lams)):
-            zi = z[a : a + step, i]
-            zi[...] = np.where(pre, fam._from_std(fam.pre_param, zi), fam._from_std(lam, zi))
+            zi = z[r, i]
+            zi = np.where(pre, fam._from_std(fam.pre_param, zi), fam._from_std(lam, zi))
+            if not np.isfinite(zi).all():
+                raise ValueError("x must be finite")
+            z[r, i] = zi
 
 
 def sample_path(
@@ -438,39 +445,37 @@ def sample_path_multi(
     standard-normal block that each source maps pre/post.  So two calls with
     the same seed but different true parameters share t and every
     pre-change observation bitwise, and with one source a shorter horizon
-    gives a bitwise prefix of a longer one.  ``out`` (float64, [n_sources,
-    horizon], contiguous along its last axis, so a column slice will do)
-    receives the block in place.  ``seed`` is a non-negative integer or a
-    nonempty sequence of them, drawn on ``np.random.default_rng(seed)``'s
-    stream, or a ``numpy.random.Generator`` whose stream the call continues.
+    gives a bitwise prefix of a longer one.  ``seed`` is a non-negative
+    integer or a nonempty sequence of them, drawn on
+    ``np.random.default_rng(seed)``'s stream, or a ``numpy.random.Generator``
+    whose stream the call continues.  A non-finite observation is refused.
 
-    Given ``out`` of shape [rows, n_sources, horizon] and one bit generator
-    per row as ``seed``, it draws every row as that row's own call would,
-    and returns the change times as an int64 array with ``out``.
+    Given ``out`` (float64, [rows, n_sources, horizon], contiguous along its
+    last axis, so a column slice will do) and one bit generator per row as
+    ``seed``, it draws every row in place as that row's own call would, and
+    returns the change times as an int64 array with ``out``.
     """
     _check_count("horizon", horizon)
     lams = _lams(families, lams_true)
     for fam, lam in zip(families, lams):
         fam._check_lam(lam)
-    block = out is not None and out.ndim == 3
-    if block:
+    if out is None:
+        if isinstance(seed, np.random.Generator):
+            bitgens = [seed.bit_generator]
+        else:
+            bitgens = [np.random.PCG64(np.array(_seed_words(seed), dtype=np.uint32))]
+        z = np.empty((1, len(families), horizon))
+    else:
         if not isinstance(seed, (list, tuple)) or len(seed) != len(out) or not all(
             isinstance(b, np.random.BitGenerator) for b in seed
         ):
             raise ValueError(f"an out block of shape {out.shape} takes one bit generator per row as seed")
-        bitgens = seed
-    elif isinstance(seed, np.random.Generator):
-        bitgens = [seed.bit_generator]
-    else:
-        bitgens = [np.random.PCG64(np.array(_seed_words(seed), dtype=np.uint32))]
-    shape = (len(bitgens), len(families), horizon) if block else (len(families), horizon)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
-    elif out.size and horizon > 1 and out.strides[-1] != out.itemsize:  # as numpy's draw into each row asks
-        raise ValueError(f"out must be contiguous along its last axis, got strides {out.strides}")
-    z = out if block else out[None]
+        bitgens, z = seed, out
+        shape = (len(bitgens), len(families), horizon)
+        if out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
+        if out.size and horizon > 1 and out.strides[-1] != out.itemsize:  # as numpy's draw into each row asks
+            raise ValueError(f"out must be contiguous along its last axis, got strides {out.strides}")
     whole = z[:1].flags.c_contiguous  # a run's [n_sources, horizon] row is one draw, else one per source
     u = np.empty(len(bitgens))
     for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals, row-major
@@ -479,5 +484,5 @@ def sample_path_multi(
         for zi in z[r : r + 1] if whole else z[r]:
             rng.standard_normal(out=zi)
     ts = prior._from_uniform(u)
-    _map_std(families, lams, ts, z, 0)
-    return (ts, out) if block else (int(ts[0]), out)
+    _map_std(families, lams, ts, z, np.arange(len(bitgens)), 0)
+    return (int(ts[0]), z[0]) if out is None else (ts, out)

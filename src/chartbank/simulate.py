@@ -6,11 +6,11 @@ drives a fresh detector over it.  Runs are seeded individually from
 size, compaction schedule or sharing of paths between templates, and two
 estimates that share a base seed see identical change times and pre-change
 observations.  Every seed passes one check, ``families._seed_words``, which
-refuses an empty one.  A block of runs is seeded in one vectorised pass of
-numpy's SeedSequence hashing, which hands each run's PCG64 the state words
-that ``np.random.PCG64(seed + [run])`` would compute for itself; so each
-run's stream is bitwise the one ``default_rng(seed + [run])`` gives, whatever
-block the run is drawn in.
+refuses an empty one.  Every run of a ``simulate_runs`` call is seeded in
+one vectorised pass of numpy's SeedSequence hashing, which hands each run's
+PCG64 the state words that ``np.random.PCG64(seed + [run])`` would compute
+for itself; so each run's stream is bitwise the one ``default_rng(seed +
+[run])`` gives, whatever block the run is drawn in.
 
 One slot loop runs a detector's own per-slot step (``BankBatch`` or
 ``RingBatch``) over many runs at once: each slot it reads the observations of
@@ -24,12 +24,14 @@ batch may hold runs of several alpha cells of one model.  ``simulate_runs`` is
 the one place that draws paths: it reads every run's change time off its seed
 words, walks the runs of its cells in ascending change time, ``batch_size``
 at a time, so a block's runs retire together, draws each run at its cell's
-horizon and steps the block to its end.  A bank block holds one chunk of
-``CHUNK_SLOTS`` slots, moved on in place for the running rows only, so a
-bank's memory does not grow with the horizon, and a stopped row the batch
-still holds steps on its stale values.  A sweep makes one ``simulate_runs``
-call per model group, with one cell per alpha: the bank templates on one
-family and prior step together, and a window template is a group of its own.
+horizon on those words and steps the block to its end.  A path block is
+[runs, sources, slots] and holds one chunk: a bank's is ``CHUNK_SLOTS``
+slots, moved on in place for the running rows only, so a bank's memory does
+not grow with the horizon, and a stopped row the batch still holds steps on
+its stale values; a window's reaches the horizon.  A sweep makes one
+``simulate_runs`` call per model group, with one cell per alpha: the bank
+templates on one family and prior step together, and a window template is a
+group of its own.
 
 Runs are censored in one place, ``_run_arrays``: a stop past the run's
 horizon reads as censored.  A run's slots up to its horizon do not depend
@@ -56,7 +58,6 @@ from .errors import CapacityError
 from .families import (
     GeometricPrior,
     ObservationFamily,
-    _as_float_array,
     _check_alpha,
     _check_count,
     _check_positive,
@@ -177,44 +178,25 @@ MAX_AUTO_HORIZON = 1_000_000
 class PathBlock:
     """Change times and observation paths of a block of runs, one row per run.
 
-    The paths are [runs, horizon] for a bank and [runs, n_sources, horizon]
-    for the window engine.  Every drawn observation is checked for
-    finiteness once, so the batch steps can call the families' unchecked llr.
-    ``draw_paths`` seeds every run of a block in one ``_run_words`` pass; row
-    r's bit generator is bitwise ``np.random.PCG64(seed + [run])``.  The slot
-    loop steps every row to the block's horizon, whatever its run's own.
-
-    Given only ``observations``, a block is whole.  Given a longer
-    ``horizon`` and the ``streams`` (family, true parameter, one bit generator
-    per row) that continue them, it is a lazy bank block that holds one chunk,
-    the head's width of slots, whatever the horizon: ``chunk()`` reads it, and
-    ``draw_to`` moves it on in place, continuing each given row's one long
-    draw bitwise.  A row left out of a chunk keeps its stale values, and its
-    stream falls behind, so no later chunk may draw it.  ``observations``
-    serves whole blocks only.
+    The paths are [runs, n_sources, slots], a bank being the one-source
+    case, and the block holds one chunk of them at a time: ``chunk()`` reads
+    it and its first slot, and ``draw_to`` moves it on in place, continuing
+    each given row's one long draw on the ``streams`` (families, true
+    parameters, one bit generator per row) bitwise.  A row left out of a
+    chunk keeps its stale values, and its stream falls behind, so no later
+    chunk may draw it.  A chunk that reaches the ``horizon``, as a window
+    block's does, is never moved on and needs no streams.  The slot loop
+    steps every row to the block's horizon, whatever its run's own.
     """
 
-    def __init__(
-        self,
-        change_points: np.ndarray,
-        observations: np.ndarray,
-        horizon: int | None = None,
-        streams: tuple[ObservationFamily, float, list[np.random.PCG64]] | None = None,
-    ) -> None:
-        if observations.shape[0] != change_points.size:
+    def __init__(self, change_points: np.ndarray, chunk: np.ndarray, horizon: int, streams=None) -> None:
+        if chunk.shape[0] != change_points.size:
             raise ValueError("need one observation row per change point")
-        _as_float_array(observations, "x")
         self.change_points = change_points
-        self.horizon = observations.shape[-1] if horizon is None else horizon
-        self._chunk, self._first = observations, 0  # slots [first, first + width) of every row
+        self.horizon = horizon
+        self._chunk, self._first = chunk, 0  # slots [first, first + width) of every row
         self._drawn = np.ones(change_points.size, dtype=bool)  # rows drawn into the held chunk
         self._streams = streams
-
-    @property
-    def observations(self) -> np.ndarray:
-        if self._chunk.shape[-1] < self.horizon:
-            raise ValueError("a lazy block holds one chunk at a time; read it with chunk() and draw_to")
-        return self._chunk
 
     def chunk(self) -> tuple[np.ndarray, int]:
         """The held chunk and its first slot (0-indexed); a row left out of its draw holds stale values."""
@@ -230,87 +212,77 @@ class PathBlock:
             drawn[rows] = True  # a mask, not np.isin: that would import numpy.ma
             if (drawn & ~self._drawn).any():
                 raise ValueError("a row left out of a chunk cannot be drawn again: its stream has fallen behind")
-            family, lam, bitgens = self._streams
+            families, lams, bitgens = self._streams
             lo = self._first + self._chunk.shape[-1]
-            x = self._chunk = self._chunk[:, : self.horizon - lo]
+            x = self._chunk = self._chunk[..., : self.horizon - lo]
             self._first, self._drawn = lo, drawn
             for r in rows.tolist():
                 np.random.Generator(bitgens[r]).standard_normal(out=x[r])
             # one pre/post mapping for all rows: row by row measured 1.5x slower (1000 rows x 3 chunks)
-            z = x[rows][:, None]
-            _map_std((family,), (lam,), self.change_points[rows], z, lo)
-            _as_float_array(z, "x")
-            x[rows] = z[:, 0]
+            _map_std(families, lams, self.change_points, x, rows, lo)
 
 
 def draw_paths(spec: DetectorSpec, lam_true, parts) -> PathBlock:
     """Draw the change times and paths of the given runs into one block.
 
-    ``parts`` is a list of (runs, horizon, seed), a range or an int64 array
-    of run ids each, whose rows the block stacks in order; the block is as
-    long as its longest part.  Run r draws on ``PCG64(_Seeded(words))`` of
-    its ``_run_words`` row, bitwise ``np.random.PCG64(seed + [r])``, as
+    ``parts`` is a list of (words, horizon), ``words`` being the
+    ``_run_words`` rows of the part's runs, whose rows the block stacks in
+    order; the block is as long as its longest part.  A run draws on
+    ``PCG64(_Seeded(words))``, bitwise ``np.random.PCG64(seed + [r])``, as
     ``sample_path_multi(..., seed + [r])`` would; ``lam_true`` holds one
-    parameter per source.  Each part is one block call of
-    ``sample_path_multi`` that draws in place into the part's rows, a bank
-    as its one-source case.  A window part fills the first ``horizon``
-    columns of its rows (a multi-source draw is row-major, so no prefix of a
-    longer one), and the block holds 0.0 past them.  A bank block is lazy:
-    it holds one chunk of min(horizon, CHUNK_SLOTS) slots, the head first,
-    and the chunks a row is drawn into, read in turn, are bitwise its row of
-    the block drawn at any horizon h, up to slot h.
+    parameter per source.  The head is one block call of
+    ``sample_path_multi`` per part, drawing in place into the part's rows.
+    A window block is whole: a part fills the first ``horizon`` columns of
+    its rows (a multi-source draw is row-major, so no prefix of a longer
+    one), and the block holds 0.0 past them.  A bank block's head is
+    min(horizon, CHUNK_SLOTS) slots of every row, and the chunks a row is
+    drawn into, read in turn, are bitwise its row of the block drawn at any
+    horizon h, up to slot h.
     """
     families = _sources(spec)[0]
     lams = _lams(families, lam_true)
     bank = isinstance(spec, BankSpec)
-    horizon = max(h for _, h, _ in parts)
+    horizon = max(h for _, h in parts)
     width = min(horizon, CHUNK_SLOTS) if bank else horizon
-    xs = np.zeros((sum(len(r) for r, _, _ in parts), len(families), width))
+    xs = np.zeros((sum(len(w) for w, _ in parts), len(families), width))
     ts = np.empty(xs.shape[0], dtype=np.int64)
-    bitgens = []
+    bitgens = [np.random.PCG64(_Seeded(w)) for words, _ in parts for w in words]  # a Generator is 3x the memory
     lo = 0
-    for part_runs, part_horizon, part_seed in parts:
-        hi = lo + len(part_runs)
-        part = [np.random.PCG64(_Seeded(w)) for w in _run_words(part_seed, part_runs)]  # a Generator is 3x the memory
+    for words, part_horizon in parts:
+        hi = lo + len(words)
         h = width if bank else part_horizon
-        ts[lo:hi], _ = sample_path_multi(families, spec.prior, lams, h, part, out=xs[lo:hi, :, :h])
-        bitgens += part
+        ts[lo:hi], _ = sample_path_multi(families, spec.prior, lams, h, bitgens[lo:hi], out=xs[lo:hi, :, :h])
         lo = hi
-    if not bank:
-        return PathBlock(ts, xs)
-    return PathBlock(ts, xs[:, 0], horizon, (families[0], lams[0], bitgens))
+    return PathBlock(ts, xs, horizon, (families, lams, bitgens))
 
 
-def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds=None):
+def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds):
     """Stop slot (0 if none) and firing chart per spec and block row, each [specs, rows].
 
     Several specs must be banks that share family and prior: they step
     together in one bank batch, and a row runs until every spec has crossed.
     ``thresholds`` holds each row's log thresholds, one entry per spec:
-    [rows, charts] for a bank, [rows] for a window; by default every row
-    takes the specs' own.  Every row runs to the block's horizon; a stop
-    past a run's own horizon is for ``_run_arrays`` to censor.  Each chunk
-    of a lazy block is drawn for the running rows only: a stopped row the
-    batch still holds steps on its stale, finite values and never reports.
+    [rows, charts] for a bank, [rows] for a window.  Every row runs to the
+    block's horizon; a stop past a run's own horizon is for ``_run_arrays``
+    to censor.  Each chunk after the head is drawn for the running rows
+    only: a stopped row the batch still holds steps on its stale, finite
+    values and never reports.  A ring batch replays from the held chunk,
+    which for a window is the whole block.
     """
     live = np.arange(paths.change_points.size)
     spec = specs[0]
-    if thresholds is None:
-        thresholds = [_log_thresholds(s) for s in specs]
+    xs, base = paths.chunk()
     if isinstance(spec, BankSpec):
         det = BankBatch(spec.family, spec.prior, [(s.grid, t, s.variant) for s, t in zip(specs, thresholds)], live)
     else:
-        det = RingBatch(
-            spec.families, spec.prior, spec.grids, spec.window_len, thresholds[0], live, block=paths.observations
-        )
+        det = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, thresholds[0], live, block=xs)
     stop = np.zeros((len(specs), live.size), dtype=np.int64)
     firing = np.full(stop.shape, -1, dtype=np.int64)
-    xs, base = paths.chunk()
     for s in range(paths.horizon):
         if s == base + xs.shape[-1]:
             paths.draw_to(det.rows[det.running], s + 1)
             xs, base = paths.chunk()
-        crossed, templates, charts, finished = det.step(xs[det.rows, ..., s - base])
+        crossed, templates, charts, finished = det.step(xs[det.rows, :, s - base])
         if crossed.size:
             runs = det.rows[crossed]
             stop[templates, runs], firing[templates, runs] = s + 1, charts
@@ -365,7 +337,8 @@ def simulate_runs(
     result is bitwise the same under any batch size, and how the detector's
     batch retires stopped rows does not change it either.  Runs are drawn
     and stepped ``batch_size`` at a time, in ascending change time, which
-    ``_first_uniforms`` reads off each run's seed words before any draw.
+    ``_first_uniforms`` reads off each run's seed words before any draw;
+    each run's generator is then built from those words, hashed once.
 
     ``spec`` may also be a tuple of bank specs that share family and prior,
     as a sweep's bank templates do: they step through each path together,
@@ -411,14 +384,13 @@ def simulate_runs(
     # blocks take the runs in ascending change time, so a block's runs retire together and one block holds the tail
     words = np.concatenate([_run_words(cell_seed, range(n_runs)) for _, _, cell_seed in plan])
     order = np.argsort(specs[0].prior._from_uniform(_first_uniforms(words)), kind="stable")
-    del words
     ts = np.empty(total, dtype=np.int64)
     stop = np.empty((len(specs), total), dtype=np.int64)
     firing = np.empty_like(stop)
     for lo in range(0, total, batch_size):
         rows = np.sort(order[lo : lo + batch_size])  # by cell, in ascending run id
         cuts = np.searchsorted(rows, np.arange(len(plan) + 1) * n_runs)
-        parts = [(rows[a:b] - c * n_runs, *plan[c][1:]) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
+        parts = [(words[rows[a:b]], plan[c][1]) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
         block = draw_paths(specs[0], lams, parts)
         ts[rows] = block.change_points
         stop[:, rows], firing[:, rows] = _run_batch(specs, block, [t[rows // n_runs] for t in cell_thresholds])

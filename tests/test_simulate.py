@@ -37,6 +37,7 @@ from chartbank import (
 )
 from chartbank import detectors, simulate
 from chartbank.detectors import BankBatch
+from chartbank.families import _first_uniforms, _run_words
 from chartbank.simulate import PathBlock, draw_paths
 from chartbank.windowed import RingBatch
 
@@ -182,8 +183,13 @@ def count_draws():
     return mock.patch.object(simulate, "draw_paths", wraps=simulate.draw_paths)
 
 
+def draw(spec, lam, runs, horizon, seed):
+    """The block ``simulate_runs`` draws for the given runs of one cell: one part, seeded by ``_run_words``."""
+    return draw_paths(spec, lam, [(_run_words(seed, runs), horizon)])
+
+
 def collect_chunks(block):
-    """A lazy bank block's rows from slot 0 to its horizon, drawn chunk by chunk: the block holds one."""
+    """A block's rows [rows, sources, horizon] from slot 0 to its horizon, drawn chunk by chunk: it holds one."""
     rows = np.arange(block.change_points.size)
     xs, first = block.chunk()
     held = [xs.copy()]
@@ -219,38 +225,39 @@ class TestCompactionInvariance:
     def test_shorter_bank_draw_is_a_prefix(self):
         # 120 fits in the first chunk, 200 does not: both blocks are drawn to
         # their ends here, chunk by chunk as the slot loop draws them, and then compared
-        long_block = draw_paths(bank_spec(), 1.0, [(range(3, 9), 300, [6, 1])])
+        long_block = draw(bank_spec(), 1.0, range(3, 9), 300, [6, 1])
         long = collect_chunks(long_block)
-        assert long.shape == (6, 300)
+        assert long.shape == (6, 1, 300)
         for short_horizon in (120, 200):
-            short = draw_paths(bank_spec(), 1.0, [(range(3, 9), short_horizon, [6, 1])])
-            assert np.array_equal(long[:, :short_horizon], collect_chunks(short))
+            short = draw(bank_spec(), 1.0, range(3, 9), short_horizon, [6, 1])
+            assert np.array_equal(long[..., :short_horizon], collect_chunks(short))
             assert np.array_equal(long_block.change_points, short.change_points)
 
     def test_draw_to_stops_at_the_horizon(self):
-        block = draw_paths(bank_spec(), 1.0, [(range(6), 300, [6, 1])])
+        block = draw(bank_spec(), 1.0, range(6), 300, [6, 1])
         block.draw_to(np.arange(6), 1000)
         xs, first = block.chunk()
-        assert (first, xs.shape) == (256, (6, 44))
+        assert (first, xs.shape) == (256, (6, 1, 44))
 
     @pytest.mark.parametrize("horizon", [1, 127, 128, 300])
     def test_bank_block_is_the_one_source_window_block(self, horizon):
-        # a lazy bank block drawn to its end is the whole block a one-source window draws
+        # a bank block's chunk is [rows, 1, width], its head the one-source window block's first
+        # slots; drawn to its end, the bank block is the whole block a one-source window draws
         runs = range(3, 40)
-        bank = draw_paths(bank_spec(), 1.0, [(runs, horizon, [6, 2])])
+        bank = draw(bank_spec(), 1.0, runs, horizon, [6, 2])
         window = WindowSpec(families=(FAMILY,), prior=PRIOR, grids=(GRID,), window_len=15, log_threshold=6.0)
-        whole = draw_paths(window, (1.0,), [(runs, horizon, [6, 2])])
+        whole = draw(window, (1.0,), runs, horizon, [6, 2])
         assert np.array_equal(bank.change_points, whole.change_points)
-        assert collect_chunks(bank).tobytes() == whole.observations[:, 0].tobytes()
+        (head, first), (block, _) = bank.chunk(), whole.chunk()
+        width = min(horizon, simulate.CHUNK_SLOTS)
+        assert (first, head.shape, block.shape) == (0, (len(runs), 1, width), (len(runs), 1, horizon))
+        assert head.tobytes() == block[..., :width].tobytes()
+        assert collect_chunks(bank).tobytes() == block.tobytes()
 
     def test_path_block_validation(self):
-        block = draw_paths(bank_spec(), 1.0, [(range(5), 50, 0)])
-        bad = block.observations.copy()
-        bad[2, 7] = np.nan
-        with pytest.raises(ValueError):
-            PathBlock(block.change_points, bad)
-        with pytest.raises(ValueError):
-            PathBlock(block.change_points[:4], block.observations)
+        block = draw(bank_spec(), 1.0, range(5), 50, 0)
+        with pytest.raises(ValueError, match="one observation row per change point"):
+            PathBlock(block.change_points[:4], block.chunk()[0], 50)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16), block_runs=st.sampled_from([7, 30, simulate.BATCH_SIZE]))
@@ -392,14 +399,12 @@ class TestChunkInvariance:
 
         spec, lam, horizon = chunked_cases()[1]
         with mock.patch.object(simulate, "CHUNK_SLOTS", 16):
-            block = draw_paths(spec, lam, [(range(CHUNK_RUNS), horizon, SCATTER_SEED)])
-            with pytest.raises(ValueError):
-                block.observations
+            block = draw(spec, lam, range(CHUNK_RUNS), horizon, SCATTER_SEED)
             with (
                 mock.patch.object(PathBlock, "draw_to", draw_then_poison),
                 mock.patch.object(BankBatch, "step", autospec=True, side_effect=read_drawn) as steps,
             ):
-                stop, firing = simulate._run_batch((spec,), block)
+                stop, firing = simulate._run_batch((spec,), block, [simulate._log_thresholds(spec)])
         assert steps.call_count > 16
         assert (stop > 16).sum() > CHUNK_RUNS // 2
         assert any(stale)  # the poison was laid, and held stopped rows read it
@@ -435,14 +440,14 @@ class TestChunkInvariance:
 
     def test_draw_to_refuses_a_row_left_out_of_the_last_chunk(self):
         rows, horizon = np.arange(6), 600
-        block = draw_paths(bank_spec(), 1.0, [(range(6), horizon, [6, 1])])
+        block = draw(bank_spec(), 1.0, range(6), horizon, [6, 1])
         block.draw_to(rows[::2], 129)  # rows 1, 3 and 5 fall behind
         with pytest.raises(ValueError, match="left out"):
             block.draw_to(rows, 257)
         block.draw_to(rows[::4], 257)  # fewer rows may go on, each continuing its own draw
         xs, first = block.chunk()
         for row in rows[::4]:
-            assert xs[row].tobytes() == sample_path(FAMILY, PRIOR, 1.0, horizon, [6, 1, row])[1][first : first + 128].tobytes()
+            assert xs[row, 0].tobytes() == sample_path(FAMILY, PRIOR, 1.0, horizon, [6, 1, row])[1][first : first + 128].tobytes()
         with pytest.raises(ValueError, match="left out"):
             block.draw_to(rows[::2], 385)  # row 2 was left out of the chunk just drawn
 
@@ -493,7 +498,7 @@ def same_bits(a, b):
 
 def exact_statistics(spec, lam, n_runs, horizon, seed):
     """Every run's exact joint statistic at every slot, from a ring batch that never stops a row."""
-    xs = draw_paths(spec, lam, [(range(n_runs), horizon, seed)]).observations
+    xs = draw(spec, lam, range(n_runs), horizon, seed).chunk()[0]  # a window block is whole
     rings = RingBatch(spec.families, spec.prior, spec.grids, spec.window_len, math.inf, np.arange(n_runs))
     stats = []
     for s in range(horizon):
@@ -762,12 +767,12 @@ class TestBlockDraws:
         prior = GeometricPrior(rho)
         spec = BankSpec(family=FAMILY, prior=prior, grid=GRID, log_thresholds=(6.0,))
         runs = range(lo, lo + n_runs)
-        block = draw_paths(spec, lam, [(runs, horizon, seed)])
+        block = draw(spec, lam, runs, horizon, seed)
         xs = collect_chunks(block)
         for j, run in enumerate(runs):
             t, x = sample_path(FAMILY, prior, lam, horizon, per_run_seed(seed, run))
             assert block.change_points[j] == t
-            assert xs[j].tobytes() == x.tobytes()
+            assert xs[j, 0].tobytes() == x.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -788,16 +793,17 @@ class TestBlockDraws:
         if second is not None:
             lo2, n2, horizon2 = second
             parts.append((np.arange(lo2, lo2 + n2, dtype=np.int64), horizon2, per_run_seed(seed, 1)))
-        block = draw_paths(spec, lams, parts)
+        block = draw_paths(spec, lams, [(_run_words(part_seed, runs), h) for runs, h, part_seed in parts])
+        xs, first = block.chunk()
         width = max(h for _, h, _ in parts)
-        assert block.observations.shape == (sum(len(r) for r, _, _ in parts), len(families), width)
+        assert (first, xs.shape) == (0, (sum(len(r) for r, _, _ in parts), len(families), width))
         j = 0
         for runs, h, part_seed in parts:
             for run in runs:
                 t, x = sample_path_multi(list(families), prior, lams, h, per_run_seed(part_seed, int(run)))
                 assert block.change_points[j] == t
-                assert block.observations[j, :, :h].tobytes() == x.tobytes()
-                assert (block.observations[j, :, h:] == 0.0).all()
+                assert xs[j, :, :h].tobytes() == x.tobytes()
+                assert (xs[j, :, h:] == 0.0).all()
                 j += 1
 
     @pytest.mark.parametrize("seed", [[0.9, 1], 0.9, True, [True, 1], -1, [0, -1], "7"], ids=repr)
@@ -806,7 +812,7 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
             simulate_runs(bank_spec(), 1.0, 5, 20, seed)
         with pytest.raises(ValueError, match="seed elements must be non-negative integers"):
-            draw_paths(window_spec(), (1.8, 2.2), [(range(3), 20, seed)])
+            simulate_runs(window_spec(), (1.8, 2.2), 3, 20, seed)
 
     def test_refuses_an_empty_seed(self):
         # every entry point refuses an empty seed, as sample_path does; none draws on default_rng([run])
@@ -816,7 +822,7 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match="seed must hold at least one integer"):
             simulate_runs(spec, 1.0, 3, 5, seed=[], cells=[(spec, 5)])
         with pytest.raises(ValueError, match="seed must hold at least one integer"):
-            draw_paths(window_spec(), (1.8, 2.2), [(range(3), 20, [])])
+            simulate_runs(window_spec(), (1.8, 2.2), 3, 20, [])
         with pytest.raises(ValueError, match="seed must hold at least one integer"):
             sample_path_multi(list(window_spec().families), PRIOR, (1.8, 2.2), 20, [])
 
@@ -826,6 +832,46 @@ class TestBlockDraws:
             for run in range(4):
                 t, _ = sample_path(FAMILY, PRIOR, 1.0, 50, per_run_seed(seed, run))
                 assert runs.change_point[run] == t
+
+
+# A scale family whose every post-change draw of |z| > 1.8 overflows to inf
+HUGE = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1e307, 1e308))
+
+
+class TestFiniteObservations:
+    """Every drawn observation passes one finiteness check, in ``_map_std``, whoever draws it.
+
+    numpy's overflow (and the inf - inf of the family's divergence) is silenced: the test
+    suite makes chartbank RuntimeWarnings errors, and the refusal is the point here."""
+
+    def test_single_run_draws_refuse_an_infinite_observation(self):
+        with np.errstate(over="ignore"):
+            for draw_one in (
+                lambda: sample_path(HUGE, PRIOR, 1e308, 50, seed=3),
+                lambda: sample_path_multi((FAMILY, HUGE), PRIOR, (1.0, 1e308), 50, seed=3),
+            ):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    draw_one()
+
+    def test_simulate_runs_refuses_an_infinite_observation(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bank = BankSpec(HUGE, PRIOR, (5e307,), (6.0,))
+            window = WindowSpec((FAMILY, HUGE), PRIOR, (GRID, (5e307,)), 5, 6.0)
+            for spec, lam in ((bank, 1e308), (window, (1.0, 1e308))):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    simulate_runs(spec, lam, 20, 200, 3)
+
+    def test_a_later_chunk_refuses_an_infinite_observation(self):
+        # runs whose change falls past the head: the head is finite, and the next chunk is not
+        seed, horizon = 5, 400
+        change = PRIOR._from_uniform(_first_uniforms(_run_words(seed, range(200))))
+        runs = np.flatnonzero((change > simulate.CHUNK_SLOTS + 1) & (change < horizon - 50))[:4]
+        assert runs.size == 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = draw(BankSpec(HUGE, PRIOR, (5e307,), (6.0,)), 1e308, runs, horizon, seed)
+            assert np.isfinite(block.chunk()[0]).all()
+            with pytest.raises(ValueError, match="x must be finite"):
+                block.draw_to(np.arange(runs.size), horizon)
 
 
 class TestInfiniteThresholds:
@@ -839,15 +885,15 @@ class TestInfiniteThresholds:
         high_spec = bank_spec(variant, math.inf)
         high = simulate_runs(high_spec, 1.0, self.N_RUNS, horizon, seed)
         assert (high.stop_time == 0).all() and (high.firing_chart == -1).all()
-        block = draw_paths(high_spec, 1.0, [(range(self.N_RUNS), horizon, seed)])
-        assert (simulate._run_batch((high_spec,), block)[0] == 0).all()
+        block = draw(high_spec, 1.0, range(self.N_RUNS), horizon, seed)
+        assert (simulate._run_batch((high_spec,), block, [simulate._log_thresholds(high_spec)])[0] == 0).all()
         last, first = block.chunk()  # censored runs read every slot: the loop drew every row to the end
         assert first + last.shape[-1] == horizon
-        xs = collect_chunks(draw_paths(high_spec, 1.0, [(range(self.N_RUNS), horizon, seed)]))
+        xs = collect_chunks(draw(high_spec, 1.0, range(self.N_RUNS), horizon, seed))[:, 0]
         for rid in range(self.N_RUNS):
             t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [seed, rid])
             # so the lazy block is the eager path
-            assert np.array_equal(xs[rid], x) and np.array_equal(last[rid], x[first:]) and block.change_points[rid] == t
+            assert np.array_equal(xs[rid], x) and np.array_equal(last[rid, 0], x[first:]) and block.change_points[rid] == t
             report = ChartBank(FAMILY, PRIOR, GRID, -math.inf, variant).step(x[0])
             assert (report.stopped_at, report.firing_chart) == (1, 0)
             assert ChartBank(FAMILY, PRIOR, GRID, math.inf, variant).run_to_stop(x) is None
@@ -879,8 +925,8 @@ class TestTieRulesThroughTheLoop:
         family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
         prior = GeometricPrior(0.05)
         spec = BankSpec(family, prior, (-1.0, 1.0), (prior.slot_cost - 0.5,), ChartVariant.SUM)
-        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.zeros((self.N_RUNS, 4)))
-        stop, firing = simulate._run_batch((spec,), block)
+        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.zeros((self.N_RUNS, 1, 4)), 4)
+        stop, firing = simulate._run_batch((spec,), block, [simulate._log_thresholds(spec)])
         assert (stop == 1).all() and (firing == 0).all()
 
     def test_window_ties_fire_the_oldest_start(self):
@@ -895,8 +941,8 @@ class TestTieRulesThroughTheLoop:
         x = np.array([[1.0, 2.0, 0.0]] * 2)
         report = WindowEngine(families, prior, grids, 5, 4.0).run_to_stop(x)
         assert (report.stopped_at, report.window_start, report.source_rows, report.firing_chart) == (2, 1, (0, 0), 0)
-        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.broadcast_to(x, (self.N_RUNS, 2, 3)).copy())
-        stop, firing = simulate._run_batch((spec,), block)
+        block = PathBlock(np.ones(self.N_RUNS, dtype=np.int64), np.broadcast_to(x, (self.N_RUNS, 2, 3)).copy(), 3)
+        stop, firing = simulate._run_batch((spec,), block, [simulate._log_thresholds(spec)])
         assert (stop == 2).all() and (firing == 0).all()
 
 
@@ -1584,10 +1630,19 @@ class TestChangeTimeBlocks:
         cells = [(WindowSpec(families, prior, grids, window_len, level), h) for level, h in zip(levels, horizons)]
         self.check_schedule(cells, lam, [seed])
 
+    def test_each_run_is_hashed_once(self):
+        # the change-time pre-pass hashes every cell's runs, and the blocks draw on those words
+        cells = [(bank_spec(threshold=t), h) for t, h in ((2.0, 30), (3.0, 40), (4.0, 20))]
+        with mock.patch.object(simulate, "_run_words", wraps=simulate._run_words) as hashed, count_draws() as draws:
+            simulate_runs(cells[0][0], 1.0, self.N_RUNS, 40, [3], batch_size=7, cells=cells)
+        assert draws.call_count == -(-len(cells) * self.N_RUNS // 7)
+        assert [call.args[1] for call in hashed.call_args_list] == [range(self.N_RUNS)] * len(cells)
+
     @pytest.mark.parametrize("spec, lam", [(bank_spec(), 1.0), (window_spec(), (1.8, 2.2))], ids=["bank", "window"])
     def test_draw_paths_refuses_a_negative_run_id(self, spec, lam):
+        # a block's parts are seeded by _run_words, which refuses the id before any draw
         with pytest.raises(ValueError, match="run ids must be non-negative"):
-            draw_paths(spec, lam, [(np.array([3, 4]), 20, [6]), (np.array([2, -1]), 20, [7])])
+            draw(spec, lam, np.array([2, -1]), 20, [7])
 
 
 @st.composite
