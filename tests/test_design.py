@@ -213,6 +213,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="indistinguishable"):
             design_grid(spec, mesh_points=100)
 
+    def test_interval_with_a_nan_divergence_rejected(self):
+        # (2e306)**2 overflows, so the mesh's divergence is inf - inf = NaN, which no ratio can bound
+        fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1e306, 1e308))
+        spec = DesignSpec(family=fam, interval=Interval(2e306, 1e307), epsilon=0.2, prior=PRIOR)
+        with pytest.raises(ValueError, match="non-finite divergence"):
+            design_grid(spec, mesh_points=100)
+
     def test_default_lipschitz_rejects_other_families(self):
         fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.1, 3.0))
         with pytest.raises(TypeError):

@@ -311,11 +311,11 @@ class TestRecursionBitsDoNotDependOnLayout:
         batch = advance_log_stats(variant, state, 0.02, llr)
         for r in range(rows):
             assert advance_log_stats(variant, state[r], 0.02, llr[r]).tobytes() == batch[r].tobytes()
-        # the columns of a wider row-major state, advanced in place with a work buffer
+        # the columns of a wider row-major state, advanced in place
         wide = np.full((rows, charts + 2 * pad), 7.0)
         wide[:, pad : pad + charts] = state
         view = wide[:, pad : pad + charts]
-        advance_log_stats(variant, view, 0.02, llr, out=view, work=np.empty((rows, charts)))
+        advance_log_stats(variant, view, 0.02, llr, out=view)
         assert view.tobytes() == batch.tobytes()
         # a column-major copy, and chunks of 1, 3 and 5 elements of the flattened state
         transposed = np.empty((charts, rows))

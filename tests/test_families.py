@@ -388,6 +388,39 @@ def test_sample_path_is_the_one_source_multi_draw(words, as_generator, rho, lam,
         assert seeds[0].random() == seeds[1].random()
 
 
+# A mean shift, a variance shift and a scaled mean shift, each with a true parameter
+STREAM_SOURCES = (
+    (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0)), 2.0),
+    (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.1, 3.0)), 2.5),
+    (GaussianMeanShift(pre_mean=1.0, sigma=2.0, post_params=Interval(1.5, 6.0)), 3.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**70),
+    n_sources=st.integers(min_value=1, max_value=3),
+    rho=st.floats(min_value=0.005, max_value=0.5),
+    horizon=st.integers(min_value=1, max_value=120),
+)
+def test_one_run_is_numpys_uniform_then_row_major_normals(seed, n_sources, rho, horizon):
+    families, lams = zip(*STREAM_SOURCES[:n_sources])
+    prior = GeometricPrior(rho)
+    rng = np.random.default_rng(seed)
+    u = rng.random()
+    z = rng.standard_normal((n_sources, horizon))
+    t_ref = int(prior._from_uniform(np.array([u]))[0])
+    pre = np.arange(horizon) < t_ref - 1  # slot t_ref, 1-indexed, is the first post-change one
+    x_ref = np.stack(
+        [
+            np.where(pre, fam._from_std(fam.pre_param, zi), fam._from_std(lam, zi))
+            for fam, lam, zi in zip(families, lams, z)
+        ]
+    )
+    t, x = sample_path_multi(families, prior, lams, horizon, seed)
+    assert t == t_ref and x.tobytes() == x_ref.tobytes()
+
+
 @settings(max_examples=30)
 @given(
     rho=st.floats(min_value=0.001, max_value=0.5),

@@ -834,15 +834,16 @@ class TestBlockDraws:
                 assert runs.change_point[run] == t
 
 
-# A scale family whose every post-change draw of |z| > 1.8 overflows to inf
-HUGE = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1e307, 1e308))
+# A scale family whose every post-change draw of |z| > 1.8 overflows to inf at lam 1e308; its
+# candidate 2.0 has a finite divergence, so specs on it build
+HUGE = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.5, 1e308))
 
 
 class TestFiniteObservations:
     """Every drawn observation passes one finiteness check, in ``_map_std``, whoever draws it.
 
-    numpy's overflow (and the inf - inf of the family's divergence) is silenced: the test
-    suite makes chartbank RuntimeWarnings errors, and the refusal is the point here."""
+    numpy's overflow is silenced: the test suite makes chartbank RuntimeWarnings errors, and
+    the refusal is the point here."""
 
     def test_single_run_draws_refuse_an_infinite_observation(self):
         with np.errstate(over="ignore"):
@@ -854,9 +855,9 @@ class TestFiniteObservations:
                     draw_one()
 
     def test_simulate_runs_refuses_an_infinite_observation(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            bank = BankSpec(HUGE, PRIOR, (5e307,), (6.0,))
-            window = WindowSpec((FAMILY, HUGE), PRIOR, (GRID, (5e307,)), 5, 6.0)
+        with np.errstate(over="ignore"):
+            bank = BankSpec(HUGE, PRIOR, (2.0,), (6.0,))
+            window = WindowSpec((FAMILY, HUGE), PRIOR, (GRID, (2.0,)), 5, 6.0)
             for spec, lam in ((bank, 1e308), (window, (1.0, 1e308))):
                 with pytest.raises(ValueError, match="x must be finite"):
                     simulate_runs(spec, lam, 20, 200, 3)
@@ -867,11 +868,33 @@ class TestFiniteObservations:
         change = PRIOR._from_uniform(_first_uniforms(_run_words(seed, range(200))))
         runs = np.flatnonzero((change > simulate.CHUNK_SLOTS + 1) & (change < horizon - 50))[:4]
         assert runs.size == 4
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = draw(BankSpec(HUGE, PRIOR, (5e307,), (6.0,)), 1e308, runs, horizon, seed)
+        with np.errstate(over="ignore"):
+            block = draw(BankSpec(HUGE, PRIOR, (2.0,), (6.0,)), 1e308, runs, horizon, seed)
             assert np.isfinite(block.chunk()[0]).all()
             with pytest.raises(ValueError, match="x must be finite"):
                 block.draw_to(np.arange(runs.size), horizon)
+
+
+class TestNonFiniteDivergence:
+    """A candidate whose divergence from the pre-change density is NaN or inf is refused by every detector."""
+
+    def test_every_detector_refuses_a_nan_divergence(self):
+        family = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1e307, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(family.kl_post_vs_pre(5e307))  # inf - inf
+        for build in (
+            lambda: BankSpec(family, PRIOR, (5e307,), (6.0,)),
+            lambda: ChartBank(family, PRIOR, (5e307,), 6.0),
+            lambda: WindowSpec((FAMILY, family), PRIOR, (GRID, (5e307,)), 5, 6.0),
+            lambda: WindowEngine((FAMILY, family), PRIOR, (GRID, (5e307,)), 5, 6.0),
+        ):
+            with pytest.raises(ValueError, match=r"candidates \[5e\+307\] have a non-finite divergence"):
+                build()
+
+    def test_an_infinite_divergence_is_refused(self):
+        family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.5, 1e300))
+        with pytest.raises(ValueError, match="non-finite divergence"):
+            ChartBank(family, PRIOR, (1.0, 1e200), 6.0)
 
 
 class TestInfiniteThresholds:
