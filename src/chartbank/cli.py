@@ -189,8 +189,8 @@ SCHEMAS: dict[str, dict] = {
         **_COMMON_SWEEP,
     },
     "differential-test": {
-        "n_paths": (int, False, 50, "random paths per identity check"),
-        "path_length": (int, False, 80, "slots per path"),
+        "n_paths": (int, False, 50, "random paths per check, at most 50 (recursion), 30 (ordering), 8 (window)"),
+        "path_length": (int, False, 80, "slots per path, at most 200 (recursion), 120 (ordering), 50 (window)"),
         "seed": (int, False, 0, "rng seed for the checks"),
     },
 }

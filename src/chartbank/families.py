@@ -22,7 +22,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Interval",
-    "FiniteSet",
     "GeometricPrior",
     "ObservationFamily",
     "GaussianMeanShift",
@@ -48,29 +47,6 @@ class Interval:
     def contains(self, lam: float | np.ndarray) -> bool:
         arr = np.asarray(lam, dtype=float)
         return bool(((arr >= self.low) & (arr <= self.high)).all())
-
-
-@dataclass(frozen=True)
-class FiniteSet:
-    """Explicit finite list of admissible post-change parameters."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("parameter set must be nonempty")
-        vals = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("parameter values must be finite")
-        if not np.all(np.diff(vals) > 0):
-            raise ValueError("parameter values must be strictly increasing")
-
-    def contains(self, lam: float | np.ndarray) -> bool:
-        arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        return bool(np.all(np.isin(arr, np.asarray(self.values))))
-
-
-ParamSet = Interval | FiniteSet
 
 
 @dataclass(frozen=True)
@@ -121,7 +97,7 @@ class ObservationFamily(ABC):
     these.
     """
 
-    post_params: ParamSet
+    post_params: Interval
 
     @property
     @abstractmethod
@@ -175,7 +151,7 @@ class GaussianMeanShift(ObservationFamily):
 
     pre_mean: float
     sigma: float
-    post_params: ParamSet
+    post_params: Interval
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.pre_mean):
@@ -205,15 +181,14 @@ class GaussianVarianceShift(ObservationFamily):
     """
 
     pre_sigma: float
-    post_params: ParamSet
+    post_params: Interval
     center: float = 0.0
 
     def __post_init__(self) -> None:
         _check_positive("pre_sigma", self.pre_sigma)
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
-        lows = self.post_params.low if isinstance(self.post_params, Interval) else min(self.post_params.values)
-        if lows <= 0:
+        if self.post_params.low <= 0:
             raise ValueError("scale parameters must be positive")
 
     @property

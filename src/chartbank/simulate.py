@@ -415,6 +415,8 @@ def estimate(
     batch_size: int = BATCH_SIZE,
 ) -> McSummary:
     """Monte Carlo delay and false-alarm summary for one detector config."""
+    if isinstance(spec, tuple):  # refused before the runs, not by summarize after them
+        raise ValueError(f"estimate summarizes one detector's runs, got a tuple of {len(spec)} specs")
     _check_censor_cap(censor_cap)  # before the runs, not after them
     runs = simulate_runs(spec, lam_true, n_runs, horizon, seed, batch_size=batch_size)
     return summarize(runs, censor_cap=censor_cap)

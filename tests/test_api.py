@@ -13,7 +13,6 @@ ROOT_NAMES = [
     "ChartBank",
     "ChartVariant",
     "DesignSpec",
-    "FiniteSet",
     "GaussianMeanShift",
     "GaussianVarianceShift",
     "GeometricPrior",

@@ -139,6 +139,11 @@ mystery = 3
         assert "duplicate" in text
         assert "key = value" in text
 
+    def test_an_empty_value_is_reported_by_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("experiment = differential-test\nseed =\n")
+        assert "line 2: empty key or value" in err.value.problems
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("experiment = single-sweep\n")

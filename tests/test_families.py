@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from chartbank import (
-    FiniteSet,
     GaussianMeanShift,
     GaussianVarianceShift,
     GeometricPrior,
@@ -33,11 +33,6 @@ class TestParamSets:
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
 
-    def test_finite_set_membership(self):
-        fs = FiniteSet((0.4, 1.6, 2.8))
-        assert fs.contains(1.6)
-        assert not fs.contains(1.0)
-
     @pytest.mark.parametrize(
         "params, lam, admitted",
         [
@@ -45,8 +40,6 @@ class TestParamSets:
             (Interval(0.4, 2.8), 2.8, True),
             (Interval(0.4, 2.8), 2.81, False),
             (Interval(0.4, 2.8), math.nan, False),
-            (FiniteSet((0.4, 1.6)), 1.6, True),
-            (FiniteSet((0.4, 1.6)), 1.0, False),
         ],
     )
     def test_scalar_and_array_membership_agree(self, params, lam, admitted):
@@ -55,20 +48,16 @@ class TestParamSets:
         assert params.contains(np.float64(lam)) is admitted
         assert params.contains(np.array([lam])) is admitted
 
-    def test_finite_set_requires_increasing(self):
-        with pytest.raises(ValueError):
-            FiniteSet((1.0, 1.0))
-        with pytest.raises(ValueError):
-            FiniteSet((2.0, 1.0))
-        with pytest.raises(ValueError):
-            FiniteSet(())
-
 
 class TestGeometricPrior:
     def test_rho_validation(self):
         for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 GeometricPrior(bad)
+
+    def test_change_time_past_int64_is_refused(self):
+        with pytest.raises(ValueError, match="draws a change time past the int64 range"):
+            GeometricPrior(1e-300)._from_uniform(np.array([0.999999]))
 
     def test_slot_cost_and_mean(self):
         prior = GeometricPrior(0.01)
@@ -207,6 +196,10 @@ class TestGaussianVarianceShift:
         )
         # shifting x and the center together leaves the ratio unchanged
         assert fam.llr(2.0, 5.7) == pytest.approx(self.family.llr(2.0, 0.7))
+
+    def test_center_must_be_finite(self):
+        with pytest.raises(ValueError, match="center must be finite"):
+            GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.1, 3.0), center=math.nan)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
@@ -525,6 +518,13 @@ def test_per_run_draws_take_multi_word_seeds():
         assert t == t_ref and x.tobytes() == x_ref.tobytes()
     with pytest.raises(ValueError, match="at least one integer"):
         sample_path(family, prior, 1.0, 10, [])
+
+
+def test_out_refuses_a_block_of_another_dtype():
+    family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.2, 3.0))
+    out = np.empty((2, 1, 10), dtype=np.float32)
+    with pytest.raises(ValueError, match=re.escape("out must be a float64 array of shape (2, 1, 10)")):
+        sample_path_multi((family,), GeometricPrior(0.05), (1.0,), 10, run_bit_generators(0, range(2)), out=out)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 10)], ids=["block"])

@@ -1011,6 +1011,12 @@ class TestSummaries:
         with pytest.raises(ValueError, match="one detector's"):
             estimate((bank_spec(), bank_spec()), 1.0, 5, 20, 0)
 
+    def test_estimate_refuses_a_grouped_spec_before_the_runs(self):
+        # a tuple of specs used to run every path, and only summarize refused the [specs, runs] result
+        with mock.patch.object(simulate, "simulate_runs", side_effect=AssertionError("ran the runs")):
+            with pytest.raises(ValueError, match=r"one detector's runs, got a tuple of 2 specs"):
+                estimate((bank_spec(), bank_spec()), 1.0, 10, 50, 0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             simulate_runs(bank_spec(), 1.0, 0, 100, seed=0)
@@ -1394,6 +1400,20 @@ class TestOracleCaps:
         block = np.zeros((1, 501))
         with pytest.raises(CapacityError):
             direct_window_stat_oracle([fam], PRIOR, [(1.5,)], 5, block)
+
+    @pytest.mark.parametrize("path", [np.zeros((2, 5)), np.zeros(0)])
+    def test_direct_oracle_takes_one_nonempty_path(self, path):
+        with pytest.raises(ValueError, match="path must be a nonempty 1-d array"):
+            direct_stat_oracle(FAMILY, PRIOR, ChartVariant.SR, path, GRID)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 5), r"expected a \[1, length\] block, got \(2, 5\)"), ((1, 0), "paths must contain at least one slot")],
+    )
+    def test_window_oracle_takes_one_nonempty_row_per_source(self, shape, message):
+        fam = GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5))
+        with pytest.raises(ValueError, match=message):
+            direct_window_stat_oracle([fam], PRIOR, [(1.5,)], 5, np.zeros(shape))
 
 
 # bank families with candidate pools and a true parameter each; thresholds per chart
