@@ -199,8 +199,7 @@ class BankBatch(_RetiringBatch):
         union = np.sort(np.concatenate(grids))
         union = union[np.append(True, union[1:] != union[:-1])]  # np.unique would import numpy.ma
         self.union = union[None, :]
-        self.order = []  # the template of each column of ``done``: the variants' templates, block by block
-        self.blocks = []  # per variant present: variant, its first column of done, llr gather
+        self.blocks = []  # per variant present: variant, its template numbers, llr gather
         self.log_stats = []  # per variant present: [rows, templates, charts]
         self.thresholds = []  # per variant present: [rows, templates, charts]
         for variant in ChartVariant:
@@ -213,12 +212,10 @@ class BankBatch(_RetiringBatch):
             for k, t in enumerate(ts):
                 gather[k, : grids[t].size] = np.searchsorted(union, grids[t])
                 thr[:, k, : grids[t].size] = banks[t][1]
-            self.blocks.append((variant, len(self.order), gather))
+            self.blocks.append((variant, np.array(ts), gather))
             self.thresholds.append(thr)
-            self.order += ts
             init = initial_log_stats(variant, width)
             self.log_stats.append(np.broadcast_to(init, (rows.size, len(ts), width)).copy())
-        self.order = np.array(self.order)
         self.done = np.zeros((rows.size, len(banks)), dtype=bool)
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -227,11 +224,9 @@ class BankBatch(_RetiringBatch):
         Returns the (row, template) pairs that crossed for the first time,
         each one's firing chart, and the rows now done with every template.
         """
-        n_templates = self.order.size
-        done = self.done.reshape(-1)  # (row, column) at row * templates + column
         llr_union = self.family._llr(self.union, x.reshape(-1, 1))
         found = []
-        for (variant, offset, gather), stats, thr in zip(self.blocks, self.log_stats, self.thresholds):
+        for (variant, ts, gather), stats, thr in zip(self.blocks, self.log_stats, self.thresholds):
             llr = np.take(llr_union, gather, axis=1, mode="clip")
             advance_log_stats(variant, stats, self.cost, llr, out=stats)
             hits = np.flatnonzero(stats >= thr)
@@ -241,15 +236,14 @@ class BankBatch(_RetiringBatch):
                 first = np.ones(hits.size, dtype=bool)
                 np.not_equal(keys[1:], keys[:-1], out=first[1:])
                 rows, k = np.divmod(keys[first], thr.shape[1])
-                cells = rows * n_templates + offset + k
-                new = ~done[cells]
-                done[cells[new]] = True
-                found.append((cells[new], charts[first][new]))
+                templates = ts[k]
+                new = ~self.done[rows, templates]
+                self.done[rows[new], templates[new]] = True
+                found.append((rows[new], templates[new], charts[first][new]))
         if not found:
             return _NONE, _NONE, _NONE, _NONE
-        cells, charts = (np.concatenate(part) for part in zip(*found))
-        rows, cols = np.divmod(cells, n_templates)
-        return rows, self.order[cols], charts, rows[self.done[rows].all(axis=1)]
+        rows, templates, charts = (np.concatenate(part) for part in zip(*found))
+        return rows, templates, charts, rows[self.done[rows].all(axis=1)]
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (ascending), by take: several times faster than a mask on 2-d arrays."""

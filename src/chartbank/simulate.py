@@ -412,13 +412,12 @@ def estimate(
     horizon: int,
     seed,
     censor_cap: float = 1e-3,
-    batch_size: int = BATCH_SIZE,
 ) -> McSummary:
     """Monte Carlo delay and false-alarm summary for one detector config."""
     if isinstance(spec, tuple):  # refused before the runs, not by summarize after them
         raise ValueError(f"estimate summarizes one detector's runs, got a tuple of {len(spec)} specs")
     _check_censor_cap(censor_cap)  # before the runs, not after them
-    runs = simulate_runs(spec, lam_true, n_runs, horizon, seed, batch_size=batch_size)
+    runs = simulate_runs(spec, lam_true, n_runs, horizon, seed)
     return summarize(runs, censor_cap=censor_cap)
 
 
@@ -720,6 +719,7 @@ def add_vs_alpha_sweep(
             cells.append((specs if len(specs) > 1 else specs[0], max(row[t].horizon for t in members)))
         longest = max(cell_horizon for _, cell_horizon in cells)
         lam_vec = grid[0][members[0]].lam_vec
+        # passed explicitly: a default is bound at definition, and the sweep tests patch simulate.BATCH_SIZE
         runs = simulate_runs(cells[0][0], lam_vec, n_runs, longest, [seed], batch_size=BATCH_SIZE, cells=cells)
         shape = (len(grid), len(members), n_runs)
         stops, firings = runs.stop_time.reshape(shape), runs.firing_chart.reshape(shape)

@@ -126,11 +126,6 @@ def ring_advance(table: np.ndarray, llr, slot_new: int | None) -> None:
     table += np.asarray(llr, dtype=float)[..., None]
 
 
-def ring_maxima(table: np.ndarray) -> np.ndarray:
-    """Per-column best of a ring table [..., I, W]: the maximum over its I candidates."""
-    return table.max(axis=-2)
-
-
 def window_offsets(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Valid start slots at time n for a ring of the given width.
 
@@ -285,14 +280,11 @@ class RingBatch(_RetiringBatch):
         before = self.prefixes[((self.slots - 1) % self.width)[:, None], rows].T
         return (self.prefix[rows, None] - before) + self.allowance(rows)[:, None]
 
-    def maxima(self) -> list[np.ndarray]:
-        """Each source's exact per-column maxima [rows, width] of an unbounded batch."""
-        return [ring_maxima(table) for table in self.tables]
-
-    def joint(self, bests: Sequence[np.ndarray]) -> np.ndarray:
-        """Joint statistic [rows, starts] from per-source per-column maxima [rows, width]."""
-        # sum over the whole ring, then one gather of the in-window columns, not one per source
-        return self.weights[self.n - self.starts][None, :] + sum(bests)[:, self.slots]
+    def joint(self) -> np.ndarray:
+        """Exact joint statistic [rows, starts] of an unbounded batch."""
+        # per-column maxima summed over the whole ring in source order, then one gather of the in-window columns
+        best = sum(table.max(axis=1) for table in self.tables)
+        return self.weights[self.n - self.starts][None, :] + best[:, self.slots]
 
     def tighten(self, rows: np.ndarray) -> np.ndarray:
         """Exact joint statistic [rows, starts] of the given rows of a bounded batch; -inf at starts that cannot cross.
@@ -350,7 +342,7 @@ class RingBatch(_RetiringBatch):
         """
         self.advance(x)
         if not self.bounded:
-            self.total = self.joint(self.maxima())
+            self.total = self.joint()
             rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.thresholds))
             total = self.total[rows]
         else:
@@ -430,11 +422,10 @@ class WindowEngine(_SteppedDetector):
 
     def column_for_start(self, source: int, k: int) -> np.ndarray:
         """Accumulated llr sums of one source for the window start k, one entry per candidate."""
-        starts, slots = window_offsets(self.time, self.width)
-        pos = np.nonzero(starts == k)[0]
+        pos = np.nonzero(self._rings.starts == k)[0]
         if pos.size == 0:
             raise ValueError(f"start {k} is not inside the window at slot {self.time}")
-        return self._rings.tables[source][0, :, slots[pos[0]]].copy()
+        return self._rings.tables[source][0, :, self._rings.slots[pos[0]]].copy()
 
     def step(self, x_vec) -> StopReport | None:
         """Feed one observation per source; report on the first crossing."""

@@ -500,6 +500,13 @@ class TestMainRun:
         out = capsys.readouterr().out
         assert out.count("ok ") == 5
 
+    def test_differential_test_writes_no_files(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "experiment = differential-test\nn_paths = 3\npath_length = 20\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("ok ") == 5
+        assert not out.exists()
+
 
 class TestMainPresetAndSelftest:
     def test_preset_runs_small(self, tmp_path, capsys):
@@ -544,6 +551,22 @@ class TestMainPresetAndSelftest:
 
     def test_selftest_exit_code_through_main(self, capsys):
         assert main(["selftest"]) == 0
+
+    def test_a_failing_check_fails_the_selftest(self, tmp_path, capsys, monkeypatch):
+        def _check_ordering(n_paths, path_length, seed):
+            raise AssertionError("ordering broken")
+
+        monkeypatch.setattr(cli, "_check_ordering", _check_ordering)
+        assert not run_selftest(n_paths=3, path_length=20, seed=0)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL _check_ordering: AssertionError: ordering broken"
+        ]
+        assert sum(line.startswith("ok ") for line in lines) == 4
+        assert main(["selftest"]) == 1
+        cfg = tmp_path / "diff.cfg"
+        cfg.write_text("experiment = differential-test\nn_paths = 3\npath_length = 20\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
 class TestCheckBuildsWhatTheRunBuilds:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartbank import design
 from chartbank import (
     CapacityError,
     DesignSpec,
@@ -152,6 +153,13 @@ class TestDesignGrid:
         grid = design_grid(spec_for(0.5, 2.0, 0.15), mesh_points=600)
         assert np.all(np.diff(grid) > 0)
         assert grid[0] >= 0.5 and grid[-1] <= 2.0
+
+    def test_a_grid_failing_its_own_check_is_an_error(self, monkeypatch):
+        # the construction's closing audit: a ratio above epsilon must not come back as a grid
+        spec = spec_for()
+        monkeypatch.setattr(design, "verify_grid", lambda *args, **kwargs: spec.epsilon * 1.5)
+        with pytest.raises(RuntimeError, match="constructed grid fails its own criterion"):
+            design_grid(spec, mesh_points=200)
 
 
 class TestVerifyGrid:

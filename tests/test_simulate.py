@@ -580,7 +580,7 @@ class TestPrunedWindowKernel:
         twin = RingBatch(*args, np.arange(rows))
 
         def assert_bounded():
-            exact = twin.joint(twin.maxima())
+            exact = twin.joint()
             every = np.arange(rings.rows.size)
             starts = rings.start_bounds(every)
             assert starts.shape == exact.shape
@@ -598,7 +598,7 @@ class TestPrunedWindowKernel:
             assert_bounded()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.3)
             exact = rings.tighten(suspect)
-            assert same_bits(exact, twin.joint(twin.maxima())[suspect])
+            assert same_bits(exact, twin.joint()[suspect])
             if n_rows > 1 and rng.random() < 0.3:
                 keep = np.flatnonzero(rng.random(n_rows) < 0.7)
                 rings.compact(keep)
@@ -637,7 +637,7 @@ class TestPrunedWindowKernel:
             block[rings.rows, :, rings.n] = x
             rings.advance(x)
             twin.advance(x)
-            exact = twin.joint(twin.maxima())
+            exact = twin.joint()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.5)
             total = rings.tighten(suspect)
             replayed, first, sums = rings.replayed
