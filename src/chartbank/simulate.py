@@ -33,6 +33,15 @@ its stale values; a window's reaches the horizon.  A sweep makes one
 templates on one family and prior step together, and a window template is a
 group of its own.
 
+A call of at least ``SPLIT_ROWS`` rows (cells x runs) runs in two processes
+where ``os.fork`` exists and no other Python thread runs: once the first block
+of the runs at even ranks of the change-time order is drawn, one forked child
+steps the runs at odd ranks through the same block loop and pickles their
+change points, stop slots and firing charts back through a pipe.  Runs never
+interact and each draws from its own stream, so the result is bitwise the one
+a single process gives, and a refusal raised in the child is raised in the
+parent.
+
 Runs are censored in one place, ``_run_arrays``: a stop past the run's
 horizon reads as censored.  A run's slots up to its horizon do not depend
 on how far its block runs on, so stepping past the horizon changes nothing.
@@ -47,6 +56,10 @@ share exceeds the configured cap.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,6 +179,14 @@ BATCH_SIZE = 2048
 # A lazy block holds and draws this many slots at a time: a fig4 run stops
 # after about 120 slots on average, against a horizon near a thousand.
 CHUNK_SLOTS = 128
+
+# A call of at least this many rows (cells x runs) forks one child to step
+# every second run.  On two cores a fig4 preset sweep, one call, took a median
+# 0.23 s split against 0.30 s whole at 2000 runs (8000 rows) and 0.77 against
+# 1.36 s at 10 000, while perfbench's 1200-row fig5-window sweep took 0.26 s
+# split against 0.22 s whole: each half of a window block still steps every
+# slot to the horizon.
+SPLIT_ROWS = 4096
 
 # The longest horizon default_horizon sizes, reached at rho near 1e-5: a bank
 # batch steps each slot until its last run stops (about 10 us a slot) and holds
@@ -291,6 +312,134 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds):
     return stop, firing
 
 
+class _Child:
+    """A forked child process that runs ``work()`` and answers through a pipe.
+
+    The child pickles what ``work()`` returns, or the error it raises, into
+    the pipe and leaves through ``os._exit``, so it runs no exit handler and
+    flushes no buffer it inherited: it never writes to stdout.  An error that
+    does not survive pickling is sent as a RuntimeError carrying its text.
+    """
+
+    def __init__(self, work) -> None:
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(read)
+                try:
+                    answer = pickle.dumps((True, work()))
+                except BaseException as exc:  # raised again in the parent, as in one process
+                    answer = _pickled_error(exc)
+                with open(write, "wb") as pipe:
+                    pipe.write(answer)
+            finally:
+                os._exit(0)
+        os.close(write)
+        self._read = read
+
+    def result(self):
+        """What ``work()`` returned, or the error it raised, raised here.
+
+        The pipe is read to its end before the child is reaped: an answer
+        larger than the pipe's buffer would otherwise never be read.
+        """
+        with open(self._read, "rb") as pipe:
+            self._read = None
+            answer = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        try:
+            ok, value = pickle.loads(answer)
+        except Exception:
+            raise RuntimeError(f"the child process left without an answer (exit code {code})") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Close the pipe, and kill and reap the child unless ``result`` has reaped it."""
+        if self._read is not None:
+            os.close(self._read)
+            self._read = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``exc`` as a child's pickled error answer, or a RuntimeError with its text if it cannot be rebuilt."""
+    try:
+        answer = pickle.dumps((False, exc))
+        pickle.loads(answer)  # an error that pickles but cannot be rebuilt fails here, not in the parent
+        return answer
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+class _Call:
+    """One ``simulate_runs`` call: what drawing and stepping its runs reads, and the arrays they fill.
+
+    ``horizons`` holds each cell's horizon, ``words`` every run's seed words,
+    cell by cell, and ``thresholds`` each spec's log thresholds in every cell.
+    An object, not a closure in ``simulate_runs``: a closure that calls itself
+    is a reference cycle, which kept each call's arrays until the next garbage
+    collection (fig4-bank's peak RSS read 2 MB higher).
+    """
+
+    def __init__(self, specs, lams, horizons, words, thresholds, n_runs: int, batch_size: int) -> None:
+        self.specs, self.lams, self.horizons, self.words = specs, lams, horizons, words
+        self.thresholds, self.n_runs, self.batch_size = thresholds, n_runs, batch_size
+        self.ts = np.empty(len(words), dtype=np.int64)
+        self.stop = np.empty((len(specs), len(words)), dtype=np.int64)
+        self.firing = np.empty_like(self.stop)
+
+    def step(self, ranks: np.ndarray, split: bool = False) -> None:
+        """Draw and step the runs at ``ranks`` of the change-time order, ``batch_size`` at a time.
+
+        With ``split`` this process steps the runs at ranks[0::2], and one
+        child, forked once the first of their blocks is drawn, so that a
+        call's first path is drawn here, steps those at ranks[1::2]; a failed
+        fork leaves them to this process.  The child is killed and reaped if
+        this process raises.
+        """
+        mine, theirs, child = (ranks[0::2] if split else ranks), ranks[1::2], None
+
+        def half():
+            nonlocal block
+            block = None  # a child frees its copy of this process's first block before it draws its own
+            self.step(theirs)
+            return self.ts[theirs], self.stop[:, theirs], self.firing[:, theirs]
+
+        try:
+            for lo in range(0, mine.size, self.batch_size):
+                rows = np.sort(mine[lo : lo + self.batch_size])  # by cell, in ascending run id
+                cuts = np.searchsorted(rows, np.arange(len(self.horizons) + 1) * self.n_runs)
+                spans = enumerate(zip(cuts, cuts[1:]))
+                parts = [(self.words[rows[a:b]], self.horizons[c]) for c, (a, b) in spans if a < b]
+                block = draw_paths(self.specs[0], self.lams, parts)
+                if split and lo == 0:
+                    try:
+                        child = _Child(half)
+                    except OSError:  # no process to spare: this one steps the child's runs after its own
+                        pass
+                self.ts[rows] = block.change_points
+                thresholds = [t[rows // self.n_runs] for t in self.thresholds]
+                self.stop[:, rows], self.firing[:, rows] = _run_batch(self.specs, block, thresholds)
+                del block  # free this batch's paths before the next are drawn
+            if split:
+                self.ts[theirs], self.stop[:, theirs], self.firing[:, theirs] = child.result() if child else half()
+        finally:
+            if child is not None:
+                child.close()
+
+
 def _run_arrays(change_points: np.ndarray, stop: np.ndarray, firing: np.ndarray, horizon) -> RunArrays:
     """Runs censored at ``horizon``, each run's or one for all: a stop past it reads as none (0, chart -1)."""
     late = stop > horizon
@@ -354,6 +503,10 @@ def simulate_runs(
     seed + [c])``; the result's arrays gain a leading axis, one row per
     cell.  A batch holds runs of every cell, each drawn at its cell's horizon
     and run with its cell's thresholds, and each is censored at that horizon.
+
+    A call of at least ``SPLIT_ROWS`` rows (cells x runs) may step every
+    second run in one forked child, reaped before the call returns or raises;
+    the result is bitwise the same, and the child's errors are raised here.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
@@ -384,20 +537,11 @@ def simulate_runs(
     # blocks take the runs in ascending change time, so a block's runs retire together and one block holds the tail
     words = np.concatenate([_run_words(cell_seed, range(n_runs)) for _, _, cell_seed in plan])
     order = np.argsort(specs[0].prior._from_uniform(_first_uniforms(words)), kind="stable")
-    ts = np.empty(total, dtype=np.int64)
-    stop = np.empty((len(specs), total), dtype=np.int64)
-    firing = np.empty_like(stop)
-    for lo in range(0, total, batch_size):
-        rows = np.sort(order[lo : lo + batch_size])  # by cell, in ascending run id
-        cuts = np.searchsorted(rows, np.arange(len(plan) + 1) * n_runs)
-        parts = [(words[rows[a:b]], plan[c][1]) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
-        block = draw_paths(specs[0], lams, parts)
-        ts[rows] = block.change_points
-        stop[:, rows], firing[:, rows] = _run_batch(specs, block, [t[rows // n_runs] for t in cell_thresholds])
-        del block  # free this batch's paths before the next are drawn
-    if not isinstance(spec, tuple):
-        stop, firing = stop[0], firing[0]
-    runs = _run_arrays(ts, stop, firing, np.repeat([h for _, h, _ in plan], n_runs))
+    horizons = [h for _, h, _ in plan]
+    call = _Call(specs, lams, horizons, words, cell_thresholds, n_runs, batch_size)
+    call.step(order, split=total >= SPLIT_ROWS and hasattr(os, "fork") and threading.active_count() == 1)
+    stop, firing = (call.stop, call.firing) if isinstance(spec, tuple) else (call.stop[0], call.firing[0])
+    runs = _run_arrays(call.ts, stop, firing, np.repeat(horizons, n_runs))
     if cells is None:
         return runs
     # [..., cells x runs] -> [cells, ..., runs]

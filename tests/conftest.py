@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 
 import numpy as np
@@ -84,3 +85,16 @@ class SteppedShellCases:
                 break
         assert (report is None) == (log_threshold == math.inf)
         assert report == expected and ran.time == stepped.time
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else f'pid {pid}, unreaped'})")

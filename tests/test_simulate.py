@@ -1,6 +1,9 @@
+import contextlib
 import inspect
 import math
+import os
 import re
+import signal
 import tracemalloc
 from unittest import mock
 
@@ -35,7 +38,7 @@ from chartbank import (
     summarize,
     threshold_for,
 )
-from chartbank import detectors, simulate
+from chartbank import cli, detectors, simulate
 from chartbank.detectors import BankBatch
 from chartbank.families import _first_uniforms, _run_words
 from chartbank.simulate import PathBlock, draw_paths
@@ -467,6 +470,140 @@ class TestChunkInvariance:
 
 
 # Sources a pruned-window case draws from: family, candidates, true parameter.
+@contextlib.contextmanager
+def two_processes(split_rows=1):
+    """Split every ``simulate_runs`` call of at least ``split_rows`` rows; yields the pids forked in this process."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(simulate, "SPLIT_ROWS", split_rows), mock.patch.object(os, "fork", counted):
+        yield forked
+
+
+def run_batch_failing(fail, in_child=True):
+    """A ``_run_batch`` that first calls ``fail()`` in a forked child only, or in this process only."""
+    parent, real = os.getpid(), simulate._run_batch
+
+    def run_batch(*args):
+        if (os.getpid() != parent) == in_child:
+            fail()
+        return real(*args)
+
+    return run_batch
+
+
+class SplitError(Exception):
+    """An error that survives pickling only by its text: ``extra`` rebuilds nothing."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+class TestTwoProcesses:
+    """A call split between this process and one forked child gives the runs one process gives, bitwise."""
+
+    def grouped_cells(self):
+        specs = [(bank_spec(ChartVariant.SR, t), bank_spec(ChartVariant.MAX, t)) for t in (2.0, 3.5)]
+        return specs[0], [(specs[0], 20), (specs[1], 35)]
+
+    @pytest.mark.parametrize("batch_size", [7, simulate.BATCH_SIZE])
+    @pytest.mark.parametrize("case", range(len(scattered_cases())))
+    def test_one_spec(self, case, batch_size):
+        spec, lam, horizon = scattered_cases()[case]
+        one = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+        with two_processes(SCATTER_RUNS) as forked:  # a call of exactly SPLIT_ROWS rows splits
+            two = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+        assert len(forked) == 1
+        assert_same_runs(one, two)
+
+    @pytest.mark.parametrize("batch_size", [7, simulate.BATCH_SIZE])
+    def test_grouped_banks_over_cells(self, batch_size):
+        spec, cells = self.grouped_cells()
+        one = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=batch_size, cells=cells)
+        with two_processes() as forked:
+            two = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=batch_size, cells=cells)
+        assert len(forked) == 1
+        assert two.stop_time.shape == (2, 2, 50)
+        assert_same_runs(one, two)
+
+    @pytest.mark.parametrize("batch_size", [7, simulate.BATCH_SIZE])
+    def test_window_over_cells(self, batch_size):
+        cells = [(window_spec(t), h) for t, h in ((1.5, 40), (3.0, 30), (4.5, 40))]
+        one = simulate_runs(cells[0][0], (1.8, 2.2), 30, 40, [5], batch_size=batch_size, cells=cells)
+        with two_processes() as forked:
+            two = simulate_runs(cells[0][0], (1.8, 2.2), 30, 40, [5], batch_size=batch_size, cells=cells)
+        assert len(forked) == 1
+        assert_same_runs(one, two)
+
+    def test_a_call_below_the_threshold_stays_in_one_process(self):
+        spec, lam, horizon = scattered_cases()[0]
+        with two_processes(SCATTER_RUNS + 1) as forked:
+            simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        assert forked == []
+
+    def test_a_failed_fork_steps_every_run_here(self):
+        spec, cells = self.grouped_cells()
+        one = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=7, cells=cells)
+        with two_processes(), mock.patch.object(os, "fork", side_effect=BlockingIOError("no process to spare")):
+            two = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=7, cells=cells)
+        assert_same_runs(one, two)
+
+    def test_a_childs_error_is_raised_here(self):
+        spec, lam, horizon = scattered_cases()[0]
+        run_batch = run_batch_failing(mock.Mock(side_effect=ValueError("x must be finite")))
+        with two_processes() as forked, mock.patch.object(simulate, "_run_batch", run_batch):
+            with pytest.raises(ValueError, match=r"^x must be finite$"):
+                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        assert len(forked) == 1
+
+    def test_an_error_that_cannot_be_rebuilt_is_raised_by_its_text(self):
+        spec, lam, horizon = scattered_cases()[0]
+        run_batch = run_batch_failing(mock.Mock(side_effect=SplitError("no pickle", extra=1)))
+        with two_processes(), mock.patch.object(simulate, "_run_batch", run_batch):
+            with pytest.raises(RuntimeError, match=r"^SplitError: no pickle$"):
+                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+
+    def test_a_child_that_leaves_without_an_answer_is_an_error(self):
+        spec, lam, horizon = scattered_cases()[0]
+        run_batch = run_batch_failing(lambda: os._exit(3))
+        with two_processes(), mock.patch.object(simulate, "_run_batch", run_batch):
+            with pytest.raises(RuntimeError, match=r"without an answer \(exit code 3\)"):
+                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+
+    def test_an_error_here_kills_and_reaps_the_child(self):
+        spec, lam, horizon = scattered_cases()[0]
+        run_batch = run_batch_failing(mock.Mock(side_effect=KeyError("parent")), in_child=False)
+        with two_processes() as forked, mock.patch.object(simulate, "_run_batch", run_batch), \
+                mock.patch.object(os, "kill", wraps=os.kill) as kill:
+            with pytest.raises(KeyError, match="parent"):
+                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        assert len(forked) == 1
+        kill.assert_called_once_with(forked[0], signal.SIGKILL)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_the_fig4_sweep_draws_its_first_path_here_before_it_forks(self, tmp_path):
+        # a setup probe reads the first sampler call's return in this process
+        # and stops the sweep there: no child may exist by then
+        forks_at_return, real = [], simulate.sample_path_multi
+
+        def sampler(*args, **kwargs):
+            out = real(*args, **kwargs)
+            forks_at_return.append(len(forked))
+            return out
+
+        with two_processes(simulate.SPLIT_ROWS) as forked, mock.patch.object(simulate, "sample_path_multi", sampler):
+            assert cli.main(["preset", "fig4", "--out", str(tmp_path), "--seed", "0", "--runs", "2000"]) == 0
+        assert forks_at_return[0] == 0
+        assert len(forked) == 1  # 4 alphas x 2000 runs: the preset's one call splits
+
+
 WINDOW_SOURCES = {
     "variance": (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5)), (1.2, 1.4, 1.7, 2.0, 2.4, 3.0), 2.0),
     "mean": (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.1, 3.0)), (0.3, 0.6, 1.0, 1.5, 2.5), 1.0),
