@@ -22,7 +22,7 @@ templates that share family and prior; a row is done once every template has
 crossed.  A ring batch is one template.  Both take one threshold per row, so a
 batch may hold runs of several alpha cells of one model.  ``simulate_runs`` is
 the one place that draws paths: it reads every run's change time off its seed
-words, walks the runs of its cells in ascending change time, ``batch_size``
+words, walks the runs of its cells in ascending change time, ``BATCH_SIZE``
 at a time, so a block's runs retire together, draws each run at its cell's
 horizon on those words and steps the block to its end.  A path block is
 [runs, sources, slots] and holds one chunk: a bank's is ``CHUNK_SLOTS``
@@ -36,11 +36,11 @@ group of its own.
 A call of at least ``SPLIT_ROWS`` rows (cells x runs) runs in two processes
 where ``os.fork`` exists and no other Python thread runs: once the first block
 of the runs at even ranks of the change-time order is drawn, one forked child
-steps the runs at odd ranks through the same block loop and pickles their
-change points, stop slots and firing charts back through a pipe.  Runs never
-interact and each draws from its own stream, so the result is bitwise the one
-a single process gives, and a refusal raised in the child is raised in the
-parent.
+steps the runs at odd ranks through the same block loop and writes their
+results to a pipe as int64 bytes.  A run is a pure function of its seed, so
+when the fork fails or the child does not answer in full, the caller steps
+the child's runs itself, taking up to about one and a half single-process
+times: a split call returns, or raises, what one process does.
 
 Runs are censored in one place, ``_run_arrays``: a stop past the run's
 horizon reads as censored.  A run's slots up to its horizon do not depend
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import signal
 import threading
 from dataclasses import dataclass
@@ -313,12 +312,11 @@ def _run_batch(specs: tuple[DetectorSpec, ...], paths: PathBlock, thresholds):
 
 
 class _Child:
-    """A forked child process that runs ``work()`` and answers through a pipe.
+    """A forked child process that writes the bytes ``work()`` returns to a pipe.
 
-    The child pickles what ``work()`` returns, or the error it raises, into
-    the pipe and leaves through ``os._exit``, so it runs no exit handler and
-    flushes no buffer it inherited: it never writes to stdout.  An error that
-    does not survive pickling is sent as a RuntimeError carrying its text.
+    The child leaves through ``os._exit`` whatever happens, so it runs no
+    exit handler and flushes no buffer it inherited: it never writes to
+    stdout.  A child that raises, or dies, leaves a short answer or none.
     """
 
     def __init__(self, work) -> None:
@@ -332,82 +330,54 @@ class _Child:
         if self.pid == 0:
             try:
                 os.close(read)
-                try:
-                    answer = pickle.dumps((True, work()))
-                except BaseException as exc:  # raised again in the parent, as in one process
-                    answer = _pickled_error(exc)
                 with open(write, "wb") as pipe:
-                    pipe.write(answer)
+                    pipe.write(work())
             finally:
                 os._exit(0)
         os.close(write)
         self._read = read
 
-    def result(self):
-        """What ``work()`` returned, or the error it raised, raised here.
+    def answer(self) -> bytes:
+        """Everything the child wrote, read to the pipe's end before ``close`` reaps the child.
 
-        The pipe is read to its end before the child is reaped: an answer
-        larger than the pipe's buffer would otherwise never be read.
+        Reaping first would never end for an answer larger than the pipe's buffer.
         """
         with open(self._read, "rb") as pipe:
             self._read = None
-            answer = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        try:
-            ok, value = pickle.loads(answer)
-        except Exception:
-            raise RuntimeError(f"the child process left without an answer (exit code {code})") from None
-        if not ok:
-            raise value
-        return value
+            return pipe.read()
 
     def close(self) -> None:
-        """Close the pipe, and kill and reap the child unless ``result`` has reaped it."""
+        """Close the pipe unless ``answer`` has, and kill and reap the child."""
         if self._read is not None:
             os.close(self._read)
-            self._read = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-def _pickled_error(exc: BaseException) -> bytes:
-    """``exc`` as a child's pickled error answer, or a RuntimeError with its text if it cannot be rebuilt."""
-    try:
-        answer = pickle.dumps((False, exc))
-        pickle.loads(answer)  # an error that pickles but cannot be rebuilt fails here, not in the parent
-        return answer
-    except Exception:
-        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 class _Call:
-    """One ``simulate_runs`` call: what drawing and stepping its runs reads, and the arrays they fill.
+    """One ``simulate_runs`` call: what drawing and stepping its runs reads, and the array they fill.
 
     ``horizons`` holds each cell's horizon, ``words`` every run's seed words,
-    cell by cell, and ``thresholds`` each spec's log thresholds in every cell.
-    An object, not a closure in ``simulate_runs``: a closure that calls itself
-    is a reference cycle, which kept each call's arrays until the next garbage
-    collection (fig4-bank's peak RSS read 2 MB higher).
+    cell by cell, and ``thresholds`` each spec's log thresholds in every cell;
+    ``out`` holds each run's change point, stop slot per spec and firing chart
+    per spec.  An object, not a closure in ``simulate_runs``: a closure that
+    calls itself is a reference cycle, which kept each call's arrays until the
+    next garbage collection (fig4-bank's peak RSS read 2 MB higher).
     """
 
-    def __init__(self, specs, lams, horizons, words, thresholds, n_runs: int, batch_size: int) -> None:
+    def __init__(self, specs, lams, horizons, words, thresholds, n_runs: int) -> None:
         self.specs, self.lams, self.horizons, self.words = specs, lams, horizons, words
-        self.thresholds, self.n_runs, self.batch_size = thresholds, n_runs, batch_size
-        self.ts = np.empty(len(words), dtype=np.int64)
-        self.stop = np.empty((len(specs), len(words)), dtype=np.int64)
-        self.firing = np.empty_like(self.stop)
+        self.thresholds, self.n_runs = thresholds, n_runs
+        self.out = np.empty((1 + 2 * len(specs), len(words)), dtype=np.int64)
 
     def step(self, ranks: np.ndarray, split: bool = False) -> None:
-        """Draw and step the runs at ``ranks`` of the change-time order, ``batch_size`` at a time.
+        """Draw and step the runs at ``ranks`` of the change-time order, ``BATCH_SIZE`` at a time.
 
         With ``split`` this process steps the runs at ranks[0::2], and one
         child, forked once the first of their blocks is drawn, so that a
-        call's first path is drawn here, steps those at ranks[1::2]; a failed
-        fork leaves them to this process.  The child is killed and reaped if
-        this process raises.
+        call's first path is drawn here, steps those at ranks[1::2]; unless it
+        answers in full, this process steps them too.  The child is killed and
+        reaped if this process raises.
         """
         mine, theirs, child = (ranks[0::2] if split else ranks), ranks[1::2], None
 
@@ -415,11 +385,11 @@ class _Call:
             nonlocal block
             block = None  # a child frees its copy of this process's first block before it draws its own
             self.step(theirs)
-            return self.ts[theirs], self.stop[:, theirs], self.firing[:, theirs]
+            return self.out[:, theirs].tobytes()
 
         try:
-            for lo in range(0, mine.size, self.batch_size):
-                rows = np.sort(mine[lo : lo + self.batch_size])  # by cell, in ascending run id
+            for lo in range(0, mine.size, BATCH_SIZE):
+                rows = np.sort(mine[lo : lo + BATCH_SIZE])  # by cell, in ascending run id
                 cuts = np.searchsorted(rows, np.arange(len(self.horizons) + 1) * self.n_runs)
                 spans = enumerate(zip(cuts, cuts[1:]))
                 parts = [(self.words[rows[a:b]], self.horizons[c]) for c, (a, b) in spans if a < b]
@@ -429,12 +399,16 @@ class _Call:
                         child = _Child(half)
                     except OSError:  # no process to spare: this one steps the child's runs after its own
                         pass
-                self.ts[rows] = block.change_points
+                self.out[0, rows] = block.change_points
                 thresholds = [t[rows // self.n_runs] for t in self.thresholds]
-                self.stop[:, rows], self.firing[:, rows] = _run_batch(self.specs, block, thresholds)
+                self.out[1:, rows] = np.concatenate(_run_batch(self.specs, block, thresholds))
                 del block  # free this batch's paths before the next are drawn
             if split:
-                self.ts[theirs], self.stop[:, theirs], self.firing[:, theirs] = child.result() if child else half()
+                answer = child.answer() if child else b""
+                if len(answer) == self.out[:, theirs].nbytes:
+                    self.out[:, theirs] = np.frombuffer(answer, dtype=np.int64).reshape(len(self.out), -1)
+                else:
+                    self.step(theirs)
         finally:
             if child is not None:
                 child.close()
@@ -476,7 +450,6 @@ def simulate_runs(
     n_runs: int,
     horizon: int,
     seed,
-    batch_size: int = BATCH_SIZE,
     cells=None,
 ) -> RunArrays:
     """Run n_runs independent paths through fresh detector state.
@@ -485,7 +458,7 @@ def simulate_runs(
     float.  Per-run seeds are (seed, run index) and runs never interact, so the
     result is bitwise the same under any batch size, and how the detector's
     batch retires stopped rows does not change it either.  Runs are drawn
-    and stepped ``batch_size`` at a time, in ascending change time, which
+    and stepped ``BATCH_SIZE`` at a time, in ascending change time, which
     ``_first_uniforms`` reads off each run's seed words before any draw;
     each run's generator is then built from those words, hashed once.
 
@@ -505,8 +478,10 @@ def simulate_runs(
     and run with its cell's thresholds, and each is censored at that horizon.
 
     A call of at least ``SPLIT_ROWS`` rows (cells x runs) may step every
-    second run in one forked child, reaped before the call returns or raises;
-    the result is bitwise the same, and the child's errors are raised here.
+    second run in one forked child, reaped before the call returns or raises.
+    It returns, or raises, what one process does: when the fork or the child
+    fails, this process steps the child's runs too, taking up to about one
+    and a half single-process times.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs:
@@ -517,7 +492,6 @@ def simulate_runs(
         raise ValueError("several specs must be banks that share family and prior")
     _check_count("n_runs", n_runs)
     _check_count("horizon", horizon)
-    _check_count("batch_size", batch_size)
     lams = _lams(_sources(specs[0])[0], lam_true)
     if cells is None:
         plan = [(specs, horizon, seed)]
@@ -538,10 +512,10 @@ def simulate_runs(
     words = np.concatenate([_run_words(cell_seed, range(n_runs)) for _, _, cell_seed in plan])
     order = np.argsort(specs[0].prior._from_uniform(_first_uniforms(words)), kind="stable")
     horizons = [h for _, h, _ in plan]
-    call = _Call(specs, lams, horizons, words, cell_thresholds, n_runs, batch_size)
+    call = _Call(specs, lams, horizons, words, cell_thresholds, n_runs)
     call.step(order, split=total >= SPLIT_ROWS and hasattr(os, "fork") and threading.active_count() == 1)
-    stop, firing = (call.stop, call.firing) if isinstance(spec, tuple) else (call.stop[0], call.firing[0])
-    runs = _run_arrays(call.ts, stop, firing, np.repeat(horizons, n_runs))
+    stop, firing = np.split(call.out[1:], 2) if isinstance(spec, tuple) else call.out[1:]
+    runs = _run_arrays(call.out[0], stop, firing, np.repeat(horizons, n_runs))
     if cells is None:
         return runs
     # [..., cells x runs] -> [cells, ..., runs]
@@ -863,8 +837,7 @@ def add_vs_alpha_sweep(
             cells.append((specs if len(specs) > 1 else specs[0], max(row[t].horizon for t in members)))
         longest = max(cell_horizon for _, cell_horizon in cells)
         lam_vec = grid[0][members[0]].lam_vec
-        # passed explicitly: a default is bound at definition, and the sweep tests patch simulate.BATCH_SIZE
-        runs = simulate_runs(cells[0][0], lam_vec, n_runs, longest, [seed], batch_size=BATCH_SIZE, cells=cells)
+        runs = simulate_runs(cells[0][0], lam_vec, n_runs, longest, [seed], cells=cells)
         shape = (len(grid), len(members), n_runs)
         stops, firings = runs.stop_time.reshape(shape), runs.firing_chart.reshape(shape)
         for row, change_points, stop_row, firing_row in zip(grid, runs.change_point, stops, firings):

@@ -68,11 +68,17 @@ def window_spec(threshold=6.0):
     )
 
 
+def runs_in_blocks(batch_size, *args, **kwargs):
+    """``simulate_runs`` stepping ``batch_size`` runs a block, set through ``simulate.BATCH_SIZE``."""
+    with mock.patch.object(simulate, "BATCH_SIZE", batch_size):
+        return simulate_runs(*args, **kwargs)
+
+
 class TestBatchReplaysPublicApi:
     def test_bank_batch_matches_stepped_bank(self):
         spec = bank_spec()
         horizon = 300
-        runs = simulate_runs(spec, 1.0, n_runs=40, horizon=horizon, seed=21, batch_size=16)
+        runs = runs_in_blocks(16, spec, 1.0, n_runs=40, horizon=horizon, seed=21)
         for rid in range(40):
             t, x = sample_path(FAMILY, PRIOR, 1.0, horizon, [21, rid])
             bank = ChartBank(FAMILY, PRIOR, GRID, spec.log_thresholds[0], spec.variant)
@@ -95,7 +101,7 @@ class TestBatchReplaysPublicApi:
         spec = window_spec()
         horizon = 250
         lam = (1.8, 2.2)
-        runs = simulate_runs(spec, lam, n_runs=25, horizon=horizon, seed=33, batch_size=9)
+        runs = runs_in_blocks(9, spec, lam, n_runs=25, horizon=horizon, seed=33)
         for rid in range(25):
             t, block = sample_path_multi(list(spec.families), PRIOR, lam, horizon, [33, rid])
             engine = WindowEngine(
@@ -221,8 +227,8 @@ class TestCompactionInvariance:
     @given(case=st.integers(0, len(scattered_cases()) - 1), batch_size=st.integers(1, SCATTER_RUNS))
     def test_batch_size_does_not_change_runs(self, case, batch_size):
         spec, lam, horizon = scattered_cases()[case]
-        whole = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=SCATTER_RUNS)
-        split = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+        whole = runs_in_blocks(SCATTER_RUNS, spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        split = runs_in_blocks(batch_size, spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
         assert_same_runs(whole, split)
 
     def test_shorter_bank_draw_is_a_prefix(self):
@@ -357,9 +363,9 @@ class TestChunkInvariance:
     def test_chunk_size_does_not_change_runs(self, case, chunk, batch_size):
         spec, lam, horizon = chunked_cases()[case]
         with mock.patch.object(simulate, "CHUNK_SLOTS", horizon):
-            whole = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, batch_size=CHUNK_RUNS)
+            whole = runs_in_blocks(CHUNK_RUNS, spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
         with mock.patch.object(simulate, "CHUNK_SLOTS", chunk):
-            split = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
+            split = runs_in_blocks(batch_size, spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
         assert_same_runs(whole, split)
 
     @settings(max_examples=8, deadline=None)
@@ -469,7 +475,6 @@ class TestChunkInvariance:
         assert abs(peaks[1] - peaks[0]) < n_runs * simulate.CHUNK_SLOTS * 8
 
 
-# Sources a pruned-window case draws from: family, candidates, true parameter.
 @contextlib.contextmanager
 def two_processes(split_rows=1):
     """Split every ``simulate_runs`` call of at least ``split_rows`` rows; yields the pids forked in this process."""
@@ -485,6 +490,20 @@ def two_processes(split_rows=1):
         yield forked
 
 
+@contextlib.contextmanager
+def rows_stepped_here():
+    """Spy on ``_run_batch``; yields the sizes of the blocks this process, not a forked child, steps."""
+    parent, real, sizes = os.getpid(), simulate._run_batch, []
+
+    def run_batch(specs, paths, thresholds):
+        if os.getpid() == parent:
+            sizes.append(paths.change_points.size)
+        return real(specs, paths, thresholds)
+
+    with mock.patch.object(simulate, "_run_batch", run_batch):
+        yield sizes
+
+
 def run_batch_failing(fail, in_child=True):
     """A ``_run_batch`` that first calls ``fail()`` in a forked child only, or in this process only."""
     parent, real = os.getpid(), simulate._run_batch
@@ -498,7 +517,7 @@ def run_batch_failing(fail, in_child=True):
 
 
 class SplitError(Exception):
-    """An error that survives pickling only by its text: ``extra`` rebuilds nothing."""
+    """An error that pickle cannot rebuild: ``extra`` is not among its args."""
 
     def __init__(self, message, extra):
         super().__init__(message)
@@ -506,7 +525,20 @@ class SplitError(Exception):
 
 
 class TestTwoProcesses:
-    """A call split between this process and one forked child gives the runs one process gives, bitwise."""
+    """A call split between this process and one forked child returns, or raises, what one process does.
+
+    Where the split succeeds, this process steps only its own half of the
+    rows: a child that always failed would still give bitwise runs.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_descriptor_left(self):
+        """Fail a test that leaves a descriptor open, such as a pipe end; no check where /proc is absent."""
+        fds = "/proc/self/fd"
+        before = set(os.listdir(fds)) if os.path.isdir(fds) else None
+        yield
+        if before is not None:
+            assert set(os.listdir(fds)) == before
 
     def grouped_cells(self):
         specs = [(bank_spec(ChartVariant.SR, t), bank_spec(ChartVariant.MAX, t)) for t in (2.0, 3.5)]
@@ -516,29 +548,29 @@ class TestTwoProcesses:
     @pytest.mark.parametrize("case", range(len(scattered_cases())))
     def test_one_spec(self, case, batch_size):
         spec, lam, horizon = scattered_cases()[case]
-        one = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
-        with two_processes(SCATTER_RUNS) as forked:  # a call of exactly SPLIT_ROWS rows splits
-            two = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED, batch_size=batch_size)
-        assert len(forked) == 1
+        one = runs_in_blocks(batch_size, spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        with two_processes(SCATTER_RUNS) as forked, rows_stepped_here() as here:  # exactly SPLIT_ROWS rows split
+            two = runs_in_blocks(batch_size, spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        assert len(forked) == 1 and sum(here) == (SCATTER_RUNS + 1) // 2
         assert_same_runs(one, two)
 
     @pytest.mark.parametrize("batch_size", [7, simulate.BATCH_SIZE])
     def test_grouped_banks_over_cells(self, batch_size):
         spec, cells = self.grouped_cells()
-        one = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=batch_size, cells=cells)
-        with two_processes() as forked:
-            two = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=batch_size, cells=cells)
-        assert len(forked) == 1
+        one = runs_in_blocks(batch_size, spec, 1.0, 50, 35, [3], cells=cells)
+        with two_processes() as forked, rows_stepped_here() as here:
+            two = runs_in_blocks(batch_size, spec, 1.0, 50, 35, [3], cells=cells)
+        assert len(forked) == 1 and sum(here) == 50
         assert two.stop_time.shape == (2, 2, 50)
         assert_same_runs(one, two)
 
     @pytest.mark.parametrize("batch_size", [7, simulate.BATCH_SIZE])
     def test_window_over_cells(self, batch_size):
         cells = [(window_spec(t), h) for t, h in ((1.5, 40), (3.0, 30), (4.5, 40))]
-        one = simulate_runs(cells[0][0], (1.8, 2.2), 30, 40, [5], batch_size=batch_size, cells=cells)
-        with two_processes() as forked:
-            two = simulate_runs(cells[0][0], (1.8, 2.2), 30, 40, [5], batch_size=batch_size, cells=cells)
-        assert len(forked) == 1
+        one = runs_in_blocks(batch_size, cells[0][0], (1.8, 2.2), 30, 40, [5], cells=cells)
+        with two_processes() as forked, rows_stepped_here() as here:
+            two = runs_in_blocks(batch_size, cells[0][0], (1.8, 2.2), 30, 40, [5], cells=cells)
+        assert len(forked) == 1 and sum(here) == 45
         assert_same_runs(one, two)
 
     def test_a_call_below_the_threshold_stays_in_one_process(self):
@@ -549,32 +581,47 @@ class TestTwoProcesses:
 
     def test_a_failed_fork_steps_every_run_here(self):
         spec, cells = self.grouped_cells()
-        one = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=7, cells=cells)
+        one = runs_in_blocks(7, spec, 1.0, 50, 35, [3], cells=cells)
         with two_processes(), mock.patch.object(os, "fork", side_effect=BlockingIOError("no process to spare")):
-            two = simulate_runs(spec, 1.0, 50, 35, [3], batch_size=7, cells=cells)
+            two = runs_in_blocks(7, spec, 1.0, 50, 35, [3], cells=cells)
+        assert_same_runs(one, two)
+
+    @pytest.mark.parametrize("failure", ["exit", "raise", "short"])
+    def test_a_child_that_fails_has_its_runs_stepped_here(self, failure):
+        spec, lam, horizon = scattered_cases()[0]
+        one = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        answer = simulate._Child.answer
+        fails = {
+            "exit": mock.patch.object(simulate, "_run_batch", run_batch_failing(lambda: os._exit(3))),
+            "raise": mock.patch.object(
+                simulate, "_run_batch", run_batch_failing(mock.Mock(side_effect=SplitError("child only", extra=1)))
+            ),
+            "short": mock.patch.object(simulate._Child, "answer", lambda child: answer(child)[:-8]),
+        }
+        with two_processes() as forked, fails[failure], rows_stepped_here() as here:
+            two = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
+        assert len(forked) == 1 and sum(here) == SCATTER_RUNS
         assert_same_runs(one, two)
 
     def test_a_childs_error_is_raised_here(self):
+        # an error in a run at an odd rank of the change-time order, which only the
+        # child steps, is raised here with its own type, though pickle cannot rebuild it
         spec, lam, horizon = scattered_cases()[0]
-        run_batch = run_batch_failing(mock.Mock(side_effect=ValueError("x must be finite")))
+        ts = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED).change_point
+        ranked = np.sort(ts)
+        own = [t for t in ranked[1::2] if (ts == t).sum() == 1]  # a lone change time has one rank
+        assert own
+        real = simulate._run_batch
+
+        def run_batch(specs, paths, thresholds):
+            if (paths.change_points == own[0]).any():
+                raise SplitError(f"the run that changes at {own[0]}", extra=1)
+            return real(specs, paths, thresholds)
+
         with two_processes() as forked, mock.patch.object(simulate, "_run_batch", run_batch):
-            with pytest.raises(ValueError, match=r"^x must be finite$"):
+            with pytest.raises(SplitError, match=rf"^the run that changes at {own[0]}$"):
                 simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
         assert len(forked) == 1
-
-    def test_an_error_that_cannot_be_rebuilt_is_raised_by_its_text(self):
-        spec, lam, horizon = scattered_cases()[0]
-        run_batch = run_batch_failing(mock.Mock(side_effect=SplitError("no pickle", extra=1)))
-        with two_processes(), mock.patch.object(simulate, "_run_batch", run_batch):
-            with pytest.raises(RuntimeError, match=r"^SplitError: no pickle$"):
-                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
-
-    def test_a_child_that_leaves_without_an_answer_is_an_error(self):
-        spec, lam, horizon = scattered_cases()[0]
-        run_batch = run_batch_failing(lambda: os._exit(3))
-        with two_processes(), mock.patch.object(simulate, "_run_batch", run_batch):
-            with pytest.raises(RuntimeError, match=r"without an answer \(exit code 3\)"):
-                simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
 
     def test_an_error_here_kills_and_reaps_the_child(self):
         spec, lam, horizon = scattered_cases()[0]
@@ -604,6 +651,7 @@ class TestTwoProcesses:
         assert len(forked) == 1  # 4 alphas x 2000 runs: the preset's one call splits
 
 
+# Sources a pruned-window case draws from: family, candidates, true parameter.
 WINDOW_SOURCES = {
     "variance": (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5)), (1.2, 1.4, 1.7, 2.0, 2.4, 3.0), 2.0),
     "mean": (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.1, 3.0)), (0.3, 0.6, 1.0, 1.5, 2.5), 1.0),
@@ -668,7 +716,7 @@ class TestPrunedWindowKernel:
             stats = exact_statistics(probe, lam, PRUNED_RUNS, PRUNED_HORIZON, seed)
             threshold = float(np.quantile(stats, level)) + margin
         spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=threshold)
-        runs = {b: simulate_runs(spec, lam, PRUNED_RUNS, PRUNED_HORIZON, seed, batch_size=b) for b in (1, 7, 60)}
+        runs = {b: runs_in_blocks(b, spec, lam, PRUNED_RUNS, PRUNED_HORIZON, seed) for b in (1, 7, 60)}
         assert_same_runs(runs[1], runs[7])
         assert_same_runs(runs[1], runs[60])
         for rid in range(PRUNED_RUNS):
@@ -869,7 +917,7 @@ class TestPrunedWindowKernel:
         probe = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=0.0)
         threshold = float(np.quantile(exact_statistics(probe, lam, PRUNED_RUNS, horizon, seed), level))
         spec = WindowSpec(families=families, prior=prior, grids=grids, window_len=window_len, log_threshold=threshold)
-        runs = simulate_runs(spec, lam, PRUNED_RUNS, horizon, seed, batch_size=7)
+        runs = runs_in_blocks(7, spec, lam, PRUNED_RUNS, horizon, seed)
         for rid in range(PRUNED_RUNS):
             _, x = sample_path_multi(list(families), prior, lam, horizon, [seed, rid])
             report = WindowEngine(list(families), prior, list(grids), window_len, threshold).run_to_stop(x)
@@ -1159,9 +1207,6 @@ class TestSummaries:
             simulate_runs(bank_spec(), 1.0, 0, 100, seed=0)
         with pytest.raises(ValueError):
             simulate_runs(bank_spec(), 1.0, 10, 0, seed=0)
-        for batch_size in (0, -4):
-            with pytest.raises(ValueError):
-                simulate_runs(bank_spec(), 1.0, 10, 50, seed=0, batch_size=batch_size)
         with pytest.raises(ValueError):
             BankSpec(family=FAMILY, prior=PRIOR, grid=(), log_thresholds=(1.0,))
         with pytest.raises(ValueError):
@@ -1173,14 +1218,14 @@ class TestSummaries:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("n_runs", 3.0), ("n_runs", True), ("horizon", 50.0), ("horizon", True), ("batch_size", 2.5), ("batch_size", True)],
+        [("n_runs", 3.0), ("n_runs", True), ("horizon", 50.0), ("horizon", True)],
     )
     def test_counts_must_be_integers(self, name, value):
         # n_runs=3.0 used to fail inside the seeding, and True ran as 1
-        counts = {"n_runs": 10, "horizon": 50, "batch_size": 4, name: value}
+        counts = {"n_runs": 10, "horizon": 50, name: value}
         for spec, lam in ((bank_spec(), 1.0), (window_spec(), (1.8, 2.2))):
             with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
-                simulate_runs(spec, lam, counts["n_runs"], counts["horizon"], 0, batch_size=counts["batch_size"])
+                simulate_runs(spec, lam, counts["n_runs"], counts["horizon"], 0)
 
 
 class TestSizingHelpers:
@@ -1410,7 +1455,7 @@ class TestEdgeInputs:
         horizon, n_runs = 120, 24
         for variant in ChartVariant:
             spec = BankSpec(family, prior, GRID, (threshold_for(0.05, rho, len(GRID)),), variant)
-            runs = simulate_runs(spec, 1.0, n_runs, horizon, seed=8, batch_size=10)
+            runs = runs_in_blocks(10, spec, 1.0, n_runs, horizon, seed=8)
             for rid in range(n_runs):
                 t, x = sample_path(family, prior, 1.0, horizon, [8, rid])
                 report = ChartBank(family, prior, GRID, spec.log_thresholds[0], variant).run_to_stop(x)
@@ -1427,7 +1472,7 @@ class TestEdgeInputs:
         prior = GeometricPrior(rho)
         horizon, n_runs, window_len = 120, 40, 30
         spec = WindowSpec(families, prior, grids, window_len, threshold_for(0.05, rho, 2))
-        runs = simulate_runs(spec, lam, n_runs, horizon, seed=8, batch_size=15)
+        runs = runs_in_blocks(15, spec, lam, n_runs, horizon, seed=8)
         for rid in range(n_runs):
             t, x = sample_path_multi(families, prior, lam, horizon, [8, rid])
             report = WindowEngine(families, prior, grids, window_len, spec.log_threshold).run_to_stop(x)
@@ -1460,7 +1505,7 @@ def stepped_runs(spec, lam, n_runs, horizon, seed):
 
 
 def batched_runs(spec, lam, n_runs, horizon, seed, batch_size):
-    runs = simulate_runs(spec, lam, n_runs, horizon, seed, batch_size=batch_size)
+    runs = runs_in_blocks(batch_size, spec, lam, n_runs, horizon, seed)
     return list(zip(runs.change_point.tolist(), runs.stop_time.tolist(), runs.firing_chart.tolist()))
 
 
@@ -1593,7 +1638,7 @@ class TestGroupedBankBatch:
     )
     def test_each_template_matches_simulate_runs_alone(self, group, n_runs, batch_size, seed):
         specs, horizons, lam = group
-        grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), seed, batch_size=batch_size)
+        grouped = runs_in_blocks(batch_size, tuple(specs), lam, n_runs, max(horizons), seed)
         assert grouped.stop_time.shape == grouped.firing_chart.shape == (len(specs), n_runs)
         for t, (spec, horizon) in enumerate(zip(specs, horizons)):
             alone = simulate_runs(spec, lam, n_runs, horizon, seed)
@@ -1625,7 +1670,7 @@ class TestGroupedBankBatch:
         n_runs = 150
         censored = 0
         for batch_size in (1, 7, 60, n_runs):
-            grouped = simulate_runs(tuple(specs), lam, n_runs, max(horizons), 11, batch_size=batch_size)
+            grouped = runs_in_blocks(batch_size, tuple(specs), lam, n_runs, max(horizons), 11)
             for t, (spec, horizon) in enumerate(zip(specs, horizons)):
                 alone = simulate_runs(spec, lam, n_runs, horizon, 11)
                 stop, firing = censored_at(grouped.stop_time[t], grouped.firing_chart[t], horizon)
@@ -1679,7 +1724,7 @@ class TestMultiCellRuns:
         n_runs, seed = 30, [11, 3]
         censored = stopped = 0
         for batch_size in self.BATCH_SIZES + (n_runs, len(cells) * n_runs):
-            merged = simulate_runs(cells[0][0], lam, n_runs, 60, seed, batch_size=batch_size, cells=cells)
+            merged = runs_in_blocks(batch_size, cells[0][0], lam, n_runs, 60, seed, cells=cells)
             assert merged.stop_time.shape == merged.firing_chart.shape == (len(cells), len(models), n_runs)
             for c, (specs, horizon) in enumerate(cells):
                 alone = simulate_runs(specs, lam, n_runs, horizon, seed + [c])
@@ -1695,7 +1740,7 @@ class TestMultiCellRuns:
         cells = [(window_spec(threshold), horizon) for threshold, horizon in zip((3.0, 2.0, 4.0), horizons)]
         censored = stopped = 0
         for batch_size in self.BATCH_SIZES + (n_runs, len(cells) * n_runs):
-            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), 5, batch_size=batch_size, cells=cells)
+            merged = runs_in_blocks(batch_size, cells[0][0], lam, n_runs, max(horizons), 5, cells=cells)
             assert merged.stop_time.shape == (len(cells), n_runs)
             for c, (spec, horizon) in enumerate(cells):
                 alone = simulate_runs(spec, lam, n_runs, horizon, [5, c])
@@ -1723,7 +1768,7 @@ class TestMultiCellRuns:
         cells = [(WindowSpec(families, prior, grids, window_len, level), h) for level, h in zip(levels, horizons)]
         n_runs = 9
         for batch_size in self.BATCH_SIZES + (n_runs, n_cells * n_runs):
-            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), [seed], batch_size=batch_size, cells=cells)
+            merged = runs_in_blocks(batch_size, cells[0][0], lam, n_runs, max(horizons), [seed], cells=cells)
             for c, (spec, horizon) in enumerate(cells):
                 assert_same_runs(cell_runs(merged, c), simulate_runs(spec, lam, n_runs, horizon, [seed, c]))
 
@@ -1743,7 +1788,7 @@ class TestMultiCellRuns:
             cells.append((tuple(cell) if len(cell) > 1 else cell[0], horizon))  # a lone spec bare, as a sweep passes it
         n_runs = 9
         for batch_size in self.BATCH_SIZES + (n_runs, n_cells * n_runs):
-            merged = simulate_runs(cells[0][0], lam, n_runs, max(horizons), [seed], batch_size=batch_size, cells=cells)
+            merged = runs_in_blocks(batch_size, cells[0][0], lam, n_runs, max(horizons), [seed], cells=cells)
             for c, (spec, horizon) in enumerate(cells):
                 runs = cell_runs(merged, c)
                 assert_same_runs(runs, simulate_runs(spec, lam, n_runs, horizon, [seed, c]))
@@ -1772,12 +1817,12 @@ class TestChangeTimeBlocks:
     def check_schedule(self, cells, lam, seed):
         n_runs, horizon = self.N_RUNS, max(h for _, h in cells)
         with mock.patch.object(simulate, "_run_batch", wraps=simulate._run_batch) as batches:
-            merged = simulate_runs(cells[0][0], lam, n_runs, horizon, seed, batch_size=16, cells=cells)
+            merged = runs_in_blocks(16, cells[0][0], lam, n_runs, horizon, seed, cells=cells)
         blocks = [call.args[1].change_points for call in batches.call_args_list]
         assert [b.size for b in blocks] == [16] * (len(blocks) - 1) + [len(cells) * n_runs - 16 * (len(blocks) - 1)]
         for block, after in zip(blocks, blocks[1:]):
             assert block.max() <= after.min()
-        whole = simulate_runs(cells[0][0], lam, n_runs, horizon, seed, batch_size=len(cells) * n_runs, cells=cells)
+        whole = runs_in_blocks(len(cells) * n_runs, cells[0][0], lam, n_runs, horizon, seed, cells=cells)
         assert_same_runs(merged, whole)
         for c, (spec, cell_horizon) in enumerate(cells):
             assert_same_runs(cell_runs(merged, c), simulate_runs(spec, lam, n_runs, cell_horizon, seed + [c]))
@@ -1814,7 +1859,7 @@ class TestChangeTimeBlocks:
         # the change-time pre-pass hashes every cell's runs, and the blocks draw on those words
         cells = [(bank_spec(threshold=t), h) for t, h in ((2.0, 30), (3.0, 40), (4.0, 20))]
         with mock.patch.object(simulate, "_run_words", wraps=simulate._run_words) as hashed, count_draws() as draws:
-            simulate_runs(cells[0][0], 1.0, self.N_RUNS, 40, [3], batch_size=7, cells=cells)
+            runs_in_blocks(7, cells[0][0], 1.0, self.N_RUNS, 40, [3], cells=cells)
         assert draws.call_count == -(-len(cells) * self.N_RUNS // 7)
         assert [call.args[1] for call in hashed.call_args_list] == [range(self.N_RUNS)] * len(cells)
 
@@ -1864,8 +1909,9 @@ class TestRetirePolicy:
     def test_compaction_schedule_does_not_change_bank_runs(self, group, n_runs, batch_size, seed):
         specs, cells, lam = group
         horizon = max(h for _, h in cells)
-        never, _ = under_share(0.0, specs, lam, n_runs, horizon, [seed], batch_size=batch_size, cells=cells)
-        always, _ = under_share(1.0, specs, lam, n_runs, horizon, [seed], batch_size=batch_size, cells=cells)
+        with mock.patch.object(simulate, "BATCH_SIZE", batch_size):
+            never, _ = under_share(0.0, specs, lam, n_runs, horizon, [seed], cells=cells)
+            always, _ = under_share(1.0, specs, lam, n_runs, horizon, [seed], cells=cells)
         assert_same_runs(never, always)
 
     @pytest.mark.parametrize("case", range(len(scattered_cases())))
