@@ -603,9 +603,11 @@ class TestTwoProcesses:
         assert len(forked) == 1 and sum(here) == SCATTER_RUNS
         assert_same_runs(one, two)
 
-    def test_a_childs_error_is_raised_here(self):
-        # an error in a run at an odd rank of the change-time order, which only the
-        # child steps, is raised here with its own type, though pickle cannot rebuild it
+    @staticmethod
+    def raise_in_a_childs_run(error, error_type):
+        """Make a run at an odd rank of the change-time order, which only the child
+        steps, raise ``error(text)``; check that the split call raises it here with
+        its own type and text, and return it."""
         spec, lam, horizon = scattered_cases()[0]
         ts = simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED).change_point
         ranked = np.sort(ts)
@@ -615,13 +617,24 @@ class TestTwoProcesses:
 
         def run_batch(specs, paths, thresholds):
             if (paths.change_points == own[0]).any():
-                raise SplitError(f"the run that changes at {own[0]}", extra=1)
+                raise error(f"the run that changes at {own[0]}")
             return real(specs, paths, thresholds)
 
         with two_processes() as forked, mock.patch.object(simulate, "_run_batch", run_batch):
-            with pytest.raises(SplitError, match=rf"^the run that changes at {own[0]}$"):
+            with pytest.raises(error_type, match=rf"^the run that changes at {own[0]}$") as raised:
                 simulate_runs(spec, lam, SCATTER_RUNS, horizon, SCATTER_SEED)
         assert len(forked) == 1
+        assert type(raised.value) is error_type
+        return raised.value
+
+    def test_a_childs_error_is_raised_here(self):
+        self.raise_in_a_childs_run(ValueError, ValueError)
+
+    def test_an_error_that_cannot_be_rebuilt_is_raised_by_its_text(self):
+        # the caller steps the child's runs again, so the error keeps its own type
+        # and text, though pickle cannot rebuild it
+        error = self.raise_in_a_childs_run(lambda text: SplitError(text, extra=1), SplitError)
+        assert error.extra == 1
 
     def test_an_error_here_kills_and_reaps_the_child(self):
         spec, lam, horizon = scattered_cases()[0]
