@@ -83,10 +83,10 @@ the call ``advance`` makes; the llr is elementwise, so they are the bits
 every sum starts at 0.0, and pass d adds the llrs of slot k + d to every
 start k that has one, so each start adds exactly its own llrs in slot
 order, the additions ``ring_advance`` makes, and is bitwise the table's.
-Older starts read -inf: for every replayed row their exact joint is below that
-row's threshold, so they can neither cross nor win its oldest-first
-argmax.  Stop slots and firing charts therefore stay bitwise those of the
-exact step.
+Older starts are skipped: their exact joint is below the threshold of every
+row in the replay, so they can neither cross nor win its oldest-first
+argmax.  ``step`` decodes a crossing from the replay's sums at its best
+start, so stop slots and firing charts stay bitwise those of the exact step.
 The bound costs O(L) per row and slot, plus O(w) per row once per w slots
 for a block's suffix minima.
 """
@@ -174,12 +174,12 @@ class RingBatch(_RetiringBatch):
     previous and current block's llr mass, which scales the rounding
     allowance.  ``bound`` and ``start_bounds`` are never below the exact
     statistic; ``tighten`` replays exact sums from the block for the rows
-    and starts they cannot rule out, one diagonal pass per replayed start
-    over all of them.  ``thresholds`` holds each state row's log threshold
-    (``log_thresholds`` is one value or one per row); it moves with the
-    rows when they compact, and ``step`` reports running rows only.
-    ``WindowEngine`` is an unbounded batch of one; grids come from
-    ``check_window``.
+    and starts they cannot rule out, one diagonal pass per start over all
+    of them, for ``step`` to decode.  ``thresholds`` holds each state row's
+    log threshold (``log_thresholds`` is one value or one per row); it
+    moves with the rows when they compact, and ``step`` reports running
+    rows only.  ``WindowEngine`` is an unbounded batch of one; grids come
+    from ``check_window``.
     """
 
     def __init__(
@@ -286,23 +286,22 @@ class RingBatch(_RetiringBatch):
         best = sum(table.max(axis=1) for table in self.tables)
         return self.weights[self.n - self.starts][None, :] + best[:, self.slots]
 
-    def tighten(self, rows: np.ndarray) -> np.ndarray:
-        """Exact joint statistic [rows, starts] of the given rows of a bounded batch; -inf at starts that cannot cross.
+    def tighten(self, rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """Replay the given rows of a bounded batch: (first, exact, sums).
 
-        k0 is the oldest start at which any given row's ``start_bounds``
-        reach its threshold.  The sums of starts k0..n are replayed from the
-        observations of slots k0..n, read from the block; older starts read
-        -inf, since their exact joint is below every given row's threshold.
-        The llrs l_k0, ..., l_n are recomputed by the call ``advance`` makes,
-        which is elementwise and so gives the same bits.  Each replayed sum
-        starts at 0.0 and adds l_k, ..., l_n in slot order, the additions of
-        ``ring_advance``, so it is bitwise the eager table's: pass d of the
-        diagonal replay adds l_{k+d} to every start k <= n - d at once.
+        ``first`` is the position in ``starts`` of k0, the oldest start at
+        which any given row's ``start_bounds`` reach its threshold; older
+        starts' joint is below every given row's threshold.  ``exact`` [rows,
+        span] is the joint of starts k0..n and ``sums`` [span, rows,
+        candidates] their candidates' sums.  Their llrs l_k0, ..., l_n are
+        recomputed from the block by the call ``advance`` makes, which is
+        elementwise and so gives the same bits.  Each sum starts at 0.0 and
+        adds l_k, ..., l_n in slot order, the additions of ``ring_advance``,
+        so it is bitwise the eager table's: pass d of the diagonal replay
+        adds l_{k+d} to every start k <= n - d at once.
         """
-        total = self.start_bounds(rows)
-        reach = np.flatnonzero((total >= self.thresholds[rows, None]).any(axis=0))
+        reach = np.flatnonzero((self.start_bounds(rows) >= self.thresholds[rows, None]).any(axis=0))
         first = reach[0] if reach.size else self.starts.size
-        total[:, :first] = -np.inf
         span = self.starts.size - first
         # slot k is block column k - 1; start-major, so each pass is one contiguous add over every start
         xs = self.block[self.rows[rows][None, :], :, self.starts[first:, None] - 1]  # [slots, rows, L]
@@ -317,16 +316,15 @@ class RingBatch(_RetiringBatch):
         # a run's maxima take one elementwise pass per candidate over all its sources (numpy's reduction over a
         # short innermost axis costs about three times as much), then the joint adds them in source order, as
         # ``joint`` does
-        exact = []
+        maxima = []
         for _, lo, hi, lams in self.source_runs:
             run = sums[..., self.edges[lo] : self.edges[hi]].reshape(span, rows.size, *lams.shape[:2])
             best = run[..., 0].copy()
             for i in range(1, run.shape[3]):
                 np.maximum(best, run[..., i], out=best)
-            exact.extend(best[..., l] for l in range(hi - lo))
-        total[:, first:] = (self.weights[self.n - self.starts[first:]][:, None] + sum(exact)).T
-        self.replayed = rows, first, sums
-        return total
+            maxima.extend(best[..., l] for l in range(hi - lo))
+        exact = (self.weights[self.n - self.starts[first:]][:, None] + sum(maxima)).T
+        return first, exact, sums
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance each row by x[row].
@@ -336,44 +334,37 @@ class RingBatch(_RetiringBatch):
         rows now done, which are the rows that crossed.
 
         An unbounded batch keeps every row's exact joint statistic [rows, starts] in ``total``.
-        A bounded one tightens only running rows whose bound statistic
-        reaches the threshold (suspects): the bound is never below the
-        exact statistic, so no other row can cross.
+        A bounded one tightens only running rows whose bound statistic reaches the threshold
+        (suspects): the bound is never below the exact statistic, so no other row can cross.
+        Both decode a crossed row's chart from its candidates' sums at its oldest best start.
         """
         self.advance(x)
         if not self.bounded:
             self.total = self.joint()
             rows = np.flatnonzero(self.running & (self.total.max(axis=1) >= self.thresholds))
-            total = self.total[rows]
+            if rows.size == 0:
+                return rows, rows, rows, rows
+            best = np.argmax(self.total[rows], axis=1)  # first max: the oldest start wins ties
+            at = np.concatenate([table[rows, :, self.slots[best]] for table in self.tables], axis=1)
         else:
             rows = np.flatnonzero(self.running & (self.bound() >= self.thresholds))
             if rows.size == 0:
                 return rows, rows, rows, rows
-            total = self.tighten(rows)
-            crossed = total.max(axis=1) >= self.thresholds[rows]
-            rows, total = rows[crossed], total[crossed]
-        if rows.size == 0:
-            return rows, rows, rows, rows
-        return rows, np.zeros_like(rows), self.decode(rows, total)[2], rows
+            _, exact, sums = self.tighten(rows)
+            crossed = np.flatnonzero(exact.max(axis=1) >= self.thresholds[rows])
+            rows, best = rows[crossed], np.argmax(exact[crossed], axis=1)  # the oldest start wins ties
+            at = sums[best, crossed]
+        return rows, np.zeros_like(rows), self.decode(at)[1], rows
 
-    def decode(self, rows: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        """Per given row of a joint statistic [rows, starts]: the position in ``starts`` of its oldest
-        best start, each source's lowest best candidate there, and their composite chart.
-
-        A bounded batch reads the candidates' sums from its last ``tighten``, whose rows must hold the given ones.
-        """
-        best = np.argmax(total, axis=1)  # first max: the oldest start wins ties
-        if not self.bounded:
-            at = np.concatenate([table[rows, :, self.slots[best]] for table in self.tables], axis=1)
-        else:
-            replayed, first, sums = self.replayed
-            at = sums[best - first, np.searchsorted(replayed, rows)]  # both row lists ascend
+    def decode(self, at: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per row of candidates' sums [rows, candidates] at its best start: each source's lowest best
+        candidate, and their composite chart."""
         picks = []  # one argmax per run of like sources, first max: the lowest candidate wins ties
         for _, lo, hi, lams in self.source_runs:
-            run = at[:, self.edges[lo] : self.edges[hi]].reshape(rows.size, hi - lo, lams.shape[1])
+            run = at[:, self.edges[lo] : self.edges[hi]].reshape(at.shape[0], hi - lo, lams.shape[1])
             picks.extend(np.argmax(run, axis=2).T)
         # mixed radix, first source slowest
-        return best, picks, np.ravel_multi_index(picks, [grid.size for grid in self.grids])
+        return picks, np.ravel_multi_index(picks, [grid.size for grid in self.grids])
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (ascending)."""
@@ -439,13 +430,14 @@ class WindowEngine(_SteppedDetector):
         self.work["max_scans"] += self.n_sources * self.width
         self.work["combines"] += total.size
         if crossed.size:
-            best, picks, _ = self._rings.decode(crossed, total[None, :])
+            best = np.argmax(total)  # first max: the oldest start wins ties, as in the step
+            picks = np.unravel_index(charts[0], [grid.size for grid in self._rings.grids])
             self._report = StopReport(
                 stopped_at=self.time,
                 firing_chart=int(charts[0]),
-                firing_value=float(total[best[0]]),
-                window_start=int(self._rings.starts[best[0]]),
-                source_rows=tuple(int(pick[0]) for pick in picks),
+                firing_value=float(total[best]),
+                window_start=int(self._rings.starts[best]),
+                source_rows=tuple(int(pick) for pick in picks),
             )
             return self._report
         return None

@@ -339,17 +339,27 @@ class TestRecursionBitsDoNotDependOnLayout:
 
 
 def test_banks_do_not_import_numpy_ma():
-    # np.unique imports numpy.ma, about 20 ms at a process's first bank; the union of grids needs no mask
+    # np.unique imports numpy.ma, about 20 ms at a process's first bank; the union of grids needs no mask.
+    # The runtime is numpy only, so neither the window engine, a window sweep nor a grid design imports scipy.
     code = textwrap.dedent(
         """
         import sys
-        from chartbank import BankSpec, ChartBank, GaussianMeanShift, GeometricPrior, Interval, simulate_runs
+        from chartbank import (
+            BankSpec, ChartBank, DesignSpec, GaussianMeanShift, GeometricPrior, Interval, WindowEngine, WindowSpec,
+            design_grid, simulate_runs,
+        )
         family = GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(-3.0, 3.0))
         prior = GeometricPrior(0.05)
         ChartBank(family, prior, (0.5, 1.0, 2.0), 4.0).step(1.0)
         specs = [BankSpec(family=family, prior=prior, grid=grid, log_thresholds=(4.0,)) for grid in [(0.5, 1.0), (1.0, 2.0)]]
         simulate_runs(tuple(specs), 1.0, 20, 50, 3)
-        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        grids = ((0.5, 1.0), (1.0, 2.0))
+        WindowEngine([family, family], prior, grids, 5, 4.0).run_to_stop([[1.0] * 10] * 2)
+        window = WindowSpec(families=(family, family), prior=prior, grids=grids, window_len=5, log_threshold=4.0)
+        simulate_runs(window, (1.0, 1.0), 20, 50, 3)
+        design_grid(DesignSpec(family=family, interval=Interval(0.5, 2.0), epsilon=0.2, prior=prior))
+        for module in ("numpy.ma", "scipy"):
+            assert module not in sys.modules, f"{module} was imported"
         """
     )
     src = os.path.dirname(os.path.dirname(chartbank.__file__))

@@ -705,6 +705,11 @@ def exact_statistics(spec, lam, n_runs, horizon, seed):
     return np.stack(stats, axis=1)
 
 
+def eager_at(twin, rows, best):
+    """Candidates' sums [rows, candidates] of an unbounded batch's rows at their starts' positions ``best``."""
+    return np.concatenate([table[rows, :, twin.slots[best]] for table in twin.tables], axis=1)
+
+
 class TestPrunedWindowKernel:
     """The slot loop's ring batch evaluates exact maxima only for rows whose bound reaches the threshold."""
 
@@ -744,9 +749,9 @@ class TestPrunedWindowKernel:
         tighten = RingBatch.tighten
 
         def counted(rings, rows):
-            total = tighten(rings, rows)
-            tightened.append((rows.size, int((total.max(axis=1) >= spec.log_threshold).sum())))
-            return total
+            replay = tighten(rings, rows)
+            tightened.append((rows.size, int((replay[1].max(axis=1) >= spec.log_threshold).sum())))
+            return replay
 
         with mock.patch.object(RingBatch, "tighten", counted):
             runs = simulate_runs(spec, lam, CHUNK_RUNS, horizon, SCATTER_SEED)
@@ -795,8 +800,9 @@ class TestPrunedWindowKernel:
             twin.advance(x)
             assert_bounded()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.3)
-            exact = rings.tighten(suspect)
-            assert same_bits(exact, twin.joint()[suspect])
+            first, exact, _ = rings.tighten(suspect)
+            assert first == (0 if suspect.size else rings.starts.size)
+            assert same_bits(exact, twin.joint()[suspect][:, first:])
             if n_rows > 1 and rng.random() < 0.3:
                 keep = np.flatnonzero(rng.random(n_rows) < 0.7)
                 rings.compact(keep)
@@ -837,21 +843,21 @@ class TestPrunedWindowKernel:
             twin.advance(x)
             exact = twin.joint()
             suspect = np.flatnonzero(rng.random(n_rows) < 0.5)
-            total = rings.tighten(suspect)
-            replayed, first, sums = rings.replayed
-            assert np.array_equal(replayed, suspect)
-            finite = np.isfinite(total)
-            assert (finite[:, first:]).all() and not finite[:, :first].any()
-            assert same_bits(total[:, first:], exact[suspect][:, first:])
+            first, total, sums = rings.tighten(suspect)
+            assert sums.shape[:2] == (rings.starts.size - first, suspect.size)
+            assert np.isfinite(total).all()
+            assert same_bits(total, exact[suspect][:, first:])
             assert (exact[suspect][:, :first] < threshold).all()
             for l, table in enumerate(twin.tables):
                 eager = table[suspect][:, :, rings.slots[first:]].transpose(2, 0, 1)
                 assert same_bits(sums[..., edges[l] : edges[l + 1]], eager)
-            crossed = total.max(axis=1) >= threshold
-            if crossed.any():
-                got = rings.decode(suspect[crossed], total[crossed])
-                want = twin.decode(suspect[crossed], exact[suspect[crossed]])
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+            crossed = np.flatnonzero(total.max(axis=1, initial=-np.inf) >= threshold)
+            if crossed.size:
+                best = np.argmax(total[crossed], axis=1)
+                want = np.argmax(exact[suspect[crossed]], axis=1)
+                assert np.array_equal(first + best, want)
+                got = rings.decode(sums[best, crossed])[1]
+                assert np.array_equal(got, twin.decode(eager_at(twin, suspect[crossed], want))[1])
             if n_rows > 1 and rng.random() < 0.2:
                 keep = np.flatnonzero(rng.random(n_rows) < 0.7)
                 if keep.size:
@@ -889,20 +895,24 @@ class TestPrunedWindowKernel:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))  # stop slots and firing charts
             exact = twin.total
             suspect = np.flatnonzero(rng.random(n_rows) < 0.5)
-            total = rings.tighten(suspect)
-            _, first, sums = rings.replayed
-            assert same_bits(total[:, first:], exact[suspect][:, first:])
+            first, total, sums = rings.tighten(suspect)
+            assert same_bits(total, exact[suspect][:, first:])
             assert (exact[suspect][:, :first] < threshold).all()
             for l, table in enumerate(twin.tables):
                 eager = table[suspect][:, :, rings.slots[first:]].transpose(2, 0, 1)
                 assert same_bits(sums[..., edges[l] : edges[l + 1]], eager)
-            crossed = suspect[total.max(axis=1) >= threshold]
+            hit = np.flatnonzero(total.max(axis=1, initial=-np.inf) >= threshold)
+            crossed = suspect[hit]
             if crossed.size:
-                ours = rings.decode(crossed, total[total.max(axis=1) >= threshold])
-                theirs = twin.decode(crossed, exact[crossed])
-                assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-                for pick, table in zip(ours[1], twin.tables):  # each source's own lowest best candidate
-                    assert np.array_equal(pick, np.argmax(table[crossed, :, twin.slots[ours[0]]], axis=1))
+                best = np.argmax(total[hit], axis=1)
+                theirs_best = np.argmax(exact[crossed], axis=1)
+                assert np.array_equal(first + best, theirs_best)
+                ours = rings.decode(sums[best, hit])
+                theirs = twin.decode(eager_at(twin, crossed, theirs_best))
+                assert all(np.array_equal(a, b) for a, b in zip(ours[0], theirs[0]))
+                assert np.array_equal(ours[1], theirs[1])
+                for pick, table in zip(ours[0], twin.tables):  # each source's own lowest best candidate
+                    assert np.array_equal(pick, np.argmax(table[crossed, :, twin.slots[theirs_best]], axis=1))
             rings.retire(got[3])
             twin.retire(want[3])
             if rings.rows.size > 1 and rng.random() < 0.3:

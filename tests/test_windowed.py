@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chartbank import (
     ChartBank,
@@ -21,6 +23,15 @@ from chartbank.windowed import RingBatch, ring_advance, window_offsets
 from conftest import SteppedShellCases
 
 PRIOR = GeometricPrior(0.01)
+# a slot cost of 0.25 and quarter observations keep the mean family's sums exact, so starts tie
+# (candidate 1.0 at x = 0.25, 0.5 at x = -0.25), and so do candidates 0.5 and 1.5 (or 2.5) over
+# segments whose mean is 1.0 (or 1.5)
+TIE_PRIOR = GeometricPrior(-math.expm1(-0.25))
+QUARTERS = (0.25, -0.25, 1.0, 1.5, 0.0, 0.5, 0.75, 2.0)
+REPORT_SOURCES = {
+    "mean": (GaussianMeanShift(pre_mean=0.0, sigma=1.0, post_params=Interval(0.3, 3.0)), (0.5, 1.0, 1.5, 2.5)),
+    "variance": (GaussianVarianceShift(pre_sigma=1.0, post_params=Interval(1.05, 3.5)), (1.2, 1.5, 2.0, 3.0)),
+}
 
 
 def variance_family(low=1.05, high=3.5):
@@ -140,6 +151,82 @@ class TestEngineVsOracle:
             engine.step(np.array([x]))
             bank.step(float(x))
             assert engine.statistic() == pytest.approx(float(bank.log_stats.max()), abs=1e-9)
+
+
+@st.composite
+def report_cases(draw):
+    """One to three sources of either family, each with one to four candidates, a window and a path.
+
+    The path is either quarters, which keep the mean family's sums exact, or scaled and shifted normals.
+    """
+    families, grids = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        family, candidates = REPORT_SOURCES[draw(st.sampled_from(sorted(REPORT_SOURCES)))]
+        grid = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+        families.append(family)
+        grids.append(tuple(sorted(grid)))
+    length = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        row = st.lists(st.sampled_from(QUARTERS), min_size=length, max_size=length)
+        path = np.array(draw(st.lists(row, min_size=len(families), max_size=len(families))))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        scale, shift = rng.uniform(0.5, 2.5, (2, len(families), 1))
+        path = rng.standard_normal((len(families), length)) * scale + np.round(shift)
+    return families, grids, draw(st.integers(1, 12)), path
+
+
+def window_sums(families, grids, window_len, path):
+    """Per slot n, every in-window start k (ascending) with each source's candidate sums over slots k..n.
+
+    Each sum starts at 0.0 and adds the llrs of slots k..n in slot order.
+    """
+    llrs = [family.llr(np.asarray(grid)[None, :], row[:, None]) for family, grid, row in zip(families, grids, path)]
+    sums = {}
+    for n in range(1, path.shape[1] + 1):
+        sums = {k: per_source for k, per_source in sums.items() if k >= n - window_len}
+        sums[n] = [np.zeros(len(grid)) for grid in grids]
+        sums = {k: [s + llr[n - 1] for s, llr in zip(per_source, llrs)] for k, per_source in sums.items()}
+        yield n, sums
+
+
+def bits(value):
+    """The float64 bit pattern of a value."""
+    return np.float64(value).view(np.uint64)
+
+
+class TestStopReportOracle:
+    """Every field of the window engine's stop report, from each start's and candidate's segment sums."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=report_cases(), level=st.floats(0.0, 1.0), prior=st.sampled_from([PRIOR, TIE_PRIOR]))
+    # at slot 3 starts 1 and 2 tie, and so do candidates 0.5 and 1.0 at start 1; start 2's best is 1.0
+    @example(
+        case=([REPORT_SOURCES["mean"][0]], [(0.5, 1.0)], 12, np.array([[0.25, 0.5, 1.5]])), level=1.0, prior=TIE_PRIOR
+    )
+    def test_report_is_the_oldest_best_start_and_each_sources_first_best_candidate(self, case, level, prior):
+        families, grids, window_len, path = case
+        joints = []  # per slot: (starts, joint of each start, each start's sums)
+        for n, sums in window_sums(families, grids, window_len, path):
+            starts = sorted(sums)
+            # the weight plus the per-source maxima added in source order
+            joint = [(n - k + 1) * prior.slot_cost + sum(s.max() for s in sums[k]) for k in starts]
+            joints.append((starts, joint, sums))
+        stats = [max(joint) for _, joint, _ in joints]
+        # a quantile of the statistic, and each of its running records: with a record's value
+        # as the threshold the run stops at that record's slot, so every record slot is checked
+        records = [stat for n, stat in enumerate(stats) if stat > max(stats[:n], default=-math.inf)]
+        for threshold in [float(np.quantile(stats, level))] + records:
+            stop = next(n for n, stat in enumerate(stats, 1) if stat >= threshold)
+            report = WindowEngine(families, prior, grids, window_len, threshold).run_to_stop(path)
+            assert report is not None and report.stopped_at == stop
+            starts, joint, sums = joints[stop - 1]
+            best = joint.index(max(joint))  # the first, so the oldest, best start
+            rows = tuple(max(range(len(s)), key=lambda i: s[i]) for s in sums[starts[best]])  # each source's first best
+            assert report.window_start == starts[best]
+            assert bits(report.firing_value) == bits(joint[best])
+            assert report.source_rows == rows
+            assert report.firing_chart == np.ravel_multi_index(rows, [len(grid) for grid in grids])
 
 
 class TestEngineBehaviour(SteppedShellCases):
